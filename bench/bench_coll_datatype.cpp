@@ -26,7 +26,6 @@ vt::Time run_world(F&& body) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = kWorld;
   cfg.machine = bench_machine();
-  cfg.progress_timeout_ms = 60000;
   cfg.recorder = &obs::default_recorder();
   mpi::Runtime rt(cfg);
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());

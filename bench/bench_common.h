@@ -19,7 +19,6 @@
 #include "core/layouts.h"
 #include "harness/harness.h"
 #include "mpi/runtime.h"
-#include "mpi/stream_triggered.h"
 #include "obs/recorder.h"
 
 namespace gpuddt::bench {
@@ -35,7 +34,6 @@ inline mpi::RuntimeConfig bench_pingpong_cfg() {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
   cfg.machine = bench_machine();
-  cfg.progress_timeout_ms = 60000;
   return cfg;
 }
 
@@ -92,9 +90,9 @@ inline void record(benchmark::State& state, vt::Time virtual_ns,
 /// machine the run creates; `--check-out` also writes the
 /// gpuddt-check-v1 diagnostic report (docs/checking.md).
 /// `--stream-triggered` forces the stream-triggered fragment chains on
-/// for every runtime the run creates (mpi::set_stream_triggered_forced,
-/// docs/protocols.md), same precedence slot as the GPUDDT_CHECK-style
-/// forcing the other flags use. `--latency-out=FILE` switches the
+/// for every runtime the run creates (mpi::stream_triggered_switch,
+/// docs/protocols.md), the same set_forced slot the check flags use.
+/// `--latency-out=FILE` switches the
 /// process-global recorder's streaming flow-latency engine on before the
 /// benchmarks run and writes the gpuddt-latency-v1 report
 /// (docs/latency.md) to FILE afterwards - it works with tracing off,
@@ -127,11 +125,11 @@ inline int bench_main(int argc, char** argv) {
       profile = true;
       obs::default_recorder().enable_tracing(true);
     } else if (std::strcmp(argv[i], "--stream-triggered") == 0) {
-      mpi::set_stream_triggered_forced(true);
+      mpi::stream_triggered_switch.set_forced(true);
     } else if (std::strcmp(argv[i], "--check") == 0) {
-      check::set_forced(true);
+      check::check_switch.set_forced(true);
     } else if (std::strncmp(argv[i], "--check-out=", 12) == 0) {
-      check::set_forced(true);
+      check::check_switch.set_forced(true);
       check_out = argv[i] + 12;
     } else {
       args.push_back(argv[i]);

@@ -36,9 +36,6 @@ void BM_SimThroughput_Ring(benchmark::State& state) {
     cfg.machine.num_devices = 1;
     cfg.machine.topo.fat_tree_leaf_nodes = 4;
     cfg.machine.topo.fat_tree_uplinks = 2;
-    // The baseline gates the event loop's own counters, so pin the
-    // backend rather than inheriting GPUDDT_SIM_BACKEND.
-    cfg.sched_backend = mpi::SchedBackend::kEvent;
     cfg.sim_stack_bytes = 256 * 1024;
     cfg.recorder = &obs::default_recorder();
     mpi::Runtime rt(cfg);

@@ -44,7 +44,6 @@ AccessDesc describe(const char* label, const void* queue,
 AccessTracker::AccessTracker(sg::Machine& machine) : machine_(machine) {}
 
 void AccessTracker::set_recorder(obs::Recorder* rec) {
-  std::lock_guard<std::mutex> lock(mu_);
   rec_ = rec;
   if (rec_ == nullptr) return;
   // Pre-register so a checked run's dump always carries the counters.
@@ -52,16 +51,6 @@ void AccessTracker::set_recorder(obs::Recorder* rec) {
   rec_->metrics().counter("check.ranges");
   rec_->metrics().counter("check.hazards");
   rec_->metrics().counter("check.history.dropped");
-}
-
-std::int64_t AccessTracker::ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ops_;
-}
-
-std::int64_t AccessTracker::hazards() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hazards_;
 }
 
 void AccessTracker::scan_and_insert(Buffer& buf, const Record& r) {
@@ -120,7 +109,6 @@ void AccessTracker::compact(Buffer& buf) {
 
 void AccessTracker::on_op(const sg::OpInfo& info,
                           std::span<const sg::MemRange> ranges) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++ops_;
   obs::count(rec_, "check.ops");
   // Normalize: drop empty ranges, then merge touching same-kind ranges so
@@ -200,13 +188,11 @@ void AccessTracker::on_op(const sg::OpInfo& info,
 }
 
 void AccessTracker::on_release(const void* ptr, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto lo = reinterpret_cast<std::uintptr_t>(ptr);
   buffers_.erase(buffers_.lower_bound(lo), buffers_.lower_bound(lo + bytes));
 }
 
 void AccessTracker::on_reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   buffers_.clear();
 }
 
@@ -223,7 +209,7 @@ void set_recorder(sg::Machine& machine, obs::Recorder* rec) {
 namespace gpuddt::sg {
 
 std::unique_ptr<AccessObserver> make_default_observer(Machine& machine) {
-  if (!check::enabled_for(machine.config().check)) return nullptr;
+  if (!check::check_switch.enabled(machine.config().check)) return nullptr;
   return std::make_unique<check::AccessTracker>(machine);
 }
 

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -50,8 +49,8 @@ class AccessTracker : public sg::AccessObserver {
   void on_release(const void* ptr, std::size_t bytes) override;
   void on_reset() override;
 
-  std::int64_t ops() const;
-  std::int64_t hazards() const;
+  std::int64_t ops() const { return ops_; }
+  std::int64_t hazards() const { return hazards_; }
 
  private:
   struct Record {
@@ -79,7 +78,6 @@ class AccessTracker : public sg::AccessObserver {
   void compact(Buffer& buf);
 
   sg::Machine& machine_;
-  mutable std::mutex mu_;
   std::map<std::uintptr_t, Buffer> buffers_;  // key: allocation base
   obs::Recorder* rec_ = nullptr;
   std::uint64_t next_seq_ = 1;

@@ -2,9 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <mutex>
+#include <string_view>
 
 #include "obs/json.h"
 
@@ -20,7 +19,6 @@ constexpr std::size_t kMaxStored = 1024;
 constexpr std::int64_t kMaxEchoed = 50;
 
 struct Sink {
-  std::mutex mu;
   std::vector<Diagnostic> stored;
   std::int64_t hazards = 0;
   std::int64_t violations = 0;
@@ -33,18 +31,6 @@ struct Sink {
 Sink& sink() {
   static Sink s;
   return s;
-}
-
-std::optional<bool>& forced() {
-  static std::optional<bool> f;
-  return f;
-}
-
-bool env_enabled(bool fallback) {
-  const char* v = std::getenv("GPUDDT_CHECK");
-  if (v == nullptr || *v == '\0') return fallback;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
 }
 
 void echo(const Diagnostic& d) {
@@ -98,26 +84,19 @@ void append_access(std::string& out, const char* key, const AccessDesc& a) {
 
 }  // namespace
 
-bool default_enabled() {
-#ifdef GPUDDT_CHECK_DEFAULT
-  constexpr bool build_default = true;
-#else
-  constexpr bool build_default = false;
-#endif
-  const bool env = env_enabled(build_default);
-  return forced().value_or(env);
+bool Switch::enabled(int tri_state) const {
+  if (tri_state >= 0) return tri_state != 0;
+  if (forced_) return *forced_;
+  const char* v = std::getenv(env_var_);
+  if (v == nullptr || *v == '\0') return build_default_;
+  const std::string_view s(v);
+  return !(s == "0" || s == "off" || s == "false");
 }
 
-bool enabled_for(int machine_check) {
-  if (machine_check >= 0) return machine_check != 0;
-  return default_enabled();
-}
-
-void set_forced(std::optional<bool> f) { forced() = f; }
+Switch check_switch{"GPUDDT_CHECK", GPUDDT_CHECK_DEFAULT != 0};
 
 void report(Diagnostic diag) {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   (diag.kind == "hazard" ? s.hazards : s.violations) += 1;
   if (s.echoed < kMaxEchoed) {
     echo(diag);
@@ -128,25 +107,21 @@ void report(Diagnostic diag) {
 
 std::vector<Diagnostic> diagnostics() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   return s.stored;
 }
 
 std::int64_t hazard_count() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   return s.hazards;
 }
 
 std::int64_t violation_count() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   return s.violations;
 }
 
 void clear_diagnostics() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   s.stored.clear();
   s.hazards = 0;
   s.violations = 0;
@@ -158,38 +133,32 @@ void clear_diagnostics() {
 
 void add_tracked(std::int64_t ops, std::int64_t ranges) {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   s.ops += ops;
   s.ranges += ranges;
 }
 
 void add_dropped(std::int64_t records) {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   s.dropped += records;
 }
 
 std::int64_t ops_tracked() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   return s.ops;
 }
 
 std::int64_t ranges_tracked() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   return s.ranges;
 }
 
 std::int64_t records_dropped() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   return s.dropped;
 }
 
 std::string report_json() {
   Sink& s = sink();
-  std::lock_guard<std::mutex> lock(s.mu);
   std::string out;
   out.reserve(4096);
   out += "{\n  \"schema\": \"gpuddt-check-v1\",\n  \"hazards\": ";

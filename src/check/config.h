@@ -1,12 +1,18 @@
-// Enablement and the process-global diagnostic sink of the checking layer.
+// The process-wide on/off switches and the process-global diagnostic sink
+// of the checking layer.
 //
-// Whether a Machine gets an access tracker attached resolves, in order:
-//   1. MachineConfig::check (0/1) - explicit per-machine setting wins, so
-//      tests can force checking on regardless of environment;
-//   2. set_forced() - a process-wide override (the bench --check flag);
-//   3. the GPUDDT_CHECK environment variable ("0"/"off"/"false" disable,
-//      anything else enables);
-//   4. the GPUDDT_CHECK build option (compile-time default, normally OFF).
+// Every opt-in tool of the simulator resolves through one Switch, in
+// order (docs/api.md, "Switch precedence"):
+//   1. the owning object's tri-state (-1 inherits, 0 off, 1 on), where the
+//      switch has one - so tests can force a tool regardless of
+//      environment;
+//   2. set_forced() - a process-wide override (bench flags, tools, tests);
+//   3. the environment variable: unset or "" defers, "0"/"off"/"false"
+//      disable, anything else enables;
+//   4. the build option (compile-time default, normally OFF).
+// The switches are check_switch here (tri-state MachineConfig::check),
+// verify::verify_switch (verify/hook.h) and mpi::stream_triggered_switch
+// (mpi/runtime.h; tri-state RuntimeConfig::stream_triggered).
 //
 // Diagnostics from every tracker and validator in the process land in one
 // sink: counted without bound, stored up to a cap, echoed to stderr up to
@@ -24,20 +30,34 @@
 
 namespace gpuddt::check {
 
-/// The build/env/forced default, before any per-machine override.
-bool default_enabled();
+/// One process-wide on/off switch; see the file comment for the order.
+class Switch {
+ public:
+  constexpr Switch(const char* env_var, bool build_default)
+      : env_var_(env_var), build_default_(build_default) {}
 
-/// Resolve enablement for a machine whose config carries `machine_check`
-/// (-1 inherit / 0 off / 1 on).
-bool enabled_for(int machine_check);
+  /// Resolve for an object whose own setting is `tri_state` (-1 inherits
+  /// the process-wide value, 0/1 force off/on).
+  bool enabled(int tri_state = -1) const;
 
-/// Process-wide override between config and environment (bench --check).
-void set_forced(std::optional<bool> forced);
+  /// Process-wide override below the tri-state; nullopt restores the
+  /// environment/build resolution.
+  void set_forced(std::optional<bool> forced) { forced_ = forced; }
+
+ private:
+  const char* env_var_;
+  bool build_default_;
+  std::optional<bool> forced_;
+};
+
+/// The access checker: attach a tracker to each new Machine (GPUDDT_CHECK;
+/// the bench --check flag forces it on).
+extern Switch check_switch;
 
 // --- Diagnostic sink --------------------------------------------------------
 
 /// Record a diagnostic: count it, store it (up to a cap) and echo it to
-/// stderr (up to a smaller cap). Thread-safe.
+/// stderr (up to a smaller cap).
 void report(Diagnostic diag);
 
 /// Stored diagnostics (capped copy; counts below are exact).

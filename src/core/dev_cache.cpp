@@ -87,7 +87,7 @@ const DevCache::Entry* DevCache::insert(sg::HostContext& ctx,
     check::validate_dev_list(std::span<const CudaDevDist>(units), b,
                              "dev_cache.insert");
   }
-  if (verify::enabled()) {
+  if (verify::verify_switch.enabled()) {
     // Symbolic certification (src/verify/): proves the unit list
     // byte-exact against the datatype's tree/program/canonical layouts
     // before the DEV can become reachable from the cache. Throws

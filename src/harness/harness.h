@@ -29,7 +29,7 @@ struct PingPongSpec {
   /// nullptr = the paper's GpuDatatypePlugin; otherwise e.g. the
   /// MVAPICH-style baseline.
   std::shared_ptr<mpi::GpuTransferPlugin> plugin;
-  /// Optional perturbation run on rank 0's thread each iteration before
+  /// Optional perturbation run by rank 0 each iteration before
   /// the send (e.g. a co-running compute kernel, Section 5.4).
   std::function<void(mpi::Process&)> background;
 };

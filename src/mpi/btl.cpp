@@ -12,10 +12,7 @@ namespace gpuddt::mpi {
 // resource single-writer in steady state, which makes virtual timelines
 // deterministic across runs.
 vt::TimedResource& SmBtl::channel(int a, int b) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = chans_[std::make_pair(a, b)];
-  if (!slot) slot = std::make_unique<vt::TimedResource>();
-  return *slot;
+  return chans_[std::make_pair(a, b)];
 }
 
 vt::Time SmBtl::am_send(Process& src, int dst_rank, int handler,
@@ -61,7 +58,6 @@ bool SmBtl::supports_gpu_rdma(const Process& self, int /*peer*/) const {
 // --- IbBtl ------------------------------------------------------------------------
 
 vt::TimedResource& IbBtl::link(int node_a, int node_b, bool large) {
-  std::lock_guard<std::mutex> lock(mu_);
   // Small control messages stay on rail 0 (keeps the handshake latency
   // path warm); large payloads round-robin across the configured rails.
   int rail = 0;
@@ -71,9 +67,7 @@ vt::TimedResource& IbBtl::link(int node_a, int node_b, bool large) {
     rail = next;
     next = (next + 1) % rails;
   }
-  auto& slot = links_[std::make_tuple(node_a, node_b, rail)];  // directional
-  if (!slot) slot = std::make_unique<vt::TimedResource>();
-  return *slot;
+  return links_[std::make_tuple(node_a, node_b, rail)];  // directional
 }
 
 int IbBtl::leaf_of(int node) const {
@@ -82,7 +76,6 @@ int IbBtl::leaf_of(int node) const {
 }
 
 vt::TimedResource& IbBtl::leaf_uplink(int leaf, int direction, bool large) {
-  std::lock_guard<std::mutex> lock(mu_);
   int up = 0;
   const int uplinks =
       std::max(1, rt_.machine().config().topo.fat_tree_uplinks);
@@ -91,9 +84,7 @@ vt::TimedResource& IbBtl::leaf_uplink(int leaf, int direction, bool large) {
     up = next;
     next = (next + 1) % uplinks;
   }
-  auto& slot = leaf_links_[std::make_tuple(leaf, direction, up)];
-  if (!slot) slot = std::make_unique<vt::TimedResource>();
-  return *slot;
+  return leaf_links_[std::make_tuple(leaf, direction, up)];
 }
 
 vt::Time IbBtl::charge_fat_tree(Process& p, int src_node, int dst_node,

@@ -11,8 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "mpi/runtime.h"
@@ -85,8 +83,7 @@ class SmBtl : public Btl {
   vt::TimedResource& channel(int a, int b);
 
   Runtime& rt_;
-  std::mutex mu_;
-  std::map<std::pair<int, int>, std::unique_ptr<vt::TimedResource>> chans_;
+  std::map<std::pair<int, int>, vt::TimedResource> chans_;
 };
 
 /// Inter-node simulated InfiniBand BTL: one full-duplex-ish serialized
@@ -132,14 +129,11 @@ class IbBtl : public Btl {
                            vt::Reservation wire);
 
   Runtime& rt_;
-  std::mutex mu_;
   /// Directional links keyed by (src node, dst node, rail).
-  std::map<std::tuple<int, int, int>, std::unique_ptr<vt::TimedResource>>
-      links_;
+  std::map<std::tuple<int, int, int>, vt::TimedResource> links_;
   std::map<std::pair<int, int>, int> next_rail_;
   /// Shared fat-tree uplinks keyed by (leaf, direction, uplink index).
-  std::map<std::tuple<int, int, int>, std::unique_ptr<vt::TimedResource>>
-      leaf_links_;
+  std::map<std::tuple<int, int, int>, vt::TimedResource> leaf_links_;
   std::map<std::pair<int, int>, int> next_uplink_;
 };
 

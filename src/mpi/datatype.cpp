@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mpi/canonical.h"
-#include <atomic>
 #include <sstream>
 #include <vector>
 #include <stdexcept>
@@ -215,7 +214,7 @@ WalkResult walk(std::span<const Instr> prog, std::size_t i0, std::size_t i1) {
   return r;
 }
 
-std::atomic<std::uint64_t> g_next_type_id{1};
+std::uint64_t g_next_type_id = 1;
 
 }  // namespace
 
@@ -301,7 +300,7 @@ DatatypePtr Datatype::finalize(std::vector<Instr> program, Signature sig,
                dt->program_[0].op == Instr::Op::kBlock &&
                dt->program_[0].disp == 0 && dt->lb_ == 0 &&
                dt->extent_ == dt->size_;
-  dt->type_id_ = g_next_type_id.fetch_add(1, std::memory_order_relaxed);
+  dt->type_id_ = g_next_type_id++;
   dt->canonical_program_ = canonicalize_program(dt->program_);
   dt->shape_digest_ =
       ::gpuddt::mpi::shape_digest(dt->canonical_program_, dt->extent_);

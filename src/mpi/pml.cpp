@@ -494,7 +494,7 @@ void Pml::on_fin(AmMessage& m) {
       obs::observe(proc_.config().recorder, "pml.cts_to_fin_ns",
                    m.arrival - req->cts_sent);
     // Plugin-owned recvs (stream-triggered chains) finalize their engine
-    // op and free staging here, on the receiver's own thread: this fin is
+    // op and free staging here, on the receiving rank itself: this fin is
     // the first host wakeup the transfer caused on this rank.
     if (req->plugin && proc_.runtime().gpu_plugin() != nullptr)
       proc_.runtime().gpu_plugin()->recv_fin(proc_, *req, m.arrival);

@@ -41,7 +41,7 @@ struct Status {
   std::int64_t bytes = 0;
 };
 
-/// User-visible request handle. Mutated only on the owning rank's thread.
+/// User-visible request handle. Mutated only by the owning rank.
 struct RequestState {
   bool done = false;
   Status status;  // status.source is a world rank until translated
@@ -92,7 +92,7 @@ enum class TransferMode : std::uint8_t {
   /// is pre-enqueued as stream/event dependencies on both GPUs. No
   /// FragReady/FragFree AMs, no per-fragment host wakeups; only the final
   /// fin touches the host. Negotiated only when both sides opted in
-  /// (mpi::stream_triggered_enabled) and the kIpcRdma GET preconditions
+  /// (mpi::stream_triggered_switch) and the kIpcRdma GET preconditions
   /// hold.
   kStreamTriggered = 4,
 };
@@ -254,7 +254,7 @@ class GpuTransferPlugin {
                           vt::Time arrival) = 0;
 
   /// Receiver side: the sender's completion fin arrived for a recv this
-  /// plugin owns (req.plugin set). Runs on the receiver's thread just
+  /// plugin owns (req.plugin set). Runs on the receiving rank just
   /// before Pml::complete_recv - the stream-triggered chain finalizes its
   /// engine op and frees staging here, since no per-fragment AM ever
   /// wakes the receiver. Default: nothing (host-driven modes finished

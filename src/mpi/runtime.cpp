@@ -1,19 +1,15 @@
 #include "mpi/runtime.h"
 
-#include <chrono>
-#include <cstdlib>
-#include <exception>
-#include <string>
-#include <thread>
-
 #include "check/access_tracker.h"
 #include "mpi/bml.h"
 #include "obs/recorder.h"
 #include "mpi/btl.h"
 #include "mpi/pml.h"
-#include "mpi/sched.h"
 
 namespace gpuddt::mpi {
+
+check::Switch stream_triggered_switch{"GPUDDT_STREAM_TRIGGERED",
+                                      GPUDDT_STREAM_TRIGGERED_DEFAULT != 0};
 
 // --- Process -----------------------------------------------------------------
 
@@ -40,14 +36,9 @@ vt::Time Process::am_send(int dst, int handler,
 
 bool Process::progress() {
   bool any = false;
-  for (;;) {
-    AmMessage m;
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      if (inbox_.empty()) break;
-      m = std::move(inbox_.front());
-      inbox_.pop_front();
-    }
+  while (!inbox_.empty()) {
+    AmMessage m = std::move(inbox_.front());
+    inbox_.pop_front();
     // A rank cannot react to a message before its bytes have arrived.
     clock().wait_until(m.arrival);
     rt_.handler(m.handler)(*this, m);
@@ -62,41 +53,16 @@ bool Process::progress() {
 }
 
 void Process::progress_blocking() {
-  if (auto* sched = rt_.scheduler()) {
-    for (;;) {
-      if (progress()) return;
-      sched->wait_for_message(rank_);
-    }
+  vt::EventEngine* sched = rt_.scheduler();
+  if (sched == nullptr) {
+    throw std::logic_error(
+        "Process::progress_blocking: called outside Runtime::run");
   }
-  if (progress()) return;
-  const auto deadline =
-      // det-lint: allow(wall_clock) - deadlock watchdog, not simulated time
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config().progress_timeout_ms);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(inbox_mu_);
-      if (inbox_.empty()) {
-        if (inbox_cv_.wait_until(lock, deadline) ==
-                std::cv_status::timeout &&
-            inbox_.empty()) {
-          throw std::runtime_error(
-              "Process::progress_blocking: no traffic before timeout "
-              "(likely deadlock) on rank " +
-              std::to_string(rank_));
-        }
-      }
-    }
-    if (progress()) return;
-  }
+  while (!progress()) sched->wait_for_message(rank_);
 }
 
 void Process::deliver(AmMessage&& m) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    inbox_.push_back(std::move(m));
-  }
-  inbox_cv_.notify_one();
+  inbox_.push_back(std::move(m));
   if (auto* sched = rt_.scheduler()) sched->note_message(rank_);
 }
 
@@ -144,20 +110,8 @@ int Runtime::device_of(int rank) const {
 
 Btl& Runtime::btl_between(int a, int b) { return bml_->between(a, b); }
 
-SchedBackend resolve_sched_backend(SchedBackend configured) {
-  if (configured != SchedBackend::kAuto) return configured;
-  if (const char* env = std::getenv("GPUDDT_SIM_BACKEND")) {
-    const std::string v(env);
-    if (v == "event" || v == "fiber") return SchedBackend::kEvent;
-    if (v == "threads" || v == "thread") return SchedBackend::kThreads;
-    if (!v.empty()) {
-      throw std::invalid_argument(
-          "GPUDDT_SIM_BACKEND must be 'event' or 'threads', got '" + v + "'");
-    }
-  }
-  return SchedBackend::kEvent;
-}
-
+// Every rank is a continuation of one event loop; rank bodies reach it
+// through Process::progress / progress_blocking / deliver.
 void Runtime::run(const std::function<void(Process&)>& fn) {
   if (ran_) throw std::logic_error("Runtime::run may only be called once");
   ran_ = true;
@@ -165,22 +119,6 @@ void Runtime::run(const std::function<void(Process&)>& fn) {
   for (int r = 0; r < cfg_.world_size; ++r)
     procs_.push_back(std::make_unique<Process>(*this, r));
 
-  if (!cfg_.deterministic) {
-    run_threads(fn, /*cooperative=*/false);
-    return;
-  }
-  if (resolve_sched_backend(cfg_.sched_backend) == SchedBackend::kThreads) {
-    run_threads(fn, /*cooperative=*/true);
-    return;
-  }
-  run_event_loop(fn);
-}
-
-// The default deterministic backend: every rank is a continuation of one
-// event loop. Rank bodies reach the scheduler through the same
-// Process::progress paths as the thread backend; only the suspension
-// mechanism differs (a context switch instead of a condvar park).
-void Runtime::run_event_loop(const std::function<void(Process&)>& fn) {
   vt::EventEngine engine(cfg_.world_size, {cfg_.sim_stack_bytes});
   engine.set_block_describer(
       [this](int r) { return procs_[static_cast<size_t>(r)]->pml().pending_summary(); });
@@ -196,43 +134,6 @@ void Runtime::run_event_loop(const std::function<void(Process&)>& fn) {
   }
   sim_stats_ = engine.stats();
   sched_ = nullptr;
-}
-
-// The legacy backends: one OS thread per rank, either cooperating through
-// TurnScheduler (deterministic reference implementation) or free-running
-// with the real-time deadlock watchdog.
-void Runtime::run_threads(const std::function<void(Process&)>& fn,
-                          bool cooperative) {
-  std::unique_ptr<TurnScheduler> turn;
-  if (cooperative) {
-    turn = std::make_unique<TurnScheduler>(cfg_.world_size);
-    turn->set_block_describer([this](int r) {
-      return procs_[static_cast<size_t>(r)]->pml().pending_summary();
-    });
-    sched_ = turn.get();
-  }
-
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(cfg_.world_size);
-  threads.reserve(cfg_.world_size);
-  for (int r = 0; r < cfg_.world_size; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        if (turn) turn->start(r);
-        fn(*procs_[r]);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-      // Leave the rotation even on exception, or the peers would wait for
-      // this rank's turn forever.
-      if (turn) turn->finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
-  sched_ = nullptr;
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 }  // namespace gpuddt::mpi

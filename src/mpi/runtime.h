@@ -1,26 +1,25 @@
 // The mini-MPI runtime.
 //
 // Mirrors the Open MPI architecture the paper integrates into:
-//   * Runtime  - launches one thread per rank on a shared simulated
-//                Machine, owns the BTL instances and the Active-Message
-//                handler table (the paper's Section 4 plumbing).
+//   * Runtime  - runs every rank on a shared simulated Machine, owns the
+//                BTL instances and the Active-Message handler table (the
+//                paper's Section 4 plumbing).
 //   * Process  - the per-rank context: virtual clock, GPU HostContext,
 //                inbox of Active Messages, PML instance.
 //
-// Ranks are threads of this process; a rank-to-node map decides whether a
-// pair of ranks communicates over the shared-memory BTL or the simulated
-// InfiniBand BTL.
+// Ranks are continuations of one event loop (vtime/engine.h) on the
+// calling thread; a rank-to-node map decides whether a pair of ranks
+// communicates over the shared-memory BTL or the simulated InfiniBand BTL.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
+#include "check/config.h"
 #include "simgpu/runtime.h"
 #include "vtime/engine.h"
 #include "vtime/vclock.h"
@@ -38,17 +37,12 @@ class Btl;
 class Bml;
 class GpuTransferPlugin;
 
-/// Which engine drives the deterministic cooperative schedule.
-enum class SchedBackend {
-  kAuto,     ///< GPUDDT_SIM_BACKEND env ("event"/"threads"), else kEvent
-  kThreads,  ///< legacy mpi::TurnScheduler: one parked OS thread per rank
-  kEvent,    ///< vt::EventEngine: resumable continuations, one OS thread
-};
-
-/// Resolve kAuto against the GPUDDT_SIM_BACKEND environment variable
-/// ("event" or "threads"/"thread"; anything else throws). Exposed so
-/// benches/tests can report which backend a run actually used.
-SchedBackend resolve_sched_backend(SchedBackend configured);
+/// Stream-triggered fragment chains (docs/protocols.md; env var
+/// GPUDDT_STREAM_TRIGGERED, forced on by the benches' --stream-triggered
+/// flag). The per-runtime tri-state is RuntimeConfig::stream_triggered.
+/// Off by default, so every baseline stays byte-identical unless a run
+/// opts in.
+extern check::Switch stream_triggered_switch;
 
 /// A BTL-level Active Message: the receiver runs the registered handler
 /// for `handler` when it progresses its inbox ([4] in the paper).
@@ -101,9 +95,8 @@ struct RuntimeConfig {
   /// Stream-triggered fragment chains (docs/protocols.md): pre-enqueue
   /// the whole pack -> RDMA GET -> unpack -> credit chain as stream/event
   /// dependencies after one rendezvous, removing the per-fragment
-  /// FragReady/FragFree host round-trips. Tri-state: -1 follows the
-  /// process-wide default (mpi::stream_triggered_enabled: forced >
-  /// GPUDDT_STREAM_TRIGGERED env > build option), 0/1 force off/on.
+  /// FragReady/FragFree host round-trips. Tri-state: -1 follows
+  /// stream_triggered_switch, 0/1 force off/on.
   int stream_triggered = -1;
   /// Work-unit size S of the GPU datatype engine (Section 3.2).
   std::int64_t dev_unit_bytes = 1024;
@@ -119,39 +112,21 @@ struct RuntimeConfig {
   /// Force the copy-in/out protocol even when IPC would be available.
   bool force_copy_inout = false;
 
-  /// Cooperative deterministic scheduling (vtime/engine.h, mpi/sched.h):
-  /// ranks take round-robin turns instead of free-running, so every touch
-  /// of shared virtual-time state (arenas, timed resources, inboxes)
-  /// happens in a program-defined order and repeat runs are
-  /// bit-identical. Off restores the legacy free-running threads with the
-  /// real-time deadlock timeout.
-  bool deterministic = true;
-
-  /// Which scheduler implements the deterministic rotation. Both backends
-  /// produce byte-identical virtual schedules (the equivalence suite pins
-  /// this); the event backend is the default and scales to 1000+ ranks.
-  /// Precedence: this field > GPUDDT_SIM_BACKEND env > event.
-  SchedBackend sched_backend = SchedBackend::kAuto;
-
-  /// Usable stack bytes per rank continuation (event backend only). Rank
-  /// bodies run protocol code on these stacks; the default fits the
-  /// deepest existing path (collectives over rendezvous over DEV) with
-  /// ample headroom, and a guard page faults on overflow.
+  /// Usable stack bytes per rank continuation. Rank bodies run protocol
+  /// code on these stacks; the default fits the deepest existing path
+  /// (collectives over rendezvous over DEV) with ample headroom, and a
+  /// guard page faults on overflow.
   std::size_t sim_stack_bytes = std::size_t{1} << 20;
-
-  /// Real-time guard for the non-deterministic mode: a blocking progress
-  /// loop that sees no traffic for this many milliseconds aborts the run.
-  /// (The deterministic scheduler detects deadlock exactly instead.)
-  int progress_timeout_ms = 30000;
 
   /// Optional observability sink shared by every rank (counters,
   /// histograms, trace events; see obs/recorder.h). Nullable - the
-  /// runtime is silent when unset. Thread-safe by construction.
+  /// runtime is silent when unset.
   obs::Recorder* recorder = nullptr;
 };
 
-/// Per-rank context. All of a rank's protocol state is mutated only from
-/// its own thread (AM handlers run during that rank's progress calls).
+/// Per-rank context. All of a rank's protocol state is mutated only by
+/// its own continuation (AM handlers run during that rank's progress
+/// calls).
 class Process {
  public:
   Process(Runtime& rt, int rank);
@@ -183,11 +158,11 @@ class Process {
   /// Drain and dispatch pending messages; returns true if any ran.
   bool progress();
 
-  /// Block until at least one message is processed (with the deadlock
-  /// timeout from the config).
+  /// Block until at least one message is processed. Throws
+  /// vt::DeadlockError when no rank can ever deliver one.
   void progress_blocking();
 
-  /// Called by peer threads to enqueue a message.
+  /// Called by the sending rank to enqueue a message.
   void deliver(AmMessage&& m);
 
   /// Node id of another rank.
@@ -200,8 +175,6 @@ class Process {
   sg::HostContext gpu_;
   std::unique_ptr<Pml> pml_;
 
-  std::mutex inbox_mu_;
-  std::condition_variable inbox_cv_;
   std::deque<AmMessage> inbox_;
 };
 
@@ -224,10 +197,9 @@ class Runtime {
   void set_gpu_plugin(std::shared_ptr<GpuTransferPlugin> plugin);
   GpuTransferPlugin* gpu_plugin() { return plugin_.get(); }
 
-  /// SPMD entry: run `fn` once per rank. Under the default event backend
-  /// every rank is a resumable continuation dispatched by one event loop
-  /// on the calling thread; the thread backends spawn one OS thread per
-  /// rank. The lowest-failing-rank exception is rethrown at the end.
+  /// SPMD entry: run `fn` once per rank. Every rank is a resumable
+  /// continuation dispatched by one event loop on the calling thread. The
+  /// lowest-failing-rank exception is rethrown at the end.
   void run(const std::function<void(Process&)>& fn);
 
   Process& process(int rank) { return *procs_.at(rank); }
@@ -239,26 +211,21 @@ class Runtime {
     return rank / cfg_.ranks_per_node;
   }
 
-  /// The cooperative scheduler; null when config().deterministic is off
-  /// or outside run().
-  vt::TaskScheduler* scheduler() { return sched_; }
+  /// The event loop driving the ranks; null outside run().
+  vt::EventEngine* scheduler() { return sched_; }
 
-  /// Event-loop counters from the last run (all zero after thread-backend
-  /// or free-running runs). Deterministic for a fixed program, so
-  /// bench_sim_throughput gates them byte-exactly.
+  /// Event-loop counters from the last run. Deterministic for a fixed
+  /// program, so bench_sim_throughput gates them byte-exactly.
   const vt::EngineStats& sim_stats() const { return sim_stats_; }
 
  private:
-  void run_threads(const std::function<void(Process&)>& fn, bool cooperative);
-  void run_event_loop(const std::function<void(Process&)>& fn);
-
   RuntimeConfig cfg_;
   std::unique_ptr<sg::Machine> machine_;
   std::vector<AmHandler> handlers_;
   std::shared_ptr<GpuTransferPlugin> plugin_;
   std::unique_ptr<Bml> bml_;
   std::vector<std::unique_ptr<Process>> procs_;
-  vt::TaskScheduler* sched_ = nullptr;
+  vt::EventEngine* sched_ = nullptr;
   vt::EngineStats sim_stats_;
   bool ran_ = false;
 };

@@ -76,11 +76,11 @@ const char* FlowStats::stage_name(int stage) {
   return kShortNames[static_cast<std::size_t>(stage)];
 }
 
-void FlowStats::bump_locked(const char* name, std::int64_t delta) {
+void FlowStats::bump(const char* name, std::int64_t delta) {
   if (metrics_ != nullptr) metrics_->counter(name).add(delta);
 }
 
-void FlowStats::retire_key_locked(std::uint64_t key) {
+void FlowStats::retire_key(std::uint64_t key) {
   if (completed_keys_.insert(key).second) {
     completed_fifo_.push_back(key);
     if (completed_fifo_.size() > kMaxCompletedKeys) {
@@ -92,18 +92,17 @@ void FlowStats::retire_key_locked(std::uint64_t key) {
 
 void FlowStats::on_span(const TraceEvent& ev) {
   if (!enabled() || ev.flow == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t key = logical_key(ev.flow);
   if (completed_keys_.count(key) != 0) {
     ++late_spans_;
-    bump_locked("flowstats.late_spans");
+    bump("flowstats.late_spans");
     return;
   }
   auto it = pending_.find(key);
   if (it == pending_.end()) {
     if (pending_.size() >= kMaxPending) {
       ++dropped_;
-      bump_locked("flowstats.dropped");
+      bump("flowstats.dropped");
       return;
     }
     it = pending_.emplace(key, Pending{}).first;
@@ -149,23 +148,22 @@ void FlowStats::on_span(const TraceEvent& ev) {
     ivals = std::move(merged);
   }
   ++spans_;
-  bump_locked("flowstats.spans");
+  bump("flowstats.spans");
 }
 
 void FlowStats::complete(const Completion& c) {
   if (!enabled() || c.flow == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t key = logical_key(c.flow);
   if (completed_keys_.count(key) != 0) {
     ++late_spans_;
-    bump_locked("flowstats.late_spans");
+    bump("flowstats.late_spans");
     return;
   }
   auto it = pending_.find(key);
   if (it == pending_.end()) {
     if (pending_.size() >= kMaxPending) {
       ++dropped_;
-      bump_locked("flowstats.dropped");
+      bump("flowstats.dropped");
       return;
     }
     it = pending_.emplace(key, Pending{}).first;
@@ -186,13 +184,13 @@ void FlowStats::complete(const Completion& c) {
   if (c.end >= 0) p.end_override = std::max(p.end_override, c.end);
   ++p.completions;
   if (p.completions >= p.participants) {
-    finalize_locked(key, p);
+    finalize(key, p);
     pending_.erase(it);
   }
 }
 
-void FlowStats::finalize_locked(std::uint64_t key, Pending& p) {
-  retire_key_locked(key);
+void FlowStats::finalize(std::uint64_t key, Pending& p) {
+  retire_key(key);
   std::int64_t begin = p.begin_override;
   std::int64_t end = p.end_override;
   if (p.min_begin != std::numeric_limits<std::int64_t>::max()) {
@@ -203,7 +201,7 @@ void FlowStats::finalize_locked(std::uint64_t key, Pending& p) {
     // No usable window (completion without times and without any span):
     // count it dropped rather than invent a latency.
     ++dropped_;
-    bump_locked("flowstats.dropped");
+    bump("flowstats.dropped");
     return;
   }
   const std::int64_t e2e = end - begin;
@@ -221,7 +219,7 @@ void FlowStats::finalize_locked(std::uint64_t key, Pending& p) {
     // bound (at most 64 extra keys), never silently discard the sample.
     ++acc.values[bucket_upper_bound(e2e)];
     ++capped_;
-    bump_locked("flowstats.capped");
+    bump("flowstats.capped");
   }
 
   TailFlow tf{e2e, next_seq_++, {}};
@@ -259,48 +257,38 @@ void FlowStats::finalize_locked(std::uint64_t key, Pending& p) {
   if (acc.tail.size() > kTailFlows) acc.tail.resize(kTailFlows);
 
   ++flows_;
-  bump_locked("flowstats.flows");
+  bump("flowstats.flows");
   if (metrics_ != nullptr) {
     metrics_->histogram("latency.e2e_ns").record(e2e);
   }
 }
 
-void FlowStats::drop_locked(std::uint64_t key, Pending& p) {
-  (void)p;
-  retire_key_locked(key);
+void FlowStats::drop(std::uint64_t key) {
+  retire_key(key);
   ++dropped_;
-  bump_locked("flowstats.dropped");
+  bump("flowstats.dropped");
 }
 
 void FlowStats::drop_unidentified() {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
   ++dropped_;
-  bump_locked("flowstats.dropped");
+  bump("flowstats.dropped");
 }
 
-void FlowStats::begin_generation() {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, p] : pending_) drop_locked(key, p);
-  pending_.clear();
-  // Send ids restart with the new Runtime, so retired keys from the old
-  // generation would shadow fresh flows reusing the same bits.
-  completed_keys_.clear();
-  completed_fifo_.clear();
-}
+// Send ids restart with the new Runtime, so open flows and retired keys
+// from the old generation must not shadow fresh flows reusing the same
+// bits: both fences drop and forget the same state.
+void FlowStats::begin_generation() { end_generation(); }
 
 void FlowStats::end_generation() {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, p] : pending_) drop_locked(key, p);
+  for (const auto& entry : pending_) drop(entry.first);
   pending_.clear();
   completed_keys_.clear();
   completed_fifo_.clear();
 }
 
 FlowStats::Report FlowStats::report() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Report r;
   r.spans = spans_;
   r.flows = flows_;
@@ -405,7 +393,6 @@ std::string FlowStats::to_json() const {
 }
 
 void FlowStats::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   pending_.clear();
   completed_keys_.clear();
   completed_fifo_.clear();

@@ -26,11 +26,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -53,12 +51,10 @@ class FlowStats {
   explicit FlowStats(Registry* metrics) : metrics_(metrics) {}
 
   /// Off by default: with flowstats disabled the hot obs::trace path pays
-  /// one relaxed load, and no latency.* / flowstats.* instruments ever
+  /// one flag test, and no latency.* / flowstats.* instruments ever
   /// appear in the metrics registry (keeping historic baselines intact).
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void enable(bool on = true) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_; }
+  void enable(bool on = true) { enabled_ = on; }
 
   /// Fold one flow-stamped span into its logical flow's pending record.
   /// Ignores flow-less events; spans for already-finalized flows count as
@@ -168,14 +164,13 @@ class FlowStats {
   static constexpr std::size_t kMaxDistinctValues = 1024;
   static constexpr std::size_t kTailFlows = 32;
 
-  void finalize_locked(std::uint64_t key, Pending& p);
-  void drop_locked(std::uint64_t key, Pending& p);
-  void retire_key_locked(std::uint64_t key);
-  void bump_locked(const char* name, std::int64_t delta = 1);
+  void finalize(std::uint64_t key, Pending& p);
+  void drop(std::uint64_t key);
+  void retire_key(std::uint64_t key);
+  void bump(const char* name, std::int64_t delta = 1);
 
   Registry* metrics_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
+  bool enabled_ = false;
   std::map<std::uint64_t, Pending> pending_;
   std::set<std::uint64_t> completed_keys_;
   std::deque<std::uint64_t> completed_fifo_;

@@ -55,7 +55,6 @@ std::int64_t Histogram::Snapshot::quantile(double q) const {
 }
 
 void Histogram::record(std::int64_t value) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (s_.count == 0) {
     s_.min = s_.max = value;
   } else {
@@ -67,13 +66,7 @@ void Histogram::record(std::int64_t value) {
   ++s_.buckets[bucket_of(value)];
 }
 
-Histogram::Snapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return s_;
-}
-
 Counter& Registry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
@@ -83,7 +76,6 @@ Counter& Registry::counter(std::string_view name) {
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
@@ -93,7 +85,6 @@ Histogram& Registry::histogram(std::string_view name) {
 }
 
 std::map<std::string, std::int64_t> Registry::counters_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::int64_t> out;
   for (const auto& [name, c] : counters_) out.emplace(name, c->value());
   return out;
@@ -101,14 +92,12 @@ std::map<std::string, std::int64_t> Registry::counters_snapshot() const {
 
 std::map<std::string, Histogram::Snapshot> Registry::histograms_snapshot()
     const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, Histogram::Snapshot> out;
   for (const auto& [name, h] : histograms_) out.emplace(name, h->snapshot());
   return out;
 }
 
 void Registry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
   histograms_.clear();
 }

@@ -4,34 +4,29 @@
 // decision and protocol stage increments a named counter (or records a
 // virtual-nanosecond latency into a histogram) so a benchmark run can
 // report *where* bytes and time went, not just the end-to-end figure.
-// Counters are lock-free; histograms take a short mutex per record.
 // References returned by Registry::counter()/histogram() stay valid for
 // the registry's lifetime, so hot paths resolve names once and keep the
 // pointer.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
 namespace gpuddt::obs {
 
-/// Monotonic counter, safe to bump from any rank thread.
+/// Monotonic counter.
 class Counter {
  public:
-  void add(std::int64_t delta) {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void add(std::int64_t delta) { v_ += delta; }
   void inc() { add(1); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
+  std::int64_t value() const { return v_; }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  std::int64_t v_ = 0;
 };
 
 /// Log2-bucketed histogram of non-negative values (latencies in virtual
@@ -62,10 +57,9 @@ class Histogram {
   };
 
   void record(std::int64_t value);
-  Snapshot snapshot() const;
+  Snapshot snapshot() const { return s_; }
 
  private:
-  mutable std::mutex mu_;
   Snapshot s_;
 };
 
@@ -76,7 +70,7 @@ class Histogram {
 /// percentiles gate byte-identically. Returns 0 when count <= 0.
 std::int64_t nearest_rank(double q, std::int64_t count);
 
-/// Thread-safe name -> instrument map. Names are dot-separated paths
+/// Name -> instrument map. Names are dot-separated paths
 /// ("engine.pack.bytes.dev"); docs/metrics.md lists the stable set.
 class Registry {
  public:
@@ -90,7 +84,6 @@ class Registry {
   void clear();
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };

@@ -12,23 +12,11 @@ namespace gpuddt::obs {
 
 void TraceBuffer::record(TraceEvent ev) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= max_events_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
   events_.push_back(std::move(ev));
-}
-
-std::vector<TraceEvent> TraceBuffer::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-void TraceBuffer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 namespace {

@@ -8,13 +8,11 @@
 // pack op or one pipelined transfer - the same evidence Figure 5 of the
 // paper sketches by hand.
 //
-// Disabled tracing is a single relaxed atomic load per call site; the
-// buffer is bounded so runaway benchmarks cannot exhaust memory.
+// Disabled tracing is a single flag test per call site; the buffer is
+// bounded so runaway benchmarks cannot exhaust memory.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,27 +34,25 @@ class TraceBuffer {
   explicit TraceBuffer(std::size_t max_events = 1 << 20)
       : max_events_(max_events) {}
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void enable(bool on = true) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_; }
+  void enable(bool on = true) { enabled_ = on; }
 
   /// Append one event; no-op when disabled or full. `dropped()` reports
   /// how many events the cap swallowed, so a truncated trace is never
   /// mistaken for a complete one.
   void record(TraceEvent ev);
 
-  std::vector<TraceEvent> snapshot() const;
-  std::int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
+  std::vector<TraceEvent> snapshot() const { return events_; }
+  std::int64_t dropped() const { return dropped_; }
+  void clear() {
+    events_.clear();
+    dropped_ = 0;
   }
-  void clear();
 
  private:
   const std::size_t max_events_;
-  std::atomic<bool> enabled_{false};
-  std::atomic<std::int64_t> dropped_{0};
-  mutable std::mutex mu_;
+  bool enabled_ = false;
+  std::int64_t dropped_ = 0;
   std::vector<TraceEvent> events_;
 };
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "mpi/stream_triggered.h"
 #include "obs/recorder.h"
 #include "simgpu/staging.h"
 
@@ -126,7 +125,6 @@ void GpuDatatypePlugin::attach(mpi::Runtime& rt) {
 }
 
 GpuDatatypePlugin::PerRank& GpuDatatypePlugin::per_rank(mpi::Process& p) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = ranks_[p.rank()];
   if (!slot) {
     slot = std::make_unique<PerRank>();
@@ -428,9 +426,9 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
   // waits the GET, and the GET's completion event is the credit that
   // releases the sender slot for pack[f+depth]. No FragReady/FragFree
   // AMs, no host wakeups per fragment on either rank. Driving the
-  // receiver's engine from this thread is safe under the cooperative
-  // scheduler (streams and machine resources are internally locked), and
-  // the triggered entry points never touch the receiver's host clock.
+  // receiver's engine from the sender's rank is safe because ranks run
+  // one at a time, and the triggered entry points never touch the
+  // receiver's host clock.
   mpi::Process& rp = p.runtime().process(req.env.dst);
   mpi::RecvRequest* rreq = rp.pml().find_recv(cts.recv_id);
   if (rreq == nullptr)
@@ -763,7 +761,7 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
   st->op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, req.dt,
                      req.count, req.buf);
 
-  if (mpi::stream_triggered_enabled(cfg.stream_triggered) &&
+  if (mpi::stream_triggered_switch.enabled(cfg.stream_triggered) &&
       !cfg.rdma_put_mode) {
     // Stream-triggered chain (docs/protocols.md): this CTS is the last
     // per-message host work on this rank until the sender's fin. The

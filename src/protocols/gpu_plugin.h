@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -41,7 +40,7 @@ namespace gpuddt::proto {
 
 /// Per-rank transfer statistics: which protocol handled each message, the
 /// payload volume, and registration-cache behaviour. Read from the owning
-/// rank's thread, or after run() returns.
+/// rank, or after run() returns.
 struct TransferStats {
   std::int64_t rdma_pipelined = 0;     // kIpcRdma transfers completed
   std::int64_t rdma_recv_driven = 0;   // contiguous-sender shortcut
@@ -73,8 +72,8 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
   void recv_fin(mpi::Process& p, mpi::RecvRequest& req,
                 vt::Time arrival) override;
 
-  /// The per-rank GPU datatype engine (created lazily from that rank's
-  /// thread; also used directly by benchmarks).
+  /// The per-rank GPU datatype engine (created lazily by that rank; also
+  /// used directly by benchmarks).
   core::GpuDatatypeEngine& engine(mpi::Process& p);
 
   /// MPI_Pack-style explicit packing: gather `count` elements of `dt`
@@ -150,7 +149,6 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
   int h_frag_ready_ = -1;
   int h_frag_free_ = -1;
 
-  std::mutex mu_;
   std::unordered_map<int, std::unique_ptr<PerRank>> ranks_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -12,11 +11,6 @@
 namespace gpuddt::rma {
 
 namespace {
-// MPI requires element-wise atomicity for concurrent accumulates with the
-// same op. The functional read-modify-write below is protected coarsely;
-// virtual time is unaffected (the cost model already serializes nothing
-// here, matching MPI's undefined ordering).
-std::mutex g_accumulate_mu;
 
 /// One-sided-op observability (docs/metrics.md `rma.*` family): call and
 /// byte counters split contiguous/packed by the layouts on both sides and
@@ -277,8 +271,9 @@ void Window::accumulate(const void* origin, std::int64_t origin_count,
                               p.clock().now(), op_id);
   const vt::Time t2 = pack_to(tptr, target_count, target_dt, theirs.data(),
                               std::max(t1, p.clock().now()), op_id);
-  // Element-wise combine (host ALU; ~4 GB/s like the collectives).
-  std::lock_guard<std::mutex> lock(g_accumulate_mu);
+  // Element-wise combine (host ALU; ~4 GB/s like the collectives). Ranks
+  // run one at a time and nothing here suspends, so the read-modify-write
+  // is as atomic as MPI requires.
   const mpi::Primitive prim = sig.runs[0].prim;
   switch (prim) {
     case mpi::Primitive::kInt32: {

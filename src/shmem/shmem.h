@@ -27,7 +27,7 @@ namespace gpuddt::shmem {
 
 class SymmetricHeap;
 
-/// Per-PE handle (one per rank thread), created on a shared heap plan.
+/// Per-PE handle (one per rank), created on a shared heap plan.
 class Pe {
  public:
   Pe(mpi::Process& p, SymmetricHeap& heap);
@@ -84,7 +84,7 @@ class Pe {
 };
 
 /// The world's symmetric heap: one same-sized device region per PE, at
-/// identical offsets. Construct once, share with every rank thread.
+/// identical offsets. Construct once, share with every rank.
 class SymmetricHeap {
  public:
   SymmetricHeap(mpi::Runtime& rt, std::size_t bytes_per_pe);

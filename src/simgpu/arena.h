@@ -1,4 +1,4 @@
-// A simple thread-safe first-fit arena allocator.
+// A simple first-fit arena allocator.
 //
 // Each simulated device owns one arena backed by a single host allocation;
 // "device pointers" are real host pointers into that block, which lets the
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -46,7 +45,6 @@ class Arena {
 
   std::byte* allocate(std::size_t bytes) {
     const std::size_t need = round_up(bytes == 0 ? 1 : bytes);
-    std::lock_guard<std::mutex> lock(mu_);
     for (auto it = free_.begin(); it != free_.end(); ++it) {
       if (it->second >= need) {
         std::byte* p = it->first;
@@ -63,7 +61,6 @@ class Arena {
 
   void deallocate(std::byte* p) {
     if (p == nullptr) return;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = allocated_.find(p);
     if (it == allocated_.end())
       throw std::invalid_argument("Arena::deallocate: unknown pointer");
@@ -88,13 +85,11 @@ class Arena {
   }
 
   std::size_t bytes_in_use() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return in_use_;
   }
 
   /// Size of the live allocation starting at p (0 if p is not live).
   std::size_t allocation_size(const void* p) const {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = allocated_.find(const_cast<std::byte*>(static_cast<const std::byte*>(p)));
     return it == allocated_.end() ? 0 : it->second;
   }
@@ -105,7 +100,6 @@ class Arena {
   /// tracked ranges per buffer.
   std::pair<std::byte*, std::size_t> allocation_span(const void* p) const {
     auto* b = const_cast<std::byte*>(static_cast<const std::byte*>(p));
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = allocated_.upper_bound(b);
     if (it == allocated_.begin()) return {nullptr, 0};
     --it;
@@ -122,7 +116,6 @@ class Arena {
   std::size_t capacity_;
   std::unique_ptr<std::byte[]> storage_;
   std::byte* base_ = nullptr;
-  mutable std::mutex mu_;
   // Interval maps over this arena's own buffer: relative key order equals
   // offset order within storage_, and the order is never emitted.
   // det-lint: allow(pointer_order) - arena-internal interval map

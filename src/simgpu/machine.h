@@ -8,8 +8,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -156,24 +156,11 @@ class Machine {
     auto block =
         std::make_unique_for_overwrite<std::byte[]>(bytes == 0 ? 1 : bytes);
     std::byte* p = block.get();
-    std::lock_guard<std::mutex> lock(mu_);
     host_blocks_[p] = HostBlock{std::move(block), bytes, mapped};
     return p;
   }
 
-  void host_free(void* p) {
-    if (p == nullptr) return;
-    std::size_t bytes = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = host_blocks_.find(static_cast<std::byte*>(p));
-      if (it == host_blocks_.end())
-        throw std::invalid_argument("Machine::host_free: unknown pointer");
-      bytes = it->second.size;
-      host_blocks_.erase(it);
-    }
-    if (observer_) observer_->on_release(p, bytes);
-  }
+  void host_free(void* p) { release_host_block(p, "Machine::host_free"); }
 
   /// Make an externally-owned host range (protocol staging, AM payload
   /// bytes) visible to pointer queries and the access checker. Non-owning:
@@ -182,7 +169,6 @@ class Machine {
   /// registration never changes timing - only checker visibility.
   void register_host_range(void* p, std::size_t bytes, bool mapped = false) {
     if (p == nullptr || bytes == 0) return;
-    std::lock_guard<std::mutex> lock(mu_);
     host_blocks_[static_cast<std::byte*>(p)] =
         HostBlock{nullptr, bytes, mapped};
   }
@@ -191,24 +177,12 @@ class Machine {
   /// access history for the range, so a later allocation reusing these
   /// addresses is not compared against this buffer's accesses.
   void unregister_host_range(void* p) {
-    if (p == nullptr) return;
-    std::size_t bytes = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = host_blocks_.find(static_cast<std::byte*>(p));
-      if (it == host_blocks_.end())
-        throw std::invalid_argument(
-            "Machine::unregister_host_range: unknown pointer");
-      bytes = it->second.size;
-      host_blocks_.erase(it);
-    }
-    if (observer_) observer_->on_release(p, bytes);
+    release_host_block(p, "Machine::unregister_host_range");
   }
 
   /// Base and size of the registered host block containing p, or
   /// {nullptr, 0} for unregistered host memory.
   std::pair<const void*, std::size_t> host_block_span(const void* p) const {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = host_blocks_.upper_bound(
         const_cast<std::byte*>(static_cast<const std::byte*>(p)));
     if (it != host_blocks_.begin()) {
@@ -226,7 +200,6 @@ class Machine {
     for (const auto& dev : devices_) {
       if (dev->arena().contains(p)) return {MemorySpace::kDevice, dev->id()};
     }
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = host_blocks_.upper_bound(
         const_cast<std::byte*>(static_cast<const std::byte*>(p)));
     if (it != host_blocks_.begin()) {
@@ -270,10 +243,19 @@ class Machine {
     bool mapped = false;
   };
 
+  void release_host_block(void* p, const char* who) {
+    if (p == nullptr) return;
+    auto it = host_blocks_.find(static_cast<std::byte*>(p));
+    if (it == host_blocks_.end())
+      throw std::invalid_argument(std::string(who) + ": unknown pointer");
+    const std::size_t bytes = it->second.size;
+    host_blocks_.erase(it);
+    if (observer_) observer_->on_release(p, bytes);
+  }
+
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::unique_ptr<AccessObserver> observer_;
-  mutable std::mutex mu_;
   // det-lint: allow(pointer_order) - address-interval lookup, never emitted
   std::map<std::byte*, HostBlock> host_blocks_;
 };

@@ -19,7 +19,7 @@
 
 namespace gpuddt::sg {
 
-/// Per-rank (per-thread) execution context.
+/// Per-rank execution context.
 struct HostContext {
   explicit HostContext(Machine& m, int dev = 0) : machine(&m), device(dev) {}
 

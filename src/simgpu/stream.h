@@ -2,14 +2,13 @@
 //
 // A Stream is an in-order queue of device operations identified, in virtual
 // time, by the finish timestamp of its last operation (`tail`). Because the
-// functional side of every operation executes eagerly on the enqueuing
-// thread, a stream needs no real queue - only the timestamp and the device
-// it is bound to. Events capture a stream's tail so other streams or the
+// functional side of every operation executes eagerly when it is enqueued,
+// a stream needs no real queue - only the timestamp and the device it is
+// bound to. Events capture a stream's tail so other streams or the
 // host can wait on it, exactly mirroring cudaEventRecord/cudaStreamWaitEvent.
 #pragma once
 
 #include <algorithm>
-#include <mutex>
 
 #include "vtime/vclock.h"
 
@@ -32,31 +31,26 @@ class Stream {
 
   /// Finish time of the last enqueued operation.
   vt::Time tail() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return tail_;
   }
 
   /// Serialize an operation after the current tail and any dependency:
   /// returns the operation's earliest possible start.
   vt::Time order_after(vt::Time dependency) {
-    std::lock_guard<std::mutex> lock(mu_);
     return std::max(tail_, dependency);
   }
 
   void set_tail(vt::Time t) {
-    std::lock_guard<std::mutex> lock(mu_);
     tail_ = std::max(tail_, t);
   }
 
   void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
     tail_ = 0;
   }
 
  private:
   Device* dev_;
   const char* name_ = nullptr;
-  mutable std::mutex mu_;
   vt::Time tail_ = 0;
 };
 

@@ -8,11 +8,9 @@
 // src/check/ sink and throws CertificationFailure - an uncertified DEV
 // never becomes reachable from the cache.
 //
-// Enablement resolves, mirroring the checking layer (check/config.h):
-//   1. set_forced() - process-wide override (tools / tests);
-//   2. the GPUDDT_VERIFY environment variable ("0"/"off"/"false"
-//      disable, anything else enables);
-//   3. the GPUDDT_VERIFY build option (compile-time default, OFF).
+// Enablement is verify_switch, resolved like every check::Switch
+// (check/config.h): set_forced() (tools / tests) > the GPUDDT_VERIFY
+// environment variable > the GPUDDT_VERIFY build option (default OFF).
 //
 // Certification traffic is observable through the verify.* counters
 // (docs/metrics.md): obligations proved/failed, DEVs
@@ -22,11 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 
+#include "check/config.h"
 #include "core/dev.h"
 
 namespace gpuddt::obs {
@@ -41,17 +39,13 @@ class CertificationFailure : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Resolved enablement: forced > environment > build default.
-bool enabled();
-
-/// Process-wide override between environment and build default
-/// (tools/dev_verify, tests). nullopt restores the environment default.
-void set_forced(std::optional<bool> forced);
+/// Whether DevCache inserts are certified (no per-object tri-state).
+extern check::Switch verify_switch;
 
 /// Certify (dt, count, unit_bytes) -> units at a cache-insert boundary.
 /// Counts verify.* metrics into `rec` (nullable) and throws
 /// CertificationFailure on the first unproven obligation. Callers gate
-/// on enabled().
+/// on verify_switch.
 void certify_insert(const mpi::DatatypePtr& dt, std::int64_t count,
                     std::int64_t unit_bytes,
                     std::span<const core::CudaDevDist> units,

@@ -8,10 +8,9 @@
 #include <utility>
 #include <vector>
 
-// Sanitizers need to be told about stack switches: ASan tracks the
-// current stack region to classify addresses, TSan models each fiber as
-// a logical thread. Without these hooks the ASan/TSan CI builds report
-// false stack-use-after-return / data-race errors on every handoff.
+// ASan must be told about stack switches: it tracks the current stack
+// region to classify addresses. Without these hooks the ASan CI build
+// reports false stack-use-after-return errors on every handoff.
 #if defined(__SANITIZE_ADDRESS__)
 #define GPUDDT_ENGINE_ASAN 1
 #elif defined(__has_feature)
@@ -19,25 +18,14 @@
 #define GPUDDT_ENGINE_ASAN 1
 #endif
 #endif
-#if defined(__SANITIZE_THREAD__)
-#define GPUDDT_ENGINE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define GPUDDT_ENGINE_TSAN 1
-#endif
-#endif
 #if defined(GPUDDT_ENGINE_ASAN)
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
-#endif
-#if defined(GPUDDT_ENGINE_TSAN)
-#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace gpuddt::vt {
 namespace {
 
-// A continuation's lifecycle mirrors TurnScheduler's rank states.
 enum class TaskState { kRunnable, kBlocked, kFinished };
 
 struct Continuation {
@@ -50,9 +38,6 @@ struct Continuation {
   bool pending = false;          // undelivered message flag
   bool started = false;
   std::exception_ptr error;
-#if defined(GPUDDT_ENGINE_TSAN)
-  void* tsan_fiber = nullptr;
-#endif
 };
 
 }  // namespace
@@ -72,9 +57,6 @@ struct EventEngine::Impl {
   std::string deadlock_report;
   bool running = false;
 
-#if defined(GPUDDT_ENGINE_TSAN)
-  void* tsan_main = nullptr;
-#endif
 #if defined(GPUDDT_ENGINE_ASAN)
   // Fake-stack handle saved when the *event loop* switches away; the
   // matching finish call runs when control returns to the loop. Each
@@ -122,11 +104,6 @@ EventEngine::EventEngine(int ntasks, Options opts)
 
 EventEngine::~EventEngine() {
   for (auto& c : impl_->tasks) {
-#if defined(GPUDDT_ENGINE_TSAN)
-    if (c.tsan_fiber != nullptr) {
-      __tsan_destroy_fiber(c.tsan_fiber);
-    }
-#endif
     if (c.map_base != nullptr) {
       ::munmap(c.map_base, c.map_bytes);
     }
@@ -184,19 +161,12 @@ void EventEngine::run(const std::function<void(int)>& body) {
                   static_cast<unsigned>(bits >> 32U),
                   static_cast<unsigned>(bits & 0xffffffffU),
                   static_cast<unsigned>(t));
-#if defined(GPUDDT_ENGINE_TSAN)
-    c.tsan_fiber = __tsan_create_fiber(0);
-#endif
   }
-#if defined(GPUDDT_ENGINE_TSAN)
-  im.tsan_main = __tsan_get_current_fiber();
-#endif
 
   im.dispatch_loop();
   im.running = false;
 
-  // Mirror mpi::Runtime's thread-mode policy: surface the lowest-id
-  // failing task's exception.
+  // Surface the lowest-id failing task's exception.
   for (auto& c : im.tasks) {
     if (c.error) {
       std::rethrow_exception(c.error);
@@ -206,8 +176,8 @@ void EventEngine::run(const std::function<void(int)>& body) {
 
 // The event loop: repeatedly dispatch the unique next event — the first
 // runnable task after the one that last ran, in cyclic id order (the
-// TurnScheduler rotation). `last` starts at ntasks-1 so the first
-// dispatch is task 0.
+// cooperative rotation). `last` starts at ntasks-1 so the first dispatch
+// is task 0.
 void EventEngine::Impl::dispatch_loop() {
   int last = ntasks - 1;
   for (;;) {
@@ -226,8 +196,7 @@ void EventEngine::Impl::dispatch_loop() {
     }
     // No task is runnable but some are blocked: exact deadlock. Compose
     // the report once, then resume each blocked task so it throws
-    // DeadlockError from its wait site (matching TurnScheduler, where
-    // every parked rank thread wakes and throws).
+    // DeadlockError from its wait site.
     deadlock_report = compose_deadlock_report();
     deadlock = true;
     for (int t = 0; t < ntasks; ++t) {
@@ -262,9 +231,6 @@ void EventEngine::Impl::switch_into_task(int task) {
 #if defined(GPUDDT_ENGINE_ASAN)
   __sanitizer_start_switch_fiber(&loop_fake_stack, c.stack_lo, c.stack_bytes);
 #endif
-#if defined(GPUDDT_ENGINE_TSAN)
-  __tsan_switch_to_fiber(c.tsan_fiber, 0);
-#endif
   if (::swapcontext(&main_ctx, &c.ctx) != 0) {
     throw std::runtime_error("EventEngine: swapcontext into task failed");
   }
@@ -287,9 +253,6 @@ void EventEngine::Impl::switch_out_of_task(int task) {
                                  main_stack_size);
 #else
   (void)dying;
-#endif
-#if defined(GPUDDT_ENGINE_TSAN)
-  __tsan_switch_to_fiber(tsan_main, 0);
 #endif
   if (::swapcontext(&c.ctx, &main_ctx) != 0) {
     throw std::runtime_error("EventEngine: swapcontext to loop failed");
@@ -324,23 +287,14 @@ void EventEngine::Impl::throw_deadlock() const {
   throw DeadlockError(deadlock_report);
 }
 
+// One line per blocked task with its pending-operation summary from the
+// describer (task ids only when no describer is installed).
 std::string EventEngine::Impl::compose_deadlock_report() const {
-  return vt::compose_deadlock_report(
-      ntasks,
-      [this](int t) {
-        return tasks[static_cast<std::size_t>(t)].state == TaskState::kBlocked;
-      },
-      describer);
-}
-
-std::string compose_deadlock_report(int ntasks,
-                                    const std::function<bool(int)>& is_blocked,
-                                    const BlockDescriber& describer) {
   std::string out =
       "deadlock detected: no rank is runnable and no message can arrive; "
       "blocked ranks:";
   for (int t = 0; t < ntasks; ++t) {
-    if (!is_blocked(t)) {
+    if (tasks[static_cast<std::size_t>(t)].state != TaskState::kBlocked) {
       continue;
     }
     out += "\n  rank " + std::to_string(t);
@@ -369,11 +323,9 @@ void EventEngine::wait_for_message(int task) {
 void EventEngine::yield(int task) {
   Impl& im = *impl_;
   // Stay runnable; suspending hands the rotation to the next runnable
-  // task. If nothing else can run the loop redispatches us immediately,
-  // which is TurnScheduler's "yield with no other runnable returns
-  // without switching" — one extra dispatch, same observable behavior.
+  // task. With no other runnable task a yield returns without switching.
   if (im.next_runnable_after(task) == task) {
-    return;  // no other runnable task: true no-op, matching TurnScheduler
+    return;
   }
   ++im.st.yields;
   im.switch_out_of_task(task);

@@ -1,26 +1,21 @@
 // The event-driven simulator core.
 //
-// Until this engine landed, every simulated MPI rank was an OS thread
-// cooperating through mpi::TurnScheduler: deterministic, but capped at
-// tens of ranks (a thread, a kernel stack and two context switches per
-// scheduling point each). EventEngine keeps the exact same cooperative
-// scheduling *policy* while replacing the threads with resumable
-// continuations (stackful coroutines over ucontext): every rank body runs
-// on its own small mmap'd stack, and a single deterministic event loop on
-// the calling thread dispatches them one at a time. One process simulates
-// 1000+ ranks with zero kernel involvement per handoff.
+// Every simulated MPI rank is a resumable continuation (a stackful
+// coroutine over ucontext): each rank body runs on its own small mmap'd
+// stack, and a single deterministic event loop on the calling thread
+// dispatches them one at a time. One process simulates 1000+ ranks with
+// zero kernel involvement per handoff.
 //
 // Dispatch order is the contract. Each resume is an event stamped
 // (vtime, task, seq) - the resumed rank's virtual clock, its id, and a
 // globally monotone sequence number - and the loop dispatches the unique
 // next event determined by the cooperative rotation: the first runnable
-// task after the one that just suspended, in cyclic id order. That is
-// byte-for-byte the TurnScheduler handoff rule, so every touch of shared
-// virtual-time state (arenas, timed resources, inboxes) happens in the
-// same program-defined order under either scheduler and all checked-in
+// task after the one that just suspended, in cyclic id order. Every touch
+// of shared virtual-time state (arenas, timed resources, inboxes)
+// therefore happens in one program-defined order and all checked-in
 // baselines replay identically (docs/simulator.md, docs/determinism.md).
 //
-// Suspension points (identical to the thread scheduler's):
+// Suspension points:
 //   * wait_for_message(t) - t blocks until note_message(t) delivers;
 //   * yield(t)            - t stays runnable but every other runnable
 //                           task gets one turn first (empty-inbox polls);
@@ -56,40 +51,6 @@ class DeadlockError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The scheduling interface rank bodies block through. Implemented by
-/// the event-driven EventEngine (continuations, the default) and by the
-/// legacy mpi::TurnScheduler (one parked OS thread per rank), which the
-/// scheduler-equivalence suite replays against each other.
-class TaskScheduler {
- public:
-  virtual ~TaskScheduler() = default;
-
-  /// Suspend until a message is delivered to `task` (returns immediately
-  /// if one arrived since the last wait/poll). Throws DeadlockError when
-  /// every remaining task is blocked.
-  virtual void wait_for_message(int task) = 0;
-
-  /// Polling suspension (empty-inbox progress): every other runnable
-  /// task gets one turn, then `task` resumes. No-op when nothing else
-  /// can run.
-  virtual void yield(int task) = 0;
-
-  /// A message was delivered to `task`'s inbox: mark it pending and make
-  /// the task runnable. Called by the currently-executing task.
-  virtual void note_message(int task) = 0;
-
-  /// Install the pending-op describer consulted when composing deadlock
-  /// reports. Optional; without it reports carry task ids only.
-  virtual void set_block_describer(BlockDescriber d) = 0;
-};
-
-/// Compose the exact-deadlock report shared by both scheduler backends:
-/// one line per blocked task with its pending-operation summary from the
-/// describer (task ids only when no describer is installed).
-std::string compose_deadlock_report(int ntasks,
-                                    const std::function<bool(int)>& is_blocked,
-                                    const BlockDescriber& describer);
-
 /// Counters the event loop keeps about its own operation. Deterministic
 /// for a fixed program (they count scheduling decisions, which are a
 /// pure function of the program), so bench_sim_throughput gates them.
@@ -102,7 +63,7 @@ struct EngineStats {
 
 /// The event-driven core: runs `ntasks` bodies as stackful continuations
 /// on the calling thread. See the file comment for the dispatch policy.
-class EventEngine final : public TaskScheduler {
+class EventEngine {
  public:
   struct Options {
     /// Usable stack bytes per continuation (rounded up to whole pages; a
@@ -113,7 +74,7 @@ class EventEngine final : public TaskScheduler {
 
   explicit EventEngine(int ntasks) : EventEngine(ntasks, Options()) {}
   EventEngine(int ntasks, Options opts);
-  ~EventEngine() override;
+  ~EventEngine();
 
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
@@ -123,11 +84,27 @@ class EventEngine final : public TaskScheduler {
   /// exception after all tasks have finished or died.
   void run(const std::function<void(int task)>& body);
 
-  // --- TaskScheduler (called from inside task bodies) -------------------
-  void wait_for_message(int task) override;
-  void yield(int task) override;
-  void note_message(int task) override;
-  void set_block_describer(BlockDescriber d) override;
+  // --- Called from inside task bodies -----------------------------------
+
+  /// Suspend until a message is delivered to `task` (returns immediately
+  /// if one arrived since the last wait/poll). Throws DeadlockError when
+  /// every remaining task is blocked.
+  void wait_for_message(int task);
+
+  /// Polling suspension (empty-inbox progress): every other runnable
+  /// task gets one turn, then `task` resumes. No-op when nothing else
+  /// can run.
+  void yield(int task);
+
+  /// A message was delivered to `task`'s inbox: mark it pending and make
+  /// the task runnable. Called by the currently-executing task.
+  void note_message(int task);
+
+  // --- Set up before run() ------------------------------------------------
+
+  /// Install the pending-op describer consulted when composing deadlock
+  /// reports. Optional; without it reports carry task ids only.
+  void set_block_describer(BlockDescriber d);
 
   /// Report the resumed task's virtual clock to the dispatch stamp. The
   /// runtime installs a probe reading the rank's vt::VClock; without one

@@ -6,13 +6,10 @@
 // a GPU): a task asks for `width` slots and is placed on the `width`
 // earliest-available ones, which is how kernel concurrency and the
 // GPU-sharing experiments are expressed.
-//
-// Both are thread-safe: many rank threads reserve concurrently.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "vtime/vclock.h"
@@ -32,7 +29,6 @@ class TimedResource {
 
   /// Reserve `duration` ns starting no earlier than `earliest`.
   Reservation reserve(Time earliest, Time duration) {
-    std::lock_guard<std::mutex> lock(mu_);
     const Time start = std::max(earliest, available_);
     const Time finish = start + duration;
     available_ = finish;
@@ -40,26 +36,22 @@ class TimedResource {
     return {start, finish};
   }
 
-  /// Next instant the resource is free (racy snapshot, for stats only).
+  /// Next instant the resource is free.
   Time available() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return available_;
   }
 
   /// Total virtual time this resource spent busy (utilization metrics).
   Time total_busy() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return total_busy_;
   }
 
   void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
     available_ = 0;
     total_busy_ = 0;
   }
 
  private:
-  mutable std::mutex mu_;
   Time available_ = 0;
   Time total_busy_ = 0;
 };
@@ -79,7 +71,6 @@ class CapacityResource {
   int capacity() const { return static_cast<int>(slots_.size()); }
 
   Reservation reserve(Time earliest, Time duration, int width) {
-    std::lock_guard<std::mutex> lock(mu_);
     const int n = static_cast<int>(slots_.size());
     if (width > n) width = n;
     if (width < 1) width = 1;
@@ -106,18 +97,15 @@ class CapacityResource {
 
   /// Busy slot-nanoseconds (divide by capacity for average utilization).
   Time total_busy() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return total_busy_;
   }
 
   void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
     for (auto& s : slots_) s = 0;
     total_busy_ = 0;
   }
 
  private:
-  mutable std::mutex mu_;
   std::vector<Time> slots_;
   Time total_busy_ = 0;
 };

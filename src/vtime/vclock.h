@@ -1,6 +1,6 @@
 // Virtual-time primitives.
 //
-// Every actor in the simulation (an MPI rank's host thread, a GPU kernel
+// Every actor in the simulation (an MPI rank's host CPU, a GPU kernel
 // engine, a DMA copy engine, a PCI-E or InfiniBand link) advances a logical
 // clock measured in integer nanoseconds. Operations never sleep: they
 // *reserve* intervals on shared resources and propagate timestamps through
@@ -35,9 +35,9 @@ constexpr Time transfer_time(std::int64_t bytes, double gb_per_s) {
   return t > 0 ? t : 1;
 }
 
-/// A logical clock owned by a single actor (one thread, or one serialized
-/// engine). Not thread-safe by design: cross-actor propagation happens via
-/// TimedResource or explicit timestamps on messages/events.
+/// A logical clock owned by a single actor (one rank, or one serialized
+/// engine). Cross-actor propagation happens via TimedResource or explicit
+/// timestamps on messages/events.
 class VClock {
  public:
   VClock() = default;

@@ -2,7 +2,8 @@
 # exact exit code EXPECTED. Plain ctest entries can only distinguish
 # zero from non-zero (WILL_FAIL), so the metrics_diff exit-code contract
 # (0 ok / 1 mismatch / 2 usage / 3 baseline missing / 4 candidate
-# missing) is asserted through this script.
+# missing) is asserted through this script. Optional EXPECT_STDOUT is a
+# comma-separated list of substrings stdout must each contain.
 if(NOT DEFINED TOOL OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "run_exitcode.cmake: TOOL and EXPECTED are required")
 endif()
@@ -16,3 +17,11 @@ if(NOT rc EQUAL ${EXPECTED})
     "${TOOL} ${ARGS}: expected exit ${EXPECTED}, got ${rc}\n"
     "stdout:\n${out}\nstderr:\n${err}")
 endif()
+string(REPLACE "," ";" wanted "${EXPECT_STDOUT}")
+foreach(w IN LISTS wanted)
+  string(FIND "${out}" "${w}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${TOOL} ${ARGS}: stdout lacks '${w}'\n"
+      "stdout:\n${out}")
+  endif()
+endforeach()

@@ -1,20 +1,16 @@
-# Configure, build and ctest the suite with -DGPUDDT_SANITIZE=<mode> in a
-# nested build tree. Invoked by the sanitize_suite / sanitize_suite_thread
-# CTest entries (gated behind GPUDDT_CI_TESTS) and by tools/ci.sh.
+# Configure, build and ctest the suite with -DGPUDDT_SANITIZE=ON (ASan +
+# UBSan) in a nested build tree. Invoked by the sanitize_suite CTest entry
+# (gated behind GPUDDT_CI_TESTS).
 #
-# cmake -DSRC_DIR=... -DBIN_DIR=... [-DSANITIZE=ON|thread]
-#       [-DTESTS_REGEX=<ctest -R filter>] -P run_sanitize.cmake
+# cmake -DSRC_DIR=... -DBIN_DIR=... -P run_sanitize.cmake
 
 if(NOT SRC_DIR OR NOT BIN_DIR)
   message(FATAL_ERROR "run_sanitize.cmake: SRC_DIR and BIN_DIR required")
 endif()
-if(NOT SANITIZE)
-  set(SANITIZE ON)
-endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -S ${SRC_DIR} -B ${BIN_DIR}
-          -DGPUDDT_SANITIZE=${SANITIZE} -DCMAKE_BUILD_TYPE=RelWithDebInfo
+          -DGPUDDT_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "sanitize configure failed")
@@ -33,14 +29,9 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "sanitize build failed")
 endif()
 
-set(filter -E sanitize_suite)
-if(TESTS_REGEX)
-  list(APPEND filter -R ${TESTS_REGEX})
-endif()
-
 execute_process(
   COMMAND ctest --test-dir ${BIN_DIR} --output-on-failure -j ${NPROC}
-          ${filter}
+          -E sanitize_suite
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "sanitize test run failed")

@@ -3,7 +3,6 @@
 // routing - below the PML, using raw handlers.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -22,28 +21,27 @@ RuntimeConfig raw_world(int ranks, int per_node) {
   cfg.ranks_per_node = per_node;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 128u << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 
 TEST(BtlRaw, AmHandlerReceivesPayloadAndArrivalTime) {
   Runtime rt(raw_world(2, 1 << 30));
-  std::atomic<int> hits{0};
+  int hits = 0;
   const int handler = rt.register_handler([&](Process& p, AmMessage& m) {
     EXPECT_EQ(m.src_rank, 0);
     EXPECT_EQ(m.payload.size(), 100u);
     EXPECT_GT(m.arrival, 0);
     EXPECT_GE(p.clock().now(), m.arrival);  // progress waited for arrival
-    hits.fetch_add(1);
+    ++hits;
   });
   rt.run([&](Process& p) {
     if (p.rank() == 0) {
       p.am_send(1, handler, std::vector<std::byte>(100));
     } else {
-      while (hits.load() == 0) p.progress_blocking();
+      while (hits == 0) p.progress_blocking();
     }
   });
-  EXPECT_EQ(hits.load(), 1);
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(BtlRaw, MessagesFromOneSenderArriveInOrder) {
@@ -106,17 +104,18 @@ TEST(BtlRaw, IbLinkSlowerThanSmChannel) {
 TEST(BtlRaw, RdmaGetMovesDeviceBytesOneSided) {
   Runtime rt(raw_world(2, 1 << 30));
   std::byte* remote_buf = nullptr;
-  std::atomic<bool> ready{false};
+  bool ready = false;
   rt.run([&](Process& p) {
     if (p.rank() == 0) {
       remote_buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), 4096));
       test::fill_pattern(remote_buf, 4096, 42);
-      ready.store(true);
+      ready = true;
       // Keep rank 0 alive while rank 1 reads (one-sided!).
       Comm(p).barrier();
     } else {
-      while (!ready.load()) {
-      }
+      // The event loop dispatches rank 0 first, so it has filled the
+      // buffer and parked in its barrier by now.
+      ASSERT_TRUE(ready);
       auto* local = static_cast<std::byte*>(sg::Malloc(p.gpu(), 4096));
       Btl& btl = p.runtime().btl_between(1, 0);
       const vt::Time t = btl.rdma_get(p, 0, local, remote_buf, 4096,

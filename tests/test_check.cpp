@@ -1,10 +1,11 @@
 // Tests for the checking layer (src/check/, docs/checking.md): the stream
 // hazard detector over the simulated runtime, the DEV invariant checker at
-// the engine boundary, and their wiring into machines, engines and the
-// MPI runtime.
+// the engine boundary, their wiring into machines, engines and the MPI
+// runtime, and the one resolver behind every opt-in switch.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "check/access_tracker.h"
@@ -13,10 +14,12 @@
 #include "core/engine.h"
 #include "core/layouts.h"
 #include "harness/harness.h"
+#include "mpi/runtime.h"
 #include "obs/recorder.h"
 #include "simgpu/runtime.h"
 #include "simgpu/staging.h"
 #include "test_helpers.h"
+#include "verify/hook.h"
 
 namespace gpuddt {
 namespace {
@@ -536,6 +539,62 @@ TEST(CheckReport, JsonCarriesTotalsAndDiagnostics) {
   EXPECT_NE(json.find("\"dev_violations\""), std::string::npos);
   EXPECT_NE(json.find("\"WAW\""), std::string::npos);
   EXPECT_NE(json.find("jsa"), std::string::npos);
+}
+
+// --- Switch resolution (check/config.h) -------------------------------------
+
+// Every switch, every environment spelling, every forced state and every
+// tri-state: the object's tri-state > set_forced > env var > build default,
+// with an empty env value deferring exactly like an unset one.
+TEST(SwitchResolver, PrecedenceTableForEverySwitch) {
+  struct Row {
+    check::Switch* sw;
+    const char* env_var;
+    bool has_tri_state;
+  };
+  const Row switches[] = {
+      {&check::check_switch, "GPUDDT_CHECK", true},
+      {&verify::verify_switch, "GPUDDT_VERIFY", false},
+      {&mpi::stream_triggered_switch, "GPUDDT_STREAM_TRIGGERED", true},
+  };
+  struct EnvValue {
+    const char* value;         // nullptr: unset
+    std::optional<bool> vote;  // nullopt: defers to the build default
+  };
+  const EnvValue envs[] = {
+      {nullptr, std::nullopt}, {"", std::nullopt}, {"0", false},
+      {"off", false},          {"false", false},   {"1", true},
+      {"on", true},
+  };
+  const std::optional<bool> forced_states[] = {std::nullopt, true, false};
+  for (const Row& row : switches) {
+    SCOPED_TRACE(row.env_var);
+    test::ScopedEnv env(row.env_var);
+    env.unset();
+    row.sw->set_forced(std::nullopt);
+    const bool build_default = row.sw->enabled();
+    for (const EnvValue& e : envs) {
+      if (e.value == nullptr) {
+        env.unset();
+      } else {
+        env.set(e.value);
+      }
+      for (const std::optional<bool>& forced : forced_states) {
+        row.sw->set_forced(forced);
+        const bool process_wide =
+            forced.value_or(e.vote.value_or(build_default));
+        SCOPED_TRACE(std::string("env=") +
+                     (e.value != nullptr ? e.value : "<unset>") +
+                     " forced=" + (forced ? (*forced ? "on" : "off") : "none"));
+        EXPECT_EQ(row.sw->enabled(), process_wide);
+        if (!row.has_tri_state) continue;
+        EXPECT_EQ(row.sw->enabled(-1), process_wide);
+        EXPECT_FALSE(row.sw->enabled(0));
+        EXPECT_TRUE(row.sw->enabled(1));
+      }
+    }
+    row.sw->set_forced(std::nullopt);
+  }
 }
 
 }  // namespace

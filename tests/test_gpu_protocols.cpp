@@ -32,7 +32,6 @@ RuntimeConfig gpu_world() {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256 << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "mpi/cpu_pack.h"
@@ -21,6 +23,33 @@ inline sg::MachineConfig machine_config(int devices,
   m.device_memory_bytes = bytes;
   return m;
 }
+
+/// Set or clear one environment variable for a scope; the destructor
+/// restores whatever value (or absence) it had before.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(const char* name) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+  }
+  ~ScopedEnv() {
+    if (had_)
+      setenv(name_, saved_.c_str(), 1);
+    else
+      unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void set(const char* v) { setenv(name_, v, 1); }
+  void unset() { unsetenv(name_); }
+
+ private:
+  const char* name_;
+  bool had_;
+  std::string saved_;
+};
 
 /// Deterministically fill a byte region with position-dependent values.
 inline void fill_pattern(void* p, std::size_t bytes, std::uint32_t seed) {

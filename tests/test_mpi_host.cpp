@@ -20,7 +20,6 @@ RuntimeConfig small_world(int n = 2) {
   cfg.world_size = n;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 64 << 20;
-  cfg.progress_timeout_ms = 10000;
   return cfg;
 }
 
@@ -209,16 +208,16 @@ TEST(MpiHost, ExchangeBothDirectionsNoDeadlock) {
 
 TEST(MpiHost, BarrierSynchronizesAllRanks) {
   Runtime rt(small_world(5));
-  std::atomic<int> before{0}, after{0};
+  int before = 0, after = 0;
   rt.run([&](Process& p) {
     Comm comm(p);
-    before.fetch_add(1);
+    ++before;
     comm.barrier();
     // Every rank must have entered before any leaves.
-    EXPECT_EQ(before.load(), 5);
-    after.fetch_add(1);
+    EXPECT_EQ(before, 5);
+    ++after;
   });
-  EXPECT_EQ(after.load(), 5);
+  EXPECT_EQ(after, 5);
 }
 
 TEST(MpiHost, ZeroByteMessage) {
@@ -312,9 +311,7 @@ TEST(MpiHost, RuntimeRejectsSecondRun) {
 }
 
 TEST(MpiHost, DeviceSendWithoutPluginThrows) {
-  RuntimeConfig cfg = small_world();
-  cfg.progress_timeout_ms = 300;  // peer rank aborts quickly
-  Runtime rt(cfg);
+  Runtime rt(small_world());
   EXPECT_THROW(rt.run([](Process& p) {
                  Comm comm(p);
                  void* dev = sg::Malloc(p.gpu(), 1 << 20);

@@ -18,7 +18,6 @@ mpi::RuntimeConfig cfg2() {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 15000;
   return cfg;
 }
 

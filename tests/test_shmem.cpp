@@ -20,7 +20,6 @@ mpi::RuntimeConfig pe_world(int n) {
   cfg.world_size = n;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 15000;
   return cfg;
 }
 

@@ -1,10 +1,9 @@
 // The event-driven simulator core (src/vtime/engine.h, docs/simulator.md):
-// engine-level scheduling semantics, byte-exact equivalence with the
-// legacy thread-per-rank TurnScheduler, deadlock diagnostics from both
-// backends, 1000-rank scale, and the modeled NVLink/fat-tree topology.
+// engine-level scheduling semantics, byte-exact replay of whole MPI
+// workloads, deadlock diagnostics through the MPI stack, 1000-rank scale,
+// and the modeled NVLink/fat-tree topology.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -41,8 +40,8 @@ TEST(EventEngine, DispatchesTasksInIdOrder) {
 }
 
 TEST(EventEngine, YieldRotatesRoundRobin) {
-  // Mirrors TurnScheduler::pass_turn_locked: the yielding task becomes
-  // the scan anchor, so peers run before it resumes.
+  // The yielding task becomes the scan anchor, so peers run before it
+  // resumes.
   vt::EventEngine eng(3);
   std::vector<int> order;
   eng.run([&](int t) {
@@ -129,67 +128,19 @@ TEST(EventEngine, DeadlockReportNamesEveryBlockedTask) {
   }
 }
 
-// --- Backend selection ------------------------------------------------------
-
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-  }
-  ~ScopedEnv() {
-    if (had_)
-      setenv(name_, saved_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-  void set(const char* v) { setenv(name_, v, 1); }
-  void unset() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_;
-  std::string saved_;
-};
-
-TEST(SchedBackendConfig, EnvAndFieldPrecedence) {
-  ScopedEnv env("GPUDDT_SIM_BACKEND");
-  env.unset();
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kEvent);
-  env.set("threads");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kThreads);
-  env.set("event");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kEvent);
-  env.set("fiber");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-            mpi::SchedBackend::kEvent);
-  // An explicit config field wins over the environment.
-  env.set("threads");
-  EXPECT_EQ(mpi::resolve_sched_backend(mpi::SchedBackend::kEvent),
-            mpi::SchedBackend::kEvent);
-  env.set("bogus");
-  EXPECT_THROW(mpi::resolve_sched_backend(mpi::SchedBackend::kAuto),
-               std::invalid_argument);
-}
-
-// --- Scheduler equivalence: event core vs. legacy thread backend ------------
+// --- Replay: two event-loop runs of one workload -----------------------------
 
 struct Capture {
   std::string canon;   // obs::canonical_metrics of the run's dump
   std::string chrome;  // virtual-time chrome trace (docs/tracing.md)
 };
 
-Capture run_captured(mpi::RuntimeConfig cfg, mpi::SchedBackend backend,
+Capture run_captured(mpi::RuntimeConfig cfg,
                      const std::function<void(mpi::Process&)>& body,
                      bool gpu_plugin = false) {
   obs::Recorder rec;
   rec.enable_tracing(true);
   cfg.recorder = &rec;
-  cfg.sched_backend = backend;
   mpi::Runtime rt(cfg);
   if (gpu_plugin) rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run(body);
@@ -197,16 +148,17 @@ Capture run_captured(mpi::RuntimeConfig cfg, mpi::SchedBackend backend,
           rec.to_chrome_json()};
 }
 
-void expect_backends_equivalent(mpi::RuntimeConfig cfg,
+// The canonical metrics and the chrome trace of a second run must match
+// the first byte for byte: the event loop's dispatch order, and with it
+// every virtual timestamp, is a pure function of the program.
+void expect_replays_identically(mpi::RuntimeConfig cfg,
                                 const std::function<void(mpi::Process&)>& body,
                                 bool gpu_plugin = false) {
-  const Capture threads =
-      run_captured(cfg, mpi::SchedBackend::kThreads, body, gpu_plugin);
-  const Capture event =
-      run_captured(cfg, mpi::SchedBackend::kEvent, body, gpu_plugin);
-  EXPECT_EQ(threads.canon, event.canon);
-  EXPECT_EQ(threads.chrome, event.chrome);
-  EXPECT_TRUE(contains(threads.canon, "gpuddt-metrics-v1"));
+  const Capture first = run_captured(cfg, body, gpu_plugin);
+  const Capture second = run_captured(cfg, body, gpu_plugin);
+  EXPECT_EQ(first.canon, second.canon);
+  EXPECT_EQ(first.chrome, second.chrome);
+  EXPECT_TRUE(contains(first.canon, "gpuddt-metrics-v1"));
 }
 
 TEST(SchedulerEquivalence, DevicePingpongMatchesByteForByte) {
@@ -215,7 +167,7 @@ TEST(SchedulerEquivalence, DevicePingpongMatchesByteForByte) {
   cfg.world_size = 2;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 256u << 20;
-  expect_backends_equivalent(
+  expect_replays_identically(
       cfg,
       [](mpi::Process& p) {
         mpi::Comm comm(p);
@@ -241,7 +193,7 @@ TEST(SchedulerEquivalence, CollectivesMatchByteForByte) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 8;
   cfg.machine.num_devices = 1;
-  expect_backends_equivalent(cfg, [](mpi::Process& p) {
+  expect_replays_identically(cfg, [](mpi::Process& p) {
     mpi::Comm comm(p);
     mpi::Collectives coll(comm);
     std::vector<std::int32_t> v(64, p.rank());
@@ -261,7 +213,7 @@ TEST(SchedulerEquivalence, OnesidedMatchesByteForByte) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 4;
   cfg.machine.num_devices = 1;
-  expect_backends_equivalent(cfg, [](mpi::Process& p) {
+  expect_replays_identically(cfg, [](mpi::Process& p) {
     mpi::Comm comm(p);
     std::vector<std::int32_t> win(256, -1);
     rma::Window w(comm, win.data(), 256 * 4);
@@ -280,10 +232,9 @@ TEST(SchedulerEquivalence, OnesidedMatchesByteForByte) {
 
 // --- Deadlock diagnostics through the MPI stack -----------------------------
 
-void expect_pml_deadlock_report(mpi::SchedBackend backend) {
+TEST(DeadlockDiagnostics, EventBackendReportsPendingOps) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
-  cfg.sched_backend = backend;
   mpi::Runtime rt(cfg);
   try {
     rt.run([](mpi::Process& p) {
@@ -303,18 +254,9 @@ void expect_pml_deadlock_report(mpi::SchedBackend backend) {
   }
 }
 
-TEST(DeadlockDiagnostics, EventBackendReportsPendingOps) {
-  expect_pml_deadlock_report(mpi::SchedBackend::kEvent);
-}
-
-TEST(DeadlockDiagnostics, ThreadBackendReportsPendingOps) {
-  expect_pml_deadlock_report(mpi::SchedBackend::kThreads);
-}
-
 TEST(DeadlockDiagnostics, WildcardRecvReportsAny) {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
-  cfg.sched_backend = mpi::SchedBackend::kEvent;
   mpi::Runtime rt(cfg);
   try {
     rt.run([](mpi::Process& p) {
@@ -341,7 +283,6 @@ mpi::RuntimeConfig scale_config(int ranks) {
   cfg.machine.num_devices = 1;
   cfg.machine.topo.fat_tree_leaf_nodes = 4;
   cfg.machine.topo.fat_tree_uplinks = 2;
-  cfg.sched_backend = mpi::SchedBackend::kEvent;
   cfg.sim_stack_bytes = 256 * 1024;
   return cfg;
 }
@@ -352,7 +293,7 @@ TEST(SimScale, Ring1024CompletesDeterministically) {
     mpi::RuntimeConfig cfg = scale_config(1024);
     cfg.recorder = &rec;
     mpi::Runtime rt(cfg);
-    int done = 0;  // the event loop is single-threaded; plain int is safe
+    int done = 0;
     rt.run([&](mpi::Process& p) {
       mpi::Comm comm(p);
       std::int32_t out = p.rank(), in = -1;

@@ -29,7 +29,6 @@ RuntimeConfig stress_world(int ranks, int per_node) {
   cfg.ranks_per_node = per_node;
   cfg.machine.num_devices = 2;
   cfg.machine.device_memory_bytes = 512u << 20;
-  cfg.progress_timeout_ms = 20000;
   return cfg;
 }
 
@@ -169,9 +168,7 @@ TEST(Stress, DeviceMemoryIsReleasedAfterTransfers) {
 }
 
 TEST(Stress, TruncatingRendezvousThrows) {
-  RuntimeConfig cfg = stress_world(2, 1 << 30);
-  cfg.progress_timeout_ms = 500;
-  Runtime rt(cfg);
+  Runtime rt(stress_world(2, 1 << 30));
   EXPECT_THROW(
       rt.run([](Process& p) {
         Comm comm(p);
@@ -186,9 +183,9 @@ TEST(Stress, TruncatingRendezvousThrows) {
 }
 
 TEST(Stress, HarnessIsDeterministic) {
-  // Identical specs must produce identical virtual times: the whole
-  // simulation is deterministic modulo thread scheduling, and virtual
-  // time is independent of real interleaving.
+  // Identical specs must produce identical virtual times: ranks run one
+  // at a time in a fixed order, so virtual time is independent of host
+  // scheduling.
   harness::PingPongSpec spec;
   spec.cfg = stress_world(2, 1 << 30);
   spec.dt0 = spec.dt1 = core::lower_triangular_type(512, 512);
@@ -338,7 +335,6 @@ TEST(Stress, SixGpusLikeThePaperNode) {
   cfg.world_size = 6;
   cfg.machine.num_devices = 6;
   cfg.machine.device_memory_bytes = 256u << 20;
-  cfg.progress_timeout_ms = 20000;
   Runtime rt(cfg);
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run([](Process& p) {

@@ -23,7 +23,6 @@ mpi::RuntimeConfig pingpong_cfg() {
   mpi::RuntimeConfig cfg;
   cfg.world_size = 2;
   cfg.machine = big_machine();
-  cfg.progress_timeout_ms = 20000;
   return cfg;
 }
 

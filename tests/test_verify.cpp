@@ -255,13 +255,13 @@ TEST(VerifyPipeline, StreamTriggeredRejectsUnmodeledShapes) {
 
 class ForcedVerify {
  public:
-  ForcedVerify() { set_forced(true); }
-  ~ForcedVerify() { set_forced(std::nullopt); }
+  ForcedVerify() { verify_switch.set_forced(true); }
+  ~ForcedVerify() { verify_switch.set_forced(std::nullopt); }
 };
 
 TEST(VerifyHook, CertifiesGoodInsertAndRejectsCorruptOne) {
   ForcedVerify forced;
-  ASSERT_TRUE(enabled());
+  ASSERT_TRUE(verify_switch.enabled());
   sg::Machine m;
   sg::HostContext ctx(m, 0);
   core::DevCache cache;
@@ -280,9 +280,9 @@ TEST(VerifyHook, CertifiesGoodInsertAndRejectsCorruptOne) {
 }
 
 TEST(VerifyHook, ForcedOffDisablesCertification) {
-  set_forced(false);
-  EXPECT_FALSE(enabled());
-  set_forced(std::nullopt);
+  verify_switch.set_forced(false);
+  EXPECT_FALSE(verify_switch.enabled());
+  verify_switch.set_forced(std::nullopt);
 }
 
 // --- Symbolic algebra edge cases --------------------------------------------------

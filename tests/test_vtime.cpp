@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 #include "vtime/resource.h"
 #include "vtime/vclock.h"
 
@@ -82,30 +79,6 @@ TEST(TimedResource, ResetClearsState) {
   r.reset();
   EXPECT_EQ(r.available(), 0);
   EXPECT_EQ(r.total_busy(), 0);
-}
-
-TEST(TimedResource, ConcurrentReservationsNeverOverlap) {
-  TimedResource r;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> threads;
-  std::vector<std::vector<Reservation>> results(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i)
-        results[t].push_back(r.reserve(0, 7));
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::vector<Reservation> all;
-  for (auto& v : results) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(),
-            [](const Reservation& a, const Reservation& b) {
-              return a.start < b.start;
-            });
-  for (std::size_t i = 1; i < all.size(); ++i)
-    EXPECT_GE(all[i].start, all[i - 1].finish);
-  EXPECT_EQ(r.total_busy(), 7 * kThreads * kPerThread);
 }
 
 TEST(CapacityResource, ParallelTasksShareSlots) {

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
       spec.cfg.world_size = 2;
       spec.cfg.machine.num_devices = 2;
       spec.cfg.machine.device_memory_bytes = std::size_t{2} << 30;
-      spec.cfg.progress_timeout_ms = 60000;
       if (ib) spec.cfg.ranks_per_node = 1;
       if (one_gpu) spec.cfg.device_of = [](int) { return 0; };
       spec.dt0 = spec.dt1 = layout_for(kind, bytes);

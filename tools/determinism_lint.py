@@ -16,6 +16,11 @@ review time; this lint keeps the class from coming back:
   pointer_order     -- ordered containers or sorts keyed on pointers
                        (std::map<T*, ...>, std::set<T*>). Address order
                        changes run to run under ASLR.
+  threads           -- threads, locks and atomics (std::thread, std::mutex,
+                       std::condition_variable, std::atomic and their
+                       headers). Every rank is a continuation of one
+                       event loop (src/vtime/engine.h); a second OS thread
+                       would race on state that has no locks.
 
 A finding on a line ending with the waiver comment
 
@@ -44,6 +49,12 @@ RULES = {
     ),
     "pointer_order": re.compile(
         r"std::(?:map|set|multimap|multiset)\s*<\s*(?:const\s+)?\w[\w:]*\s*\*"
+    ),
+    "threads": re.compile(
+        r"std::(?:j?thread|(?:recursive_|shared_|timed_)?mutex"
+        r"|condition_variable(?:_any)?|atomic(?:_ref|_flag)?)\b"
+        r"|#\s*include\s*<(?:thread|mutex|shared_mutex|condition_variable"
+        r"|atomic)>"
     ),
 }
 
