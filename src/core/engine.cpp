@@ -50,7 +50,6 @@ std::unique_ptr<GpuDatatypeEngine::Op> GpuDatatypeEngine::start(
   op->total_ = op->dt_->size() * count;
   op->pattern_ = op->dt_->regular_pattern(count);
   if (op->pattern_) {
-    ++stats_.vector_fast_path_ops;
     obs::count(cfg_.recorder, "engine.ops.vector");
     return op;  // vector fast path: no conversion at all
   }
@@ -139,7 +138,6 @@ vt::Time GpuDatatypeEngine::launch(Op& op, std::span<const CudaDevDist> units,
                                    const CudaDevDist* dev_units,
                                    sg::Stream& stream,
                                    const vt::Time* triggered_at) {
-  ++stats_.kernels_launched;
   obs::count(cfg_.recorder, "engine.kernels.dev");
   const vt::Time queued =
       std::max(triggered_at != nullptr ? *triggered_at : ctx_.clock.now(),
@@ -167,7 +165,6 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
   const std::int64_t lo = op.pos_;
   const std::int64_t hi = std::min(op.total_, lo + max_bytes);
   sg::StreamWaitEvent(ctx_, kernel_stream_, sg::Event{dep});
-  ++stats_.kernels_launched;
   obs::count(cfg_.recorder, "engine.kernels.vector");
   const vt::Time queued =
       std::max(trig != nullptr ? *trig : ctx_.clock.now(),
@@ -183,8 +180,6 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
                                  cfg_.kernel_blocks, trig);
   }
   op.pos_ = hi;
-  (op.dir_ == Dir::kPack ? stats_.bytes_packed : stats_.bytes_unpacked) +=
-      hi - lo;
   obs::count(cfg_.recorder,
              op.dir_ == Dir::kPack ? "engine.pack.bytes.vector"
                                    : "engine.unpack.bytes.vector",
@@ -202,7 +197,6 @@ void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
   const std::size_t n = op.cursor_.next_units(
       std::span<CudaDevDist>(op.staged_.data() + old, limit));
   op.staged_.resize(old + n);
-  stats_.units_converted += static_cast<std::int64_t>(n);
   obs::count(cfg_.recorder, "engine.units.converted",
              static_cast<std::int64_t>(n));
   // Host-side conversion cost (Section 3.2's first stage).
@@ -319,10 +313,8 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
     // window's ws_ replaces the previous one. The companion _distinct
     // counter ignores re-touches of a unit split across windows.
     if (cached) {
-      stats_.units_from_cache += static_cast<std::int64_t>(op.ws_.size());
       obs::count(cfg_.recorder, "engine.units.from_cache",
                  static_cast<std::int64_t>(op.ws_.size()));
-      stats_.units_from_cache_distinct += distinct;
       obs::count(cfg_.recorder, "engine.units.from_cache_distinct",
                  distinct);
     }
@@ -396,8 +388,6 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
     }
   }
   op.pos_ += bytes;
-  (op.dir_ == Dir::kPack ? stats_.bytes_packed : stats_.bytes_unpacked) +=
-      bytes;
   obs::count(cfg_.recorder,
              op.dir_ == Dir::kPack
                  ? (cached ? "engine.pack.bytes.dev_cached"

@@ -67,20 +67,6 @@ struct EngineConfig {
   int validate_devs = -1;
 };
 
-/// Counters the engine accumulates across operations.
-struct EngineStats {
-  std::int64_t kernels_launched = 0;
-  std::int64_t units_converted = 0;   // host-side DEV conversions
-  std::int64_t units_from_cache = 0;  // units served by the DEV cache
-  /// Distinct cached units touched: each unit counts once per op even when
-  /// a small per-call budget splits it across several windows, whereas
-  /// units_from_cache counts every window's worth.
-  std::int64_t units_from_cache_distinct = 0;
-  std::int64_t bytes_packed = 0;
-  std::int64_t bytes_unpacked = 0;
-  std::int64_t vector_fast_path_ops = 0;
-};
-
 class GpuDatatypeEngine {
  public:
   enum class Dir { kPack, kUnpack };
@@ -221,7 +207,6 @@ class GpuDatatypeEngine {
 
   sg::Stream& pack_stream() { return kernel_stream_; }
   DevCache& cache() { return cache_; }
-  const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return cfg_; }
   sg::HostContext& ctx() { return ctx_; }
 
@@ -250,7 +235,6 @@ class GpuDatatypeEngine {
   sg::Stream upload_stream_;
   sg::Stream residue_stream_;  // used only with residue_separate_stream
   DevCache cache_;
-  EngineStats stats_;
   bool validate_ = false;  // resolved EngineConfig::validate_devs
 };
 

@@ -436,24 +436,11 @@ void Pml::on_frag(AmMessage& m) {
   req->last_flow = frag_flow(m.src_rank, req->peer_send_id,
                              req->frags_seen++);
   // Per-fragment rendezvous latencies, for host and device destinations
-  // alike (the plugin path below shares this bookkeeping).
-  {
-    obs::Recorder* rec = proc_.config().recorder;
-    obs::count(rec, "pml.frags");
-    obs::count(rec, "pml.frag.bytes", h.bytes);
-    if (req->first_frag_arrival == 0) {
-      req->first_frag_arrival = m.arrival;
-      if (req->cts_sent > 0)
-        obs::observe(rec, "pml.cts_to_first_frag_ns",
-                     m.arrival - req->cts_sent);
-    } else if (m.arrival >= req->last_frag_arrival) {
-      obs::observe(rec, "pml.frag_gap_ns",
-                   m.arrival - req->last_frag_arrival);
-    }
-    req->last_frag_arrival = m.arrival;
-    obs::trace(rec, {"frag", "pml", m.arrival, m.arrival, proc_.rank(),
-                     h.bytes, proc_.rank(), req->last_flow});
-  }
+  // alike.
+  record_frag_arrival(*req, h.bytes, m.arrival);
+  obs::trace(proc_.config().recorder,
+             {"frag", "pml", m.arrival, m.arrival, proc_.rank(), h.bytes,
+              proc_.rank(), req->last_flow});
   if (req->space.space == sg::MemorySpace::kDevice) {
     proc_.runtime().gpu_plugin()->recv_on_frag(proc_, *req, h, data,
                                                m.arrival);
@@ -474,6 +461,21 @@ void Pml::on_frag(AmMessage& m) {
                    m.arrival - req->cts_sent);
     complete_recv(*req);
   }
+}
+
+void Pml::record_frag_arrival(RecvRequest& req, std::int64_t bytes,
+                              vt::Time arrival) {
+  obs::Recorder* rec = proc_.config().recorder;
+  obs::count(rec, "pml.frags");
+  obs::count(rec, "pml.frag.bytes", bytes);
+  if (req.first_frag_arrival == 0) {
+    req.first_frag_arrival = arrival;
+    if (req.cts_sent > 0)
+      obs::observe(rec, "pml.cts_to_first_frag_ns", arrival - req.cts_sent);
+  } else if (arrival >= req.last_frag_arrival) {
+    obs::observe(rec, "pml.frag_gap_ns", arrival - req.last_frag_arrival);
+  }
+  req.last_frag_arrival = arrival;
 }
 
 void Pml::on_fin(AmMessage& m) {

@@ -321,6 +321,11 @@ class Pml {
   /// Charge the calling rank's clock for a CPU pack/unpack of `st`.
   void charge_cpu_pack(const PackStats& st);
 
+  /// Record one fragment arrival on `req` in pml.frags, pml.frag.bytes and
+  /// the gap histograms - for on_frag and the GPU plugin's RDMA fragments.
+  void record_frag_arrival(RecvRequest& req, std::int64_t bytes,
+                           vt::Time arrival);
+
   /// Draw one id from this rank's per-request id space (the same counter
   /// isend/irecv use). Collective and one-sided engine drivers use it as
   /// the send_id component of mpi::frag_flow, so their trace flows can

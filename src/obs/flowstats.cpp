@@ -13,21 +13,6 @@ namespace gpuddt::obs {
 
 namespace {
 
-// Rows as stage_row() spells them (trace.h) vs. the short identifiers the
-// latency report keys stages by (docs/latency.md).
-constexpr std::array<const char*, FlowStats::kStages> kRowNames = {
-    "conv", "H2D desc", "kernel", "wire", "RDMA GET", "unpack", "other"};
-constexpr std::array<const char*, FlowStats::kStages> kShortNames = {
-    "conv", "desc", "kernel", "wire", "rdma", "unpack", "other"};
-
-int stage_index(const TraceEvent& ev) {
-  const std::string row = stage_row(ev);
-  for (int i = 0; i + 1 < FlowStats::kStages; ++i) {
-    if (row == kRowNames[static_cast<std::size_t>(i)]) return i;
-  }
-  return FlowStats::kStages - 1;
-}
-
 // All fragments of one rendezvous send share frag_flow's upper 44 bits
 // (rank, send id); collective flows live in the reserved all-ones rank
 // slot and are already one id per operation (src/mpi/pml.h).
@@ -72,8 +57,8 @@ std::int64_t value_at_rank(const std::map<std::int64_t, std::int64_t>& values,
 }  // namespace
 
 const char* FlowStats::stage_name(int stage) {
-  if (stage < 0 || stage >= kStages) return "none";
-  return kShortNames[static_cast<std::size_t>(stage)];
+  if (stage < 0 || stage >= kStageCount) return "none";
+  return stage_key(static_cast<Stage>(stage));
 }
 
 void FlowStats::bump(const char* name, std::int64_t delta) {
@@ -90,30 +75,31 @@ void FlowStats::retire_key(std::uint64_t key) {
   }
 }
 
-void FlowStats::on_span(const TraceEvent& ev) {
-  if (!enabled() || ev.flow == 0) return;
-  const std::uint64_t key = logical_key(ev.flow);
+FlowStats::Pending* FlowStats::open_flow(std::uint64_t key) {
   if (completed_keys_.count(key) != 0) {
     ++late_spans_;
     bump("flowstats.late_spans");
-    return;
+    return nullptr;
   }
   auto it = pending_.find(key);
-  if (it == pending_.end()) {
-    if (pending_.size() >= kMaxPending) {
-      ++dropped_;
-      bump("flowstats.dropped");
-      return;
-    }
-    it = pending_.emplace(key, Pending{}).first;
-    it->second.min_begin = std::numeric_limits<std::int64_t>::max();
-    it->second.max_end = std::numeric_limits<std::int64_t>::min();
+  if (it != pending_.end()) return &it->second;
+  if (pending_.size() >= kMaxPending) {
+    ++dropped_;
+    bump("flowstats.dropped");
+    return nullptr;
   }
-  Pending& p = it->second;
+  return &pending_[key];
+}
+
+void FlowStats::on_span(const TraceEvent& ev) {
+  if (!enabled() || ev.flow == 0) return;
+  Pending* found = open_flow(logical_key(ev.flow));
+  if (found == nullptr) return;
+  Pending& p = *found;
   const std::int64_t end = std::max(ev.begin, ev.end);
   p.min_begin = std::min(p.min_begin, ev.begin);
   p.max_end = std::max(p.max_end, end);
-  auto& ivals = p.stages[static_cast<std::size_t>(stage_index(ev))];
+  auto& ivals = p.stages[static_cast<std::size_t>(stage_of(ev.cat, ev.name))];
   ivals.push_back(Interval{ev.begin, end});
   if (ivals.size() >= kMaxIntervals) {
     // Compact to the interval union; if the flow genuinely has more
@@ -154,23 +140,9 @@ void FlowStats::on_span(const TraceEvent& ev) {
 void FlowStats::complete(const Completion& c) {
   if (!enabled() || c.flow == 0) return;
   const std::uint64_t key = logical_key(c.flow);
-  if (completed_keys_.count(key) != 0) {
-    ++late_spans_;
-    bump("flowstats.late_spans");
-    return;
-  }
-  auto it = pending_.find(key);
-  if (it == pending_.end()) {
-    if (pending_.size() >= kMaxPending) {
-      ++dropped_;
-      bump("flowstats.dropped");
-      return;
-    }
-    it = pending_.emplace(key, Pending{}).first;
-    it->second.min_begin = std::numeric_limits<std::int64_t>::max();
-    it->second.max_end = std::numeric_limits<std::int64_t>::min();
-  }
-  Pending& p = it->second;
+  Pending* found = open_flow(key);
+  if (found == nullptr) return;
+  Pending& p = *found;
   if (p.completions == 0) {
     p.cls = c.cls;
     p.shape = c.shape;
@@ -185,7 +157,7 @@ void FlowStats::complete(const Completion& c) {
   ++p.completions;
   if (p.completions >= p.participants) {
     finalize(key, p);
-    pending_.erase(it);
+    pending_.erase(key);
   }
 }
 
@@ -223,7 +195,7 @@ void FlowStats::finalize(std::uint64_t key, Pending& p) {
   }
 
   TailFlow tf{e2e, next_seq_++, {}};
-  for (std::size_t s = 0; s < static_cast<std::size_t>(kStages); ++s) {
+  for (std::size_t s = 0; s < static_cast<std::size_t>(kStageCount); ++s) {
     auto& ivals = p.stages[s];
     if (ivals.empty()) continue;
     std::sort(ivals.begin(), ivals.end(),
@@ -317,12 +289,12 @@ FlowStats::Report FlowStats::report() const {
     }
     for (const TailFlow& tf : acc.tail) {
       if (tf.e2e < cr.tail_threshold) continue;
-      for (std::size_t s = 0; s < static_cast<std::size_t>(kStages); ++s) {
+      for (std::size_t s = 0; s < static_cast<std::size_t>(kStageCount); ++s) {
         cr.tail_work[s] += tf.work[s];
       }
     }
     std::int64_t best = 0;
-    for (std::size_t s = 0; s < static_cast<std::size_t>(kStages); ++s) {
+    for (std::size_t s = 0; s < static_cast<std::size_t>(kStageCount); ++s) {
       if (cr.tail_work[s] > best) {
         best = cr.tail_work[s];
         cr.tail_dominant = static_cast<int>(s);
@@ -354,7 +326,7 @@ std::string FlowStats::to_json() const {
     e2e.emplace("p999", num(cr.p999));
 
     json::Object stages;
-    for (std::size_t s = 0; s < static_cast<std::size_t>(kStages); ++s) {
+    for (std::size_t s = 0; s < static_cast<std::size_t>(kStageCount); ++s) {
       if (cr.stage_flows[s] == 0) continue;
       json::Object st;
       st.emplace("flows", num(cr.stage_flows[s]));
@@ -364,7 +336,7 @@ std::string FlowStats::to_json() const {
     }
 
     json::Object tail_work;
-    for (std::size_t s = 0; s < static_cast<std::size_t>(kStages); ++s) {
+    for (std::size_t s = 0; s < static_cast<std::size_t>(kStageCount); ++s) {
       if (cr.tail_work[s] == 0) continue;
       tail_work.emplace(stage_name(static_cast<int>(s)),
                         num(cr.tail_work[s]));

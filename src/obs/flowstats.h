@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -41,11 +42,10 @@ class Registry;
 
 class FlowStats {
  public:
-  /// Pipeline stages a flow's spans are attributed to, in pipeline order
-  /// (the same rows stage_row() renders; "other" absorbs layer op spans
-  /// and future rows). Ties in tail attribution resolve to the earliest
-  /// stage in this order.
-  static constexpr int kStages = 7;
+  /// Per-stage arrays below are indexed by obs::Stage (pipeline order;
+  /// kOther absorbs layer op spans). Ties in tail attribution resolve to
+  /// the earliest stage. stage_name is the stage's latency-report key
+  /// (stage_key), "none" out of range.
   static const char* stage_name(int stage);
 
   explicit FlowStats(Registry* metrics) : metrics_(metrics) {}
@@ -99,13 +99,13 @@ class FlowStats {
     std::int64_t p99 = 0;
     std::int64_t p999 = 0;
     std::int64_t max = 0;
-    std::array<std::int64_t, kStages> work{};  // interval-union busy ns
-    std::array<std::int64_t, kStages> wait{};  // window minus work
-    std::array<std::int64_t, kStages> stage_flows{};  // flows with spans
+    std::array<std::int64_t, kStageCount> work{};  // interval-union busy ns
+    std::array<std::int64_t, kStageCount> wait{};  // window minus work
+    std::array<std::int64_t, kStageCount> stage_flows{};  // flows with spans
     std::int64_t tail_threshold = 0;  // nearest-rank p99
     std::int64_t tail_count = 0;      // flows with e2e >= threshold
     int tail_dominant = -1;           // stage index; -1: no stage data
-    std::array<std::int64_t, kStages> tail_work{};  // over tracked tail
+    std::array<std::int64_t, kStageCount> tail_work{};  // over tracked tail
   };
   struct Report {
     std::int64_t spans = 0;
@@ -132,9 +132,9 @@ class FlowStats {
     std::int64_t end;
   };
   struct Pending {
-    std::int64_t min_begin;
-    std::int64_t max_end;
-    std::array<std::vector<Interval>, kStages> stages;
+    std::int64_t min_begin = std::numeric_limits<std::int64_t>::max();
+    std::int64_t max_end = std::numeric_limits<std::int64_t>::min();
+    std::array<std::vector<Interval>, kStageCount> stages;
     std::string cls;
     std::uint64_t shape = 0;
     std::int64_t bytes = 0;
@@ -146,15 +146,15 @@ class FlowStats {
   struct TailFlow {
     std::int64_t e2e;
     std::uint64_t seq;  // finalization order, breaks e2e ties
-    std::array<std::int64_t, kStages> work;
+    std::array<std::int64_t, kStageCount> work;
   };
   struct ClassAcc {
     std::int64_t count = 0;
     std::int64_t bytes = 0;
     std::map<std::int64_t, std::int64_t> values;  // e2e ns -> flow count
-    std::array<std::int64_t, kStages> work{};
-    std::array<std::int64_t, kStages> wait{};
-    std::array<std::int64_t, kStages> stage_flows{};
+    std::array<std::int64_t, kStageCount> work{};
+    std::array<std::int64_t, kStageCount> wait{};
+    std::array<std::int64_t, kStageCount> stage_flows{};
     std::vector<TailFlow> tail;  // slowest kTailFlows, e2e desc / seq asc
   };
 
@@ -164,6 +164,10 @@ class FlowStats {
   static constexpr std::size_t kMaxDistinctValues = 1024;
   static constexpr std::size_t kTailFlows = 32;
 
+  /// The pending record of logical flow `key`, opened on first use;
+  /// nullptr (counted late or dropped) when the flow already finalized
+  /// or the pending table is full.
+  Pending* open_flow(std::uint64_t key);
   void finalize(std::uint64_t key, Pending& p);
   void drop(std::uint64_t key);
   void retire_key(std::uint64_t key);

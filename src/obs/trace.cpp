@@ -42,28 +42,45 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
+// Chrome row and latency-report key of each Stage, indexed by its value
+// (kOther spans row by their category instead).
+constexpr const char* kRows[static_cast<int>(Stage::kOther)] = {
+    "conv", "H2D desc", "kernel", "wire", "RDMA GET", "unpack"};
+constexpr const char* kKeys[kStageCount] = {"conv", "desc",   "kernel", "wire",
+                                            "rdma", "unpack", "other"};
+
+/// Row id of `ev`: pipeline stages keep their Stage value, so viewers
+/// always stack them in pipeline order; other rows (one per category)
+/// number on from kOther by first appearance in `others`.
+int row_id(const TraceEvent& ev,
+           std::map<std::string, int, std::less<>>& others) {
+  const Stage s = stage_of(ev.cat, ev.name);
+  if (s != Stage::kOther) return static_cast<int>(s);
+  const int next = kStageCount - 1 + static_cast<int>(others.size());
+  return others.try_emplace(ev.cat, next).first->second;
+}
+
 }  // namespace
 
-/// The named timeline row (Chrome `tid`) an event renders on. The
-/// pipeline stages of one op get one row each, so the §3.2/§4.1 overlap
-/// shows as parallel bars; everything else rows by subsystem (with a
-/// `layer:stage` split for dotted span names like "put.pack").
-std::string stage_row(const TraceEvent& ev) {
-  if (ev.cat == "engine") {
-    if (ev.name == "convert_chunk") return "conv";
-    if (ev.name == "desc_upload") return "H2D desc";
-    if (ev.name == "dev_kernel" || ev.name == "vector_kernel")
-      return "kernel";
+Stage stage_of(std::string_view cat, std::string_view name) {
+  if (cat == "engine") {
+    if (name == "convert_chunk") return Stage::kConv;
+    if (name == "desc_upload") return Stage::kDesc;
+    if (name == "dev_kernel" || name == "vector_kernel") return Stage::kKernel;
+  } else if (cat == "pml") {
+    if (name == "frag") return Stage::kWire;
+  } else if (cat == "gpu") {
+    if (name == "rdma_frag") return Stage::kRdma;
+    if (name == "host_frag_unpack") return Stage::kUnpack;
   }
-  if (ev.cat == "pml" && ev.name == "frag") return "wire";
-  if (ev.cat == "gpu") {
-    if (ev.name == "rdma_frag") return "RDMA GET";
-    if (ev.name == "host_frag_unpack") return "unpack";
-  }
-  const auto dot = ev.name.rfind('.');
-  if (dot != std::string::npos && dot + 1 < ev.name.size())
-    return ev.cat + ":" + ev.name.substr(dot + 1);
-  return ev.cat;
+  return Stage::kOther;
+}
+
+const char* stage_key(Stage s) { return kKeys[static_cast<int>(s)]; }
+
+std::string stage_row(std::string_view cat, std::string_view name) {
+  const Stage s = stage_of(cat, name);
+  return std::string(s == Stage::kOther ? cat : kRows[static_cast<int>(s)]);
 }
 
 std::string chrome_trace_json(std::vector<TraceEvent> events,
@@ -76,13 +93,8 @@ std::string chrome_trace_json(std::vector<TraceEvent> events,
                      return a.begin < b.begin;
                    });
 
-  // Stable row numbering: the engine/protocol pipeline stages get fixed
-  // ids so the viewer always stacks them in pipeline order; other rows
-  // number by first appearance (deterministic: events are sorted).
-  std::map<std::string, int> row_ids{{"conv", 0},     {"H2D desc", 1},
-                                     {"kernel", 2},   {"wire", 3},
-                                     {"RDMA GET", 4}, {"unpack", 5}};
-  int next_row = 6;
+  // Rows by first appearance are deterministic: events are sorted.
+  std::map<std::string, int, std::less<>> other_rows;
   // (pid, tid) -> row name, for the thread_name metadata events.
   std::map<std::pair<int, int>, std::string> named_rows;
 
@@ -100,11 +112,8 @@ std::string chrome_trace_json(std::vector<TraceEvent> events,
   std::int64_t last_end = 0;
   for (const TraceEvent& ev : events) {
     const int pid = ev.pid >= 0 ? ev.pid : (ev.tid >= 0 ? ev.tid : 0);
-    const std::string row = stage_row(ev);
-    auto [it, inserted] = row_ids.try_emplace(row, next_row);
-    if (inserted) ++next_row;
-    const int tid = it->second;
-    named_rows.try_emplace({pid, tid}, row);
+    const int tid = row_id(ev, other_rows);
+    named_rows.try_emplace({pid, tid}, stage_row(ev.cat, ev.name));
     last_end = std::max(last_end, ev.end);
 
     body += ",\n{\"name\": \"" + json::escape(ev.name) + "\", \"cat\": \"" +
@@ -196,18 +205,13 @@ std::string stage_profile_table(const std::vector<TraceEvent>& events) {
     std::vector<std::pair<std::int64_t, std::int64_t>> ivals;
     std::int64_t count = 0;
   };
-  std::map<std::string, int> row_order{{"conv", 0},     {"H2D desc", 1},
-                                       {"kernel", 2},   {"wire", 3},
-                                       {"RDMA GET", 4}, {"unpack", 5}};
-  int next_row = 6;
+  std::map<std::string, int, std::less<>> other_rows;
   std::map<std::pair<int, std::pair<int, std::string>>, Cell> cells;
   std::int64_t t0 = events.front().begin, t1 = events.front().end;
   for (const TraceEvent& ev : events) {
     const int pid = ev.pid >= 0 ? ev.pid : (ev.tid >= 0 ? ev.tid : 0);
-    const std::string row = stage_row(ev);
-    auto [it, inserted] = row_order.try_emplace(row, next_row);
-    if (inserted) ++next_row;
-    Cell& c = cells[{pid, {it->second, row}}];
+    Cell& c = cells[{pid,
+                     {row_id(ev, other_rows), stage_row(ev.cat, ev.name)}}];
     c.ivals.emplace_back(ev.begin, std::max(ev.begin, ev.end));
     ++c.count;
     t0 = std::min(t0, ev.begin);

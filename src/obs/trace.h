@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gpuddt::obs {
@@ -74,10 +75,31 @@ class TraceBuffer {
 std::string chrome_trace_json(std::vector<TraceEvent> events,
                               std::int64_t dropped);
 
-/// The named timeline row an event renders on in the chrome export
-/// ("conv", "H2D desc", "kernel", "wire", "RDMA GET", "unpack", or a
-/// subsystem fallback). Exposed for tools that aggregate by stage.
-std::string stage_row(const TraceEvent& ev);
+/// The pipeline stages of one transfer (§3.2/§4.1) in pipeline order, and
+/// kOther for spans outside it. The chrome rows, FlowStats and
+/// trace_critpath all classify spans with stage_of.
+enum class Stage : std::uint8_t {
+  kConv,    // engine/convert_chunk: host conversion of DEV units
+  kDesc,    // engine/desc_upload: descriptor uploads
+  kKernel,  // engine/dev_kernel, engine/vector_kernel
+  kWire,    // pml/frag: rendezvous fragments on the link
+  kRdma,    // gpu/rdma_frag: RDMA fragments, announce to unpack
+  kUnpack,  // gpu/host_frag_unpack: host-staged fragment unpacks
+  kOther,
+};
+inline constexpr int kStageCount = static_cast<int>(Stage::kOther) + 1;
+
+/// The stage a span of producer category `cat` named `name` belongs to.
+Stage stage_of(std::string_view cat, std::string_view name);
+
+/// A stage's key in the latency report (docs/latency.md): "conv",
+/// "desc", "kernel", "wire", "rdma", "unpack", "other".
+const char* stage_key(Stage s);
+
+/// The named timeline row a span renders on in the chrome export: its
+/// pipeline stage's row ("conv", "H2D desc", "kernel", "wire", "RDMA GET",
+/// "unpack"), or its category for kOther spans.
+std::string stage_row(std::string_view cat, std::string_view name);
 
 /// Human-readable per-(rank, stage-row) utilization table over a trace
 /// snapshot: busy virtual ns, % of the trace's end-to-end span, and

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/recorder.h"
 #include "simgpu/staging.h"
@@ -143,11 +144,7 @@ void* GpuDatatypePlugin::open_handle(mpi::Process& p,
   PerRank& pr = per_rank(p);
   const auto key = std::make_pair(h.device, h.offset);
   auto it = pr.ipc_cache.find(key);
-  if (it != pr.ipc_cache.end()) {
-    ++pr.stats.ipc_reuses;  // registration cache hit
-    return it->second;
-  }
-  ++pr.stats.ipc_opens;
+  if (it != pr.ipc_cache.end()) return it->second;  // registration hit
   void* ptr = sg::IpcOpenMemHandle(p.gpu(), h);
   pr.ipc_cache.emplace(key, ptr);
   return ptr;
@@ -457,7 +454,6 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
   // overwritten (its previous unpack, same-device so free).
   std::vector<vt::Time> scredit(static_cast<std::size_t>(depth), 0);
   std::vector<vt::Time> rcredit(static_cast<std::size_t>(rdepth), 0);
-  PerRank& rpr = per_rank(rp);
   std::int64_t frag = 0;
   vt::Time last_pack = 0;
 
@@ -477,7 +473,6 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
         sg::EventReadyOn(p.gpu(), sg::Event{res.ready}, sdev, rdev);
     std::byte* unpack_src;
     vt::Time unpack_dep;
-    vt::Time staged_at;
     if (staged) {
       std::byte* local = rst->local_staging + rslot * st->frag_bytes;
       const vt::Time t_start =
@@ -489,7 +484,6 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
                        res.bytes, rp.rank(), flow});
       unpack_src = local;
       unpack_dep = t_get;  // local DMA completion: same-device event
-      staged_at = t_get;
       // The GET drained the sender slot; its completion event is the
       // credit (crossed back to the sender's device).
       scredit[static_cast<std::size_t>(slot)] =
@@ -500,7 +494,6 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
       // its last byte.
       unpack_src = rst->remote + slot * st->frag_bytes;
       unpack_dep = pack_ready;
-      staged_at = pack_ready;
     }
     const auto rres = reng.process_triggered(*rst->op, unpack_src, res.bytes,
                                             unpack_dep, flow);
@@ -513,11 +506,8 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
     }
     rst->bytes_done += res.bytes;
     rst->last_ready = rres.ready;
-    ++rpr.stats.fragments;
     obs::count(rec, "pml.stream_triggered.frags");
     obs::count(rec, "pml.stream_triggered.frag.bytes", res.bytes);
-    if (rpr.tracing)
-      rpr.trace.push_back(FragTrace{frag, pack_ready, staged_at, rres.ready});
     ++frag;
   }
   if (!st->op->done() || rst->bytes_done != rreq->total_bytes)
@@ -746,9 +736,6 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
     cts.remote_disp = req.dt->true_lb();
     cts.frag_bytes = rts.frag_bytes;
     req.plugin = std::move(st);
-    PerRank& pr = per_rank(p);
-    ++pr.stats.rdma_pack_remote;
-    pr.stats.bytes_received += rts.total_bytes;
     p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
     req.cts_sent = p.clock().now();
     obs::count(cfg.recorder, "gpu.mode.rdma_pack_remote");
@@ -761,8 +748,9 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
   st->op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, req.dt,
                      req.count, req.buf);
 
-  if (mpi::stream_triggered_switch.enabled(cfg.stream_triggered) &&
-      !cfg.rdma_put_mode) {
+  const bool stream_triggered =
+      mpi::stream_triggered_switch.enabled(cfg.stream_triggered);
+  if (stream_triggered && !cfg.rdma_put_mode) {
     // Stream-triggered chain (docs/protocols.md): this CTS is the last
     // per-message host work on this rank until the sender's fin. The
     // whole conversion is staged and uploaded now, the ring is allocated
@@ -837,6 +825,10 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
   p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
   req.cts_sent = p.clock().now();
   obs::count(cfg.recorder, "gpu.mode.ipc_rdma");
+  // The triggered recurrence is formulated receiver-GET-side, so PUT
+  // mode runs the host-driven protocol instead - counted, not silent.
+  if (stream_triggered)
+    obs::count(cfg.recorder, "pml.stream_triggered.fallbacks");
 }
 
 void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
@@ -923,9 +915,6 @@ void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
   }
 
   p.clock().wait_until(last);
-  PerRank& pr = per_rank(p);
-  ++pr.stats.rdma_recv_driven;
-  pr.stats.bytes_received += req.total_bytes;
   FinHeader fin;
   fin.req_id = st->send_id;
   fin.to_sender = 1;
@@ -988,36 +977,14 @@ void GpuDatatypePlugin::on_frag_ready(mpi::Process& p, mpi::AmMessage& m) {
     ack_after = res.ready;
   }
   st->bytes_done += h.bytes;
-  {
-    PerRank& pr = per_rank(p);
-    ++pr.stats.fragments;
-    if (pr.tracing) {
-      pr.trace.push_back(FragTrace{h.frag_idx, m.arrival,
-                                   st->local_staging != nullptr ? ack_after
-                                                                : m.arrival,
-                                   st->last_ready});
-    }
-  }
-  {
-    // The pipelined-RDMA fragments bypass Pml::on_frag, so the per-frag
-    // rendezvous latencies are recorded here.
-    obs::Recorder* rec = p.config().recorder;
-    obs::count(rec, "pml.frags");
-    obs::count(rec, "pml.frag.bytes", h.bytes);
-    if (req->first_frag_arrival == 0) {
-      req->first_frag_arrival = m.arrival;
-      if (req->cts_sent > 0)
-        obs::observe(rec, "pml.cts_to_first_frag_ns",
-                     m.arrival - req->cts_sent);
-    } else if (m.arrival >= req->last_frag_arrival) {
-      obs::observe(rec, "pml.frag_gap_ns",
-                   m.arrival - req->last_frag_arrival);
-    }
-    req->last_frag_arrival = m.arrival;
-    obs::observe(rec, "gpu.frag.unpack_ns", st->last_ready - m.arrival);
-    obs::trace(rec, {"rdma_frag", "gpu", m.arrival, st->last_ready,
-                     p.rank(), h.bytes, p.rank(), flow});
-  }
+  // The pipelined-RDMA fragments bypass Pml::on_frag, so the per-frag
+  // rendezvous latencies are recorded here. The rdma_frag span covers
+  // the fragment from its announce to its unpack.
+  p.pml().record_frag_arrival(*req, h.bytes, m.arrival);
+  obs::Recorder* rec = p.config().recorder;
+  obs::observe(rec, "gpu.frag.unpack_ns", st->last_ready - m.arrival);
+  obs::trace(rec, {"rdma_frag", "gpu", m.arrival, st->last_ready, p.rank(),
+                   h.bytes, p.rank(), flow});
 
   FragFreeHeader ack;
   ack.send_id = st->send_id;
@@ -1032,9 +999,6 @@ void GpuDatatypePlugin::on_frag_ready(mpi::Process& p, mpi::AmMessage& m) {
       sg::Free(p.gpu(), st->local_staging);
       st->local_staging = nullptr;
     }
-    PerRank& pr = per_rank(p);
-    ++pr.stats.rdma_pipelined;
-    pr.stats.bytes_received += st->bytes_done;
     p.clock().wait_until(st->last_ready);
     p.pml().complete_recv(*req);
   }
@@ -1095,13 +1059,6 @@ void GpuDatatypePlugin::recv_on_frag(mpi::Process& p, mpi::RecvRequest& req,
       st->last_ready = res.ready;
     }
     st->bytes_done += hdr.bytes;
-    PerRank& pr = per_rank(p);
-    ++pr.stats.fragments;
-    if (pr.tracing) {
-      pr.trace.push_back(
-          FragTrace{hdr.offset / std::max<std::int64_t>(1, st->frag_bytes),
-                    arrival, arrival, st->last_ready});
-    }
     // Arrival gaps were recorded by Pml::on_frag before dispatching here;
     // add the device-side unpack latency of this fragment.
     obs::observe(p.config().recorder, "gpu.frag.unpack_ns",
@@ -1114,9 +1071,6 @@ void GpuDatatypePlugin::recv_on_frag(mpi::Process& p, mpi::RecvRequest& req,
   if (hdr.last) {
     if (st->bytes_done != req.total_bytes)
       throw std::runtime_error("gpu plugin: fragment stream size mismatch");
-    PerRank& pr = per_rank(p);
-    ++pr.stats.host_staged;
-    pr.stats.bytes_received += st->bytes_done;
     eng.finish(*st->op);
     if (st->gpu_bounce != nullptr) {
       sg::Free(p.gpu(), st->gpu_bounce);
@@ -1150,9 +1104,6 @@ void GpuDatatypePlugin::recv_eager(mpi::Process& p, mpi::RecvRequest& req,
   }
   eng.finish(*op);
   req.total_bytes = static_cast<std::int64_t>(data.size());
-  PerRank& pr = per_rank(p);
-  ++pr.stats.eager_unpacks;
-  pr.stats.bytes_received += req.total_bytes;
   p.clock().wait_until(last);
   p.pml().complete_recv(req);
 }
@@ -1170,9 +1121,6 @@ void GpuDatatypePlugin::recv_fin(mpi::Process& p, mpi::RecvRequest& req,
     sg::Free(p.gpu(), st->local_staging);
     st->local_staging = nullptr;
   }
-  PerRank& pr = per_rank(p);
-  ++pr.stats.stream_triggered;
-  pr.stats.bytes_received += st->bytes_done;
   obs::trace(p.config().recorder,
              {"stream_chain", "gpu", req.cts_sent, st->last_ready, p.rank(),
               st->bytes_done, p.rank(), 0});

@@ -29,7 +29,6 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "core/engine.h"
 #include "mpi/btl.h"
@@ -37,22 +36,6 @@
 #include "mpi/runtime.h"
 
 namespace gpuddt::proto {
-
-/// Per-rank transfer statistics: which protocol handled each message, the
-/// payload volume, and registration-cache behaviour. Read from the owning
-/// rank, or after run() returns.
-struct TransferStats {
-  std::int64_t rdma_pipelined = 0;     // kIpcRdma transfers completed
-  std::int64_t rdma_recv_driven = 0;   // contiguous-sender shortcut
-  std::int64_t rdma_pack_remote = 0;   // contiguous-receiver shortcut (CTS'd)
-  std::int64_t stream_triggered = 0;   // kStreamTriggered chains completed
-  std::int64_t host_staged = 0;        // copy-in/out transfers completed
-  std::int64_t eager_unpacks = 0;      // small host->device eager messages
-  std::int64_t bytes_received = 0;     // packed payload bytes received
-  std::int64_t fragments = 0;          // pipeline fragments processed
-  std::int64_t ipc_opens = 0;          // registration-cache misses
-  std::int64_t ipc_reuses = 0;         // registration-cache hits
-};
 
 class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
  public:
@@ -90,30 +73,9 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
                       std::int64_t* position, void* outbuf,
                       std::int64_t count, const mpi::DatatypePtr& dt);
 
-  /// This rank's receiver-side protocol statistics.
-  const TransferStats& stats(mpi::Process& p) { return per_rank(p).stats; }
-
-  /// Per-fragment virtual-time intervals of a pipelined receive, captured
-  /// when tracing is enabled: evidence of the Section 4.1 overlap (while
-  /// the sender packs fragment k+1, fragment k is in flight or being
-  /// unpacked).
-  struct FragTrace {
-    std::int64_t frag = 0;
-    vt::Time packed_and_wired = 0;  // sender pack + notification arrival
-    vt::Time staged = 0;            // one-sided get into local staging
-    vt::Time unpacked = 0;          // unpack kernel completion
-  };
-  void enable_tracing(mpi::Process& p) { per_rank(p).tracing = true; }
-  const std::vector<FragTrace>& trace(mpi::Process& p) {
-    return per_rank(p).trace;
-  }
-
  private:
   struct PerRank {
     std::unique_ptr<core::GpuDatatypeEngine> engine;
-    TransferStats stats;
-    bool tracing = false;
-    std::vector<FragTrace> trace;
     /// CUDA IPC registration cache: opened handles, keyed by
     /// (device, offset) - the paper's one-time RDMA connection.
     std::map<std::pair<int, std::uint64_t>, void*> ipc_cache;

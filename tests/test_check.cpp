@@ -351,16 +351,18 @@ void roundtrip(sg::HostContext& ctx, core::GpuDatatypeEngine& eng,
 TEST(CheckEngine, PipelinedConversionRunsClean) {
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
+  obs::Recorder rec;
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
   cfg.convert_chunk_units = 16;  // many small upload/launch windows
+  cfg.recorder = &rec;
   core::GpuDatatypeEngine eng(ctx, cfg);
 
   const SinkDelta d;
   roundtrip(ctx, eng, core::lower_triangular_type(96, 96), 1, 8 * 1024);
   EXPECT_EQ(d.hazards(), 0);
   EXPECT_EQ(d.violations(), 0);
-  EXPECT_GT(eng.stats().kernels_launched, 2);
+  EXPECT_GT(test::counter(rec, "engine.kernels.dev"), 2);
 }
 
 TEST(CheckEngine, ResidueStreamRunsClean) {
@@ -381,8 +383,10 @@ TEST(CheckEngine, ResidueStreamRunsClean) {
 TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
+  obs::Recorder rec;
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
+  cfg.recorder = &rec;
   core::GpuDatatypeEngine eng(ctx, cfg);
   auto dt = core::lower_triangular_type(64, 64);
 
@@ -395,8 +399,10 @@ TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {
   // Second run is served from the cache, with a budget of half a unit so
   // every unit is split across two windows: the per-window counter sees
   // each unit about twice, the distinct counter exactly once.
-  const std::int64_t from_cache0 = eng.stats().units_from_cache;
-  const std::int64_t distinct0 = eng.stats().units_from_cache_distinct;
+  const std::int64_t from_cache0 =
+      test::counter(rec, "engine.units.from_cache");
+  const std::int64_t distinct0 =
+      test::counter(rec, "engine.units.from_cache_distinct");
   const std::int64_t total = dt->size();
   auto* src = static_cast<std::byte*>(
       sg::Malloc(ctx, test::span_bytes(dt, 1)));
@@ -410,9 +416,10 @@ TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {
   eng.finish(*op);
   eng.synchronize();
 
-  const std::int64_t from_cache = eng.stats().units_from_cache - from_cache0;
+  const std::int64_t from_cache =
+      test::counter(rec, "engine.units.from_cache") - from_cache0;
   const std::int64_t distinct =
-      eng.stats().units_from_cache_distinct - distinct0;
+      test::counter(rec, "engine.units.from_cache_distinct") - distinct0;
   EXPECT_EQ(distinct, n_units);
   EXPECT_GT(from_cache, distinct);
   EXPECT_EQ(d.hazards(), 0);

@@ -531,13 +531,16 @@ TEST_F(EngineTest, SecondPackHitsCache) {
 }
 
 TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
-  // Regression for the units_from_cache accounting: the counter used to be
-  // bumped once per process_some call, after the window loop, from the
-  // contents of the last ws_ window. It must equal the total number of
-  // window entries served from the cache - including units split across
-  // budget boundaries, which legitimately count once per window they
-  // appear in.
-  GpuDatatypeEngine eng(ctx);
+  // Regression for the engine.units.from_cache accounting: the counter
+  // used to be bumped once per process_some call, after the window loop,
+  // from the contents of the last ws_ window. It must equal the total
+  // number of window entries served from the cache - including units
+  // split across budget boundaries, which legitimately count once per
+  // window they appear in.
+  obs::Recorder rec;
+  EngineConfig cfg;
+  cfg.recorder = &rec;
+  GpuDatatypeEngine eng(ctx, cfg);
   auto dt = core::lower_triangular_type(64, 64);
   run_roundtrip(ctx, eng, dt, 1, 8192);  // fills the cache
   ASSERT_GE(eng.cache().size(), 1u);
@@ -567,7 +570,7 @@ TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
 
   auto* src = static_cast<std::byte*>(sg::Malloc(ctx, 64 * 64 * 8));
   auto* packed = static_cast<std::byte*>(sg::Malloc(ctx, dt->size()));
-  const std::int64_t before = eng.stats().units_from_cache;
+  const std::int64_t before = test::counter(rec, "engine.units.from_cache");
   auto op = eng.start(Dir::kPack, dt, 1, src);
   ASSERT_TRUE(op->used_cache());
   while (!op->done()) {
@@ -575,7 +578,8 @@ TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
     if (r.bytes == 0) break;
   }
   eng.finish(*op);
-  EXPECT_EQ(eng.stats().units_from_cache - before, expected);
+  EXPECT_EQ(test::counter(rec, "engine.units.from_cache") - before,
+            expected);
 }
 
 TEST_F(EngineTest, CacheDisabledNeverCaches) {

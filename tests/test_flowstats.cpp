@@ -33,7 +33,7 @@ TraceEvent span(const char* name, const char* cat, std::int64_t begin,
 }
 
 int stage_of(const char* short_name) {
-  for (int i = 0; i < FlowStats::kStages; ++i)
+  for (int i = 0; i < obs::kStageCount; ++i)
     if (std::string(FlowStats::stage_name(i)) == short_name) return i;
   ADD_FAILURE() << "no stage named " << short_name;
   return -1;

@@ -397,6 +397,30 @@ TEST(GpuRdmaPut, PutAndGetModesPerformSimilarly) {
             0.8 * static_cast<double>(get.avg_roundtrip));
 }
 
+TEST(GpuRdmaPut, StreamTriggeredFallbackIsCounted) {
+  // Stream-triggered chains are formulated receiver-GET-side, so PUT mode
+  // runs plain kIpcRdma instead - counted as a fallback, never silent.
+  const auto run = [](bool put, obs::Recorder* rec) {
+    RuntimeConfig cfg = gpu_world();
+    cfg.stream_triggered = 1;
+    cfg.rdma_put_mode = put;
+    cfg.recorder = rec;
+    auto dt = core::lower_triangular_type(256, 256);
+    run_transfer(cfg, dt, 1, true, dt, 1, true);
+  };
+  obs::Recorder put;
+  run(true, &put);
+  EXPECT_EQ(test::counter(put, "pml.stream_triggered.fallbacks"), 1);
+  EXPECT_EQ(test::counter(put, "gpu.mode.ipc_rdma"), 1);
+  EXPECT_EQ(test::counter(put, "gpu.mode.stream_triggered"), 0);
+  obs::Recorder get;
+  run(false, &get);
+  EXPECT_EQ(test::counter(get, "gpu.mode.stream_triggered"), 1);
+  EXPECT_EQ(get.metrics().counters_snapshot().count(
+                "pml.stream_triggered.fallbacks"),
+            0u);
+}
+
 TEST(GpuRdmaPut, ContiguousShortcutsUnaffectedByPutMode) {
   RuntimeConfig cfg = gpu_world();
   cfg.rdma_put_mode = true;

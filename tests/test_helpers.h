@@ -10,6 +10,7 @@
 
 #include "mpi/cpu_pack.h"
 #include "mpi/datatype.h"
+#include "obs/recorder.h"
 #include "simgpu/runtime.h"
 
 namespace gpuddt::test {
@@ -50,6 +51,14 @@ class ScopedEnv {
   bool had_;
   std::string saved_;
 };
+
+/// Value of counter `name` in `rec` (0 when it was never recorded).
+inline std::int64_t counter(const obs::Recorder& rec,
+                            const std::string& name) {
+  const auto snap = rec.metrics().counters_snapshot();
+  const auto it = snap.find(name);
+  return it == snap.end() ? 0 : it->second;
+}
 
 /// Deterministically fill a byte region with position-dependent values.
 inline void fill_pattern(void* p, std::size_t bytes, std::uint32_t seed) {

@@ -21,6 +21,7 @@
 #include "rma/window.h"
 #include "shmem/shmem.h"
 #include "simgpu/access.h"
+#include "test_helpers.h"
 
 namespace gpuddt {
 namespace {
@@ -63,11 +64,7 @@ class ByteSink : public sg::AccessObserver {
   std::int64_t written_ = 0;
 };
 
-std::int64_t counter(const obs::Recorder& rec, const std::string& name) {
-  const auto snap = rec.metrics().counters_snapshot();
-  const auto it = snap.find(name);
-  return it == snap.end() ? 0 : it->second;
-}
+using test::counter;
 
 mpi::RuntimeConfig world(int n, obs::Recorder* rec) {
   mpi::RuntimeConfig cfg;

@@ -211,9 +211,11 @@ namespace gpuddt::proto {
 namespace {
 
 TEST(GpuEager, SmallDeviceSendsSkipRendezvous) {
-  mpi::Runtime rt(cfg2());
-  auto plugin = std::make_shared<GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  obs::Recorder rec;
+  mpi::RuntimeConfig cfg = cfg2();
+  cfg.recorder = &rec;
+  mpi::Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<GpuDatatypePlugin>());
   rt.run([&](mpi::Process& p) {
     mpi::Comm comm(p);
     // 8KB < gpu_eager_limit: one eager AM, no pipeline fragments.
@@ -229,23 +231,23 @@ TEST(GpuEager, SmallDeviceSendsSkipRendezvous) {
       test::fill_pattern(expect.data(), expect.size(), 8);
       EXPECT_EQ(test::reference_pack(dt, 1, buf),
                 test::reference_pack(dt, 1, expect.data()));
-      const auto& st = plugin->stats(p);
-      EXPECT_EQ(st.eager_unpacks, 1);
-      EXPECT_EQ(st.rdma_pipelined, 0);
-      EXPECT_EQ(st.host_staged, 0);
-      EXPECT_EQ(st.fragments, 0);
     }
   });
+  EXPECT_EQ(test::counter(rec, "gpu.sends.eager"), 1);
+  EXPECT_EQ(test::counter(rec, "gpu.mode.ipc_rdma"), 0);
+  EXPECT_EQ(test::counter(rec, "gpu.mode.host_frags"), 0);
+  EXPECT_EQ(test::counter(rec, "pml.frags"), 0);
 }
 
 TEST(GpuEager, LimitBoundaryRoutesCorrectly) {
   auto run_with_size = [](std::int64_t bytes, std::int64_t* eager,
                           std::int64_t* pipelined) {
+    obs::Recorder rec;
     mpi::RuntimeConfig cfg = cfg2();
     cfg.gpu_eager_limit = 4096;
+    cfg.recorder = &rec;
     mpi::Runtime rt(cfg);
-    auto plugin = std::make_shared<GpuDatatypePlugin>();
-    rt.set_gpu_plugin(plugin);
+    rt.set_gpu_plugin(std::make_shared<GpuDatatypePlugin>());
     rt.run([&](mpi::Process& p) {
       mpi::Comm comm(p);
       // payload = (bytes/8) doubles = `bytes` packed bytes exactly
@@ -256,10 +258,10 @@ TEST(GpuEager, LimitBoundaryRoutesCorrectly) {
         comm.send(buf, 1, vec, 1, 0);
       } else {
         comm.recv(buf, 1, vec, 0, 0);
-        *eager = plugin->stats(p).eager_unpacks;
-        *pipelined = plugin->stats(p).rdma_pipelined;
       }
     });
+    *eager = test::counter(rec, "gpu.sends.eager");
+    *pipelined = test::counter(rec, "gpu.mode.ipc_rdma");
   };
   std::int64_t eager = 0, pipelined = 0;
   run_with_size(4096, &eager, &pipelined);  // exactly at the limit: eager
@@ -271,11 +273,12 @@ TEST(GpuEager, LimitBoundaryRoutesCorrectly) {
 }
 
 TEST(GpuEager, ZeroLimitDisablesTheTier) {
+  obs::Recorder rec;
   mpi::RuntimeConfig cfg = cfg2();
   cfg.gpu_eager_limit = 0;
+  cfg.recorder = &rec;
   mpi::Runtime rt(cfg);
-  auto plugin = std::make_shared<GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  rt.set_gpu_plugin(std::make_shared<GpuDatatypePlugin>());
   rt.run([&](mpi::Process& p) {
     mpi::Comm comm(p);
     auto dt = mpi::Datatype::vector(64, 1, 2, mpi::kDouble());  // 512 B
@@ -285,9 +288,9 @@ TEST(GpuEager, ZeroLimitDisablesTheTier) {
       comm.send(buf, 1, dt, 1, 0);
     } else {
       comm.recv(buf, 1, dt, 0, 0);
-      EXPECT_EQ(plugin->stats(p).eager_unpacks, 0);
     }
   });
+  EXPECT_EQ(test::counter(rec, "gpu.sends.eager"), 0);
 }
 
 TEST(GpuEager, DeviceToHostSmallMessage) {

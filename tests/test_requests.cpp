@@ -116,17 +116,24 @@ TEST(RequestApi, PersistentWaitBeforeStartThrows) {
   });
 }
 
-TEST(RequestApi, TransferStatsReflectProtocolChoice) {
+TEST(RequestApi, ProtocolCountersReflectProtocolChoice) {
   // Same-node device<->device: the pipelined RDMA protocol must be
-  // chosen; the stats expose it (and the registration cache reuse).
-  Runtime rt(two_ranks());
-  auto plugin = std::make_shared<proto::GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  // chosen; the recorder's gpu.mode.* counters expose it. Opening the
+  // sender's staging handle is priced at 1 s, so the receiver's clock
+  // proves the registration cache maps it once and reuses it after.
+  obs::Recorder rec;
+  RuntimeConfig cfg = two_ranks();
+  cfg.recorder = &rec;
+  cfg.machine.cost.ipc_open_ns = vt::msec(1000.0);
+  Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
+  auto dt = core::lower_triangular_type(96, 96);
+  vt::Time recv_ns = 0;
   rt.run([&](Process& p) {
     Comm comm(p);
-    auto dt = core::lower_triangular_type(96, 96);
     const std::size_t span = 96 * 96 * 8;
     auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), span));
+    const vt::Time t0 = p.clock().now();
     for (int i = 0; i < 3; ++i) {
       if (p.rank() == 0) {
         comm.send(buf, 1, dt, 1, i);
@@ -134,25 +141,29 @@ TEST(RequestApi, TransferStatsReflectProtocolChoice) {
         comm.recv(buf, 1, dt, 0, i);
       }
     }
+    if (p.rank() == 1) recv_ns = p.clock().now() - t0;
     comm.barrier();
-    if (p.rank() == 1) {
-      const auto& st = plugin->stats(p);
-      EXPECT_EQ(st.rdma_pipelined, 3);
-      EXPECT_EQ(st.host_staged, 0);
-      EXPECT_EQ(st.bytes_received, 3 * dt->size());
-      EXPECT_GT(st.fragments, 0);
-      EXPECT_EQ(st.ipc_opens, 1);   // sender staging mapped once...
-      EXPECT_EQ(st.ipc_reuses, 2);  // ...and reused afterwards
-    }
   });
+  EXPECT_EQ(test::counter(rec, "gpu.mode.ipc_rdma"), 3);
+  EXPECT_EQ(test::counter(rec, "gpu.mode.host_frags"), 0);
+  EXPECT_EQ(test::counter(rec, "engine.unpack.bytes.dev") +
+                test::counter(rec, "engine.unpack.bytes.dev_cached") +
+                test::counter(rec, "engine.unpack.bytes.vector"),
+            3 * dt->size());  // received payload
+  EXPECT_GT(test::counter(rec, "pml.frags"), 0);
+  EXPECT_GE(recv_ns, vt::msec(1000.0));  // sender staging mapped once...
+  EXPECT_LT(recv_ns, vt::msec(2000.0));  // ...and reused afterwards
 }
 
-TEST(RequestApi, TransferStatsCopyInOutPath) {
+TEST(RequestApi, ProtocolCountersCopyInOutPath) {
+  obs::Recorder rec;
   RuntimeConfig cfg = two_ranks();
   cfg.ranks_per_node = 1;  // IB: copy-in/out
+  cfg.recorder = &rec;
+  cfg.machine.cost.ipc_open_ns = vt::msec(1000.0);
   Runtime rt(cfg);
-  auto plugin = std::make_shared<proto::GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
+  vt::Time recv_ns = 0;
   rt.run([&](Process& p) {
     Comm comm(p);
     auto dt = core::submatrix_type(128, 32, 192);
@@ -161,18 +172,20 @@ TEST(RequestApi, TransferStatsCopyInOutPath) {
       comm.send(buf, 1, dt, 1, 0);
     } else {
       comm.recv(buf, 1, dt, 0, 0);
-      const auto& st = plugin->stats(p);
-      EXPECT_EQ(st.host_staged, 1);
-      EXPECT_EQ(st.rdma_pipelined, 0);
-      EXPECT_EQ(st.ipc_opens, 0);
+      recv_ns = p.clock().now();
     }
   });
+  EXPECT_EQ(test::counter(rec, "gpu.mode.host_frags"), 1);
+  EXPECT_EQ(test::counter(rec, "gpu.mode.ipc_rdma"), 0);
+  EXPECT_LT(recv_ns, vt::msec(1000.0));  // no IPC handle was opened
 }
 
-TEST(RequestApi, TransferStatsShortcuts) {
-  Runtime rt(two_ranks());
-  auto plugin = std::make_shared<proto::GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+TEST(RequestApi, ProtocolCountersShortcuts) {
+  obs::Recorder rec;
+  RuntimeConfig cfg = two_ranks();
+  cfg.recorder = &rec;
+  Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run([&](Process& p) {
     Comm comm(p);
     auto vec = core::submatrix_type(256, 64, 320);
@@ -185,11 +198,10 @@ TEST(RequestApi, TransferStatsShortcuts) {
     } else {
       comm.recv(a, 1, vec, 0, 0);
       comm.recv(b, 1, cont, 0, 1);
-      const auto& st = plugin->stats(p);
-      EXPECT_EQ(st.rdma_recv_driven, 1);
-      EXPECT_EQ(st.rdma_pack_remote, 1);
     }
   });
+  EXPECT_EQ(test::counter(rec, "gpu.mode.rdma_recv_driven"), 1);
+  EXPECT_EQ(test::counter(rec, "gpu.mode.rdma_pack_remote"), 1);
 }
 
 TEST(RequestApi, WaitanyReturnsFirstCompleted) {
@@ -227,11 +239,14 @@ TEST(RequestApi, WaitanyEmptyThrows) {
 TEST(RequestApi, TraceProvesPipelineOverlap) {
   // The central mechanism of Section 4.1: fragment k+1 is packed and
   // announced while fragment k is still in flight or being unpacked. The
-  // virtual-time trace must show that overlap for a multi-fragment
-  // transfer.
-  Runtime rt(two_ranks());
-  auto plugin = std::make_shared<proto::GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  // receiver's gpu/rdma_frag spans (announce -> unpack, one per fragment)
+  // must show that overlap for a multi-fragment transfer.
+  obs::Recorder rec;
+  rec.enable_tracing();
+  RuntimeConfig cfg = two_ranks();
+  cfg.recorder = &rec;
+  Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run([&](Process& p) {
     Comm comm(p);
     auto dt = core::lower_triangular_type(1024, 1024);
@@ -240,20 +255,25 @@ TEST(RequestApi, TraceProvesPipelineOverlap) {
     if (p.rank() == 0) {
       comm.send(buf, 1, dt, 1, 0);
     } else {
-      plugin->enable_tracing(p);
       comm.recv(buf, 1, dt, 0, 0);
-      const auto& trace = plugin->trace(p);
-      ASSERT_GT(trace.size(), 3u);
-      int overlaps = 0;
-      for (std::size_t k = 0; k + 1 < trace.size(); ++k) {
-        EXPECT_LE(trace[k].packed_and_wired, trace[k].staged);
-        EXPECT_LE(trace[k].staged, trace[k].unpacked);
-        if (trace[k + 1].packed_and_wired < trace[k].unpacked) ++overlaps;
-      }
-      // Most adjacent pairs overlap; a serialized protocol would have 0.
-      EXPECT_GE(overlaps, static_cast<int>(trace.size()) / 2);
     }
   });
+  std::vector<obs::TraceEvent> frags;
+  for (const obs::TraceEvent& ev : rec.trace().snapshot())
+    if (ev.cat == "gpu" && ev.name == "rdma_frag" && ev.pid == 1)
+      frags.push_back(ev);
+  ASSERT_GT(frags.size(), 3u);
+  EXPECT_EQ(frags[0].flow & 0xFFFFFu, 0u);  // fragment 0 of the send
+  int overlaps = 0;
+  for (std::size_t k = 0; k < frags.size(); ++k) {
+    // One span per fragment, in fragment order (frag_flow's low bits).
+    EXPECT_EQ(frags[k].flow, frags[0].flow + k);
+    EXPECT_LE(frags[k].begin, frags[k].end);
+    if (k + 1 < frags.size() && frags[k + 1].begin < frags[k].end)
+      ++overlaps;
+  }
+  // Most adjacent pairs overlap; a serialized protocol would have 0.
+  EXPECT_GE(overlaps, static_cast<int>(frags.size()) / 2);
 }
 
 }  // namespace
@@ -313,9 +333,11 @@ TEST(RequestApi, IprobeSeesRendezvousSize) {
 TEST(RequestApi, UnexpectedGpuRtsMatchedLater) {
   // A device RTS arriving before the receive is posted must be stashed
   // and then drive the full RDMA protocol when the recv appears.
-  Runtime rt(two_ranks());
-  auto plugin = std::make_shared<proto::GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  obs::Recorder rec;
+  RuntimeConfig cfg = two_ranks();
+  cfg.recorder = &rec;
+  Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run([&](Process& p) {
     Comm comm(p);
     auto dt = core::lower_triangular_type(128, 128);
@@ -337,16 +359,18 @@ TEST(RequestApi, UnexpectedGpuRtsMatchedLater) {
       test::fill_pattern(expect.data(), span, 61);
       EXPECT_EQ(test::reference_pack(dt, 1, buf),
                 test::reference_pack(dt, 1, expect.data()));
-      EXPECT_EQ(plugin->stats(p).rdma_pipelined, 1);
+      EXPECT_EQ(test::counter(rec, "gpu.mode.ipc_rdma"), 1);
       comm.barrier();
     }
   });
 }
 
 TEST(RequestApi, EngineStatsAccumulate) {
-  Runtime rt(two_ranks());
-  auto plugin = std::make_shared<proto::GpuDatatypePlugin>();
-  rt.set_gpu_plugin(plugin);
+  obs::Recorder rec;
+  RuntimeConfig cfg = two_ranks();
+  cfg.recorder = &rec;
+  Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
   rt.run([&](Process& p) {
     Comm comm(p);
     auto tri = core::lower_triangular_type(128, 128);
@@ -363,15 +387,20 @@ TEST(RequestApi, EngineStatsAccumulate) {
       }
     }
     comm.barrier();
-    const auto& st = plugin->engine(p).stats();
-    EXPECT_GT(st.kernels_launched, 0);
-    if (p.rank() == 1) {
-      EXPECT_GT(st.bytes_unpacked, 0);
-      EXPECT_GT(st.units_converted, 0);    // first triangular transfer
-      EXPECT_GT(st.units_from_cache, 0);   // second one hits the cache
-      EXPECT_GT(st.vector_fast_path_ops, 0);
-    }
   });
+  EXPECT_GT(test::counter(rec, "engine.kernels.dev"), 0);
+  EXPECT_GT(test::counter(rec, "engine.kernels.vector"), 0);
+  EXPECT_GT(test::counter(rec, "engine.units.converted"), 0);
+  EXPECT_GT(test::counter(rec, "engine.units.from_cache"), 0);
+  EXPECT_GT(test::counter(rec, "engine.ops.vector"), 0);
+  // Rank 0 only packs and rank 1 only unpacks, so the direction-split
+  // byte counters are per rank: rank 1 converted the first triangular
+  // transfer live, served the second from its cache, and took the
+  // vector fast path.
+  EXPECT_GT(test::counter(rec, "engine.pack.bytes.dev"), 0);
+  EXPECT_GT(test::counter(rec, "engine.unpack.bytes.dev"), 0);
+  EXPECT_GT(test::counter(rec, "engine.unpack.bytes.dev_cached"), 0);
+  EXPECT_GT(test::counter(rec, "engine.unpack.bytes.vector"), 0);
 }
 
 }  // namespace

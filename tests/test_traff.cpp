@@ -50,14 +50,14 @@ DatatypePtr layout() {
 /// time on the virtual clock. `stream_triggered` drives the
 /// RuntimeConfig tri-state knob.
 vt::Time ddt_transfer_time(int stream_triggered) {
+  obs::Recorder rec;
   RuntimeConfig cfg = gpu_world();
   cfg.stream_triggered = stream_triggered;
+  cfg.recorder = &rec;
   const DatatypePtr dt = layout();
-  auto plugin = std::make_shared<GpuDatatypePlugin>();
   vt::Time done = 0;
-  std::int64_t chains = 0;
   Runtime rt(cfg);
-  rt.set_gpu_plugin(plugin);
+  rt.set_gpu_plugin(std::make_shared<GpuDatatypePlugin>());
   rt.run([&](Process& p) {
     Comm comm(p);
     const std::int64_t span = test::span_bytes(dt, 1);
@@ -68,12 +68,12 @@ vt::Time ddt_transfer_time(int stream_triggered) {
     } else {
       comm.recv(buf, 1, dt, 0, 7);
       done = p.clock().now();
-      chains = plugin->stats(p).stream_triggered;
     }
     sg::Free(p.gpu(), buf);
   });
   // The mode under test must actually have engaged.
-  EXPECT_EQ(chains, stream_triggered != 0 ? 1 : 0);
+  EXPECT_EQ(test::counter(rec, "gpu.mode.stream_triggered"),
+            stream_triggered != 0 ? 1 : 0);
   return done;
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Documentation lint for docs/.
+"""Documentation lint for docs/, README.md, DESIGN.md and EXPERIMENTS.md.
 
 The docs tree makes grep-checkable claims: it names repo files, env vars,
 command-line flags, and metric counter families. Each of those drifts
@@ -10,7 +10,9 @@ such claim from the tree on each run:
 
   broken_ref      -- a repo path mentioned in a doc (docs/foo.md,
                      src/bar/baz.h, tools/x.py, ... or a relative
-                     markdown link target) that does not exist.
+                     markdown link target) that does not exist, or a
+                     (build/)tools/<name> or (build/)bench/<name> binary
+                     with no <name>.cpp, .py or .sh source.
   unknown_env     -- a GPUDDT_* environment/build variable documented but
                      never read anywhere under src/, tools/, bench/,
                      tests/, examples/ or the CMake files.
@@ -40,6 +42,11 @@ REF = re.compile(
     r"\b(?:docs|src|tools|bench|tests|examples)/[A-Za-z0-9_./-]*"
     r"[A-Za-z0-9_-]\.[A-Za-z0-9_]+"
 )
+# An extension-less tool or bench binary, bare or under build/.
+BINARY = re.compile(
+    r"(?<![\w.-])(?<![\w-]/)(?:build/)?(?:tools|bench)/[A-Za-z0-9_-]+"
+    r"(?![\w/-])(?!\.\w)"
+)
 MDLINK = re.compile(r"\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 ENV = re.compile(r"\bGPUDDT_[A-Z0-9_]+\b")
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9_-]{2,}")
@@ -52,7 +59,8 @@ NOT_A_METRIC_SUFFIX = {"md", "json", "cpp", "h", "py", "sh", "txt", "cmake"}
 
 # Flags owned by external tools the docs legitimately invoke (cmake,
 # ctest, ...); the corpus only proves flags this repo itself parses.
-EXTERNAL_FLAGS = {"--preset"}
+EXTERNAL_FLAGS = {"--preset", "--benchmark_min_time"}
+TOP_LEVEL_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 # Dump sections that are not counter families: `trace.dropped` is a field
 # of the gpuddt-metrics-v1 trace section (docs/tracing.md), never a
@@ -89,6 +97,13 @@ def known_families(root: Path) -> set:
     return set(re.findall(r'"([a-z_]+\.)"', m.group(1)))
 
 
+def binary_exists(root: Path, ref: str) -> bool:
+    """A directory, or a binary built from <name>.{cpp,py,sh}."""
+    path = root / ref.removeprefix("build/")
+    return path.is_dir() or any(
+        path.with_suffix(ext).is_file() for ext in (".cpp", ".py", ".sh"))
+
+
 def waived(rule: str, lines: list, i: int) -> bool:
     for line in (lines[i], lines[i - 1] if i > 0 else ""):
         m = WAIVER.search(line)
@@ -108,6 +123,10 @@ def lint_doc(root: Path, doc: Path, corpus: str, families: set) -> list:
 
         for m in REF.finditer(line):
             if not (root / m.group(0)).is_file():
+                if not waived("broken_ref", lines, i):
+                    findings.append((doc, i + 1, "broken_ref", m.group(0)))
+        for m in BINARY.finditer(line):
+            if not binary_exists(root, m.group(0)):
                 if not waived("broken_ref", lines, i):
                     findings.append((doc, i + 1, "broken_ref", m.group(0)))
         for m in MDLINK.finditer(line):
@@ -160,6 +179,7 @@ def main(argv: list) -> int:
     if not docs:
         print(f"doc_lint: no docs/*.md under {root}", file=sys.stderr)
         return 2
+    docs += [root / name for name in TOP_LEVEL_DOCS if (root / name).is_file()]
     corpus = load_corpus(root)
     families = known_families(root)
 

@@ -67,6 +67,7 @@
 
 #include "obs/canon.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -160,6 +161,14 @@ int fail_latency(const std::string& path, const std::string& why) {
   return 1;
 }
 
+/// True when `name` is a latency-report stage key (obs::stage_key).
+bool is_stage_key(const std::string& name) {
+  for (int s = 0; s < gpuddt::obs::kStageCount; ++s)
+    if (name == gpuddt::obs::stage_key(static_cast<gpuddt::obs::Stage>(s)))
+      return true;
+  return false;
+}
+
 /// Require `obj[key]` to be a non-negative number; returns its value via
 /// `*out` (unchanged on failure).
 bool non_negative(const gpuddt::obs::json::Object& obj, const std::string& key,
@@ -209,8 +218,6 @@ int validate_latency(const std::string& path) {
   if (!doc.contains("classes") || !doc.at("classes").is_object())
     return fail_latency(path, "missing classes section");
   const auto& classes = doc.at("classes").as_object();
-  static constexpr const char* kStageNames[] = {
-      "conv", "desc", "kernel", "wire", "rdma", "unpack", "other"};
   double class_flows = 0.0;
   for (const auto& [name, cls] : classes) {
     const std::string ctx = "class " + name;
@@ -246,9 +253,7 @@ int validate_latency(const std::string& path) {
       return fail_latency(path, ctx + " missing stages block");
     const auto& stages = obj.at("stages").as_object();
     for (const auto& [stage, sv] : stages) {
-      bool known = false;
-      for (const char* s : kStageNames) known = known || stage == s;
-      if (!known)
+      if (!is_stage_key(stage))
         return fail_latency(path, ctx + " has unknown stage '" + stage + "'");
       if (!sv.is_object())
         return fail_latency(path, ctx + " stage " + stage + " not an object");
@@ -271,9 +276,7 @@ int validate_latency(const std::string& path) {
     if (dom == tail.end())
       return fail_latency(path, ctx + " tail missing 'dominant'");
     const std::string dname = dom->second.as_string();
-    bool dom_ok = dname == "none";
-    for (const char* s : kStageNames) dom_ok = dom_ok || dname == s;
-    if (!dom_ok)
+    if (dname != "none" && !is_stage_key(dname))
       return fail_latency(path, ctx + " tail dominant '" + dname +
                                     "' is not a stage name or \"none\"");
     if (tail.find("work") == tail.end() || !tail.at("work").is_object())

@@ -8,7 +8,8 @@
 # compares against these files byte-for-byte with zero headroom. Rerun
 # this script - and review the diff! - whenever a change intentionally
 # moves a modeled cost, then commit the updated baselines with the change
-# that moved them. docs/determinism.md has the full story.
+# that moved them. docs/determinism.md has the full story. A chrome/<name>
+# baseline is instead one small run's raw --trace-format=chrome array.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,6 +32,8 @@ BASELINES=(
   "fig9_stream_triggered|bench_fig9_pcie_pingpong||--stream-triggered"
   "sim_throughput|bench_sim_throughput||"
   "traffic_mix|bench_traffic_mix||"
+  "chrome/fig10_ib_t_256|bench_fig10_pingpong|BM_Fig10_IB_T/256/|"
+  "chrome/fig9_t_512_stream|bench_fig9_pcie_pingpong|BM_Fig9_T/512/|--stream-triggered"
 )
 
 binaries=(metrics_diff)
@@ -40,7 +43,7 @@ for spec in "${BASELINES[@]}"; do
 done
 cmake --build "$BUILD" -j "$JOBS" --target "${binaries[@]}"
 
-mkdir -p "$OUT"
+mkdir -p "$OUT/chrome"
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 for spec in "${BASELINES[@]}"; do
@@ -48,6 +51,8 @@ for spec in "${BASELINES[@]}"; do
   args=(--metrics-out="$tmp")
   [ -n "$filter" ] && args+=("--benchmark_filter=$filter")
   [ -n "$extra" ] && args+=($extra)
+  [[ $name == chrome/* ]] &&
+    args+=(--trace-format=chrome "--trace-out=$OUT/$name.json")
   # The traffic-mix workload also pins the flow-latency report
   # (docs/latency.md): one run produces both baselines.
   latency_tmp=
@@ -57,6 +62,7 @@ for spec in "${BASELINES[@]}"; do
   fi
   echo "== $name: $bin ${filter:+(filter $filter)}${extra:+ ($extra)}"
   "$BUILD/bench/$bin" "${args[@]}" > /dev/null
+  [[ $name == chrome/* ]] && continue
   "$BUILD/tools/metrics_diff" --canon "$tmp" > "$OUT/$name.json"
   if [ -n "$latency_tmp" ]; then
     # --canon dispatches on the schema marker, so the same idempotent

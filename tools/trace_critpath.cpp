@@ -114,12 +114,9 @@ std::vector<Span> load_v1(const Value& doc) {
   std::vector<Span> spans;
   const Value& events = doc.at("trace").at("events");
   for (const Value& ev : events.as_array()) {
-    gpuddt::obs::TraceEvent te;
-    te.name = ev.at("name").as_string();
-    te.cat = ev.at("cat").as_string();
     Span s;
-    s.name = te.name;
-    s.stage = gpuddt::obs::stage_row(te);
+    s.name = ev.at("name").as_string();
+    s.stage = gpuddt::obs::stage_row(ev.at("cat").as_string(), s.name);
     const int pid = static_cast<int>(ev.at("pid").as_int());
     const int tid = static_cast<int>(ev.at("tid").as_int());
     s.pid = pid >= 0 ? pid : (tid >= 0 ? tid : 0);
