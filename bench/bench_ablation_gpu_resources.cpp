@@ -62,7 +62,18 @@ BENCHMARK(BM_Resources_PingPong_T)
     ->UseManualTime()
     ->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Sec. 5.3: a few blocks suffice: the V ping-pong with 4 blocks is "
+     "within 25 % of 64 blocks, and 1 block is > 2 % slower",
+     [](const Results& r) {
+       const double wide = r.ns("BM_Resources_PingPong/64");
+       return r.ns("BM_Resources_PingPong/4") < 1.25 * wide &&
+              r.ns("BM_Resources_PingPong/1") > 1.02 * wide;
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

@@ -70,7 +70,25 @@ BENCHMARK(BM_GpuDirect_Policy)
     ->UseManualTime()
     ->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"GPUDirect beats host staging at 4 KB and 16 KB (paper: below 30 KB)",
+     [](const Results& r) {
+       return holds_for({"/4", "/16"}, [&](const std::string& kb) {
+         return r.ns("BM_GpuDirect_Direct" + kb) <
+                r.ns("BM_GpuDirect_Staged" + kb);
+       });
+     }},
+    {"host staging beats GPUDirect at 1 MB and 16 MB",
+     [](const Results& r) {
+       return holds_for({"/1024", "/16384"}, [&](const std::string& kb) {
+         return r.ns("BM_GpuDirect_Staged" + kb) <
+                r.ns("BM_GpuDirect_Direct" + kb);
+       });
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

@@ -170,7 +170,36 @@ BENCHMARK(BM_RecvLocalStaging_OnOff)
     ->UseManualTime()
     ->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Fig. 10: receiver local staging takes 60-99 % of remote-read "
+     "unpack's time (T 2048; paper: 10-20 % faster)",
+     [](const Results& r) {
+       const double staged = r.ns("BM_RecvLocalStaging_OnOff/1") /
+                             r.ns("BM_RecvLocalStaging_OnOff/0");
+       return staged > 0.60 && staged < 0.99;
+     }},
+    {"pipeline depth 1 is slower than depth 2",
+     [](const Results& r) {
+       return r.ns("BM_Pipeline_Depth/1") > r.ns("BM_Pipeline_Depth/2");
+     }},
+    {"work units of S = 4096 convert faster than S = 256",
+     [](const Results& r) {
+       return r.ns("BM_UnitSize_S/4096") < r.ns("BM_UnitSize_S/256");
+     }},
+    {"a separate residue stream is slower than treating residues alike "
+     "(Sec. 3.2)",
+     [](const Results& r) {
+       return r.ns("BM_ResidueStream_OnOff/1") >
+              r.ns("BM_ResidueStream_OnOff/0");
+     }},
+    {"the DEV cache on beats off",
+     [](const Results& r) {
+       return r.ns("BM_DevCache_OnOff/1") < r.ns("BM_DevCache_OnOff/0");
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

@@ -41,7 +41,15 @@ void BM_SharedGpu_T(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedGpu_T)->Apply(load_sweep)->UseManualTime()->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Sec. 5.4: a co-running kernel on 12 SMs slows the T ping-pong",
+     [](const Results& r) {
+       return r.ns("BM_SharedGpu_T/12") > r.ns("BM_SharedGpu_T/0");
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

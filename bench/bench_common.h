@@ -8,9 +8,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <map>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,6 +80,91 @@ inline void record(benchmark::State& state, vt::Time virtual_ns,
       static_cast<double>(payload_bytes) / (1 << 20));
 }
 
+/// One run's results by benchmark name without google-benchmark's
+/// suffixes, e.g. "BM_Fig10_SM_2GPU_T/2048". Looking up a benchmark that
+/// did not run throws Results::Missing.
+struct Results {
+  struct Missing : std::out_of_range {
+    using std::out_of_range::out_of_range;
+  };
+  struct Point {
+    double ns;    // virtual ns per iteration (the manual time)
+    double gbps;  // the GB/s counter record() sets
+  };
+  std::map<std::string, Point> points;
+
+  double ns(const std::string& name) const { return at(name).ns; }
+  double gbps(const std::string& name) const { return at(name).gbps; }
+  const Point& at(const std::string& name) const {
+    const auto it = points.find(name);
+    if (it == points.end()) throw Missing(name + " did not run");
+    return it->second;
+  }
+};
+
+/// One claim of the paper (EXPERIMENTS.md), checked after every run of
+/// the bench that defines it.
+struct Claim {
+  const char* text;
+  bool (*holds)(const Results&);
+};
+
+/// True if `holds(s)` for every string in `items`, such as the argument
+/// suffixes {"/2048", "/4096"}.
+template <class F>
+bool holds_for(std::initializer_list<const char*> items, F holds) {
+  return std::all_of(items.begin(), items.end(),
+                     [&](const char* s) { return holds(std::string(s)); });
+}
+
+/// Records every run into `results`, then passes it on to the display
+/// reporter that --benchmark_format names (console, JSON or CSV).
+struct RecordingReporter : benchmark::BenchmarkReporter {
+  Results results;
+  bool ran = false;  // stays false under --benchmark_list_tests
+  BenchmarkReporter* display = benchmark::CreateDefaultDisplayReporter();
+
+  bool ReportContext(const Context& context) override {
+    ran = true;
+    return display->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      std::string name = run.run_name.function_name;
+      if (!run.run_name.args.empty()) name += "/" + run.run_name.args;
+      const auto gb = run.counters.find("GB/s");
+      results.points[name] = {
+          run.real_accumulated_time * 1e9 /
+              static_cast<double>(run.iterations),
+          gb == run.counters.end() ? std::nan("") : gb->second.value};
+    }
+    display->ReportRuns(runs);
+  }
+  void Finalize() override { display->Finalize(); }
+};
+
+/// Prints one verdict per claim to stderr, so that JSON or CSV on stdout
+/// still parses. A claim whose inputs did not run is skipped, which is an
+/// error only when `complete` says every benchmark ran. Returns false if
+/// a claim is violated or wrongly skipped.
+inline bool check_claims(std::span<const Claim> claims, const Results& r,
+                         bool complete) {
+  bool ok = true;
+  for (const Claim& c : claims) {
+    try {
+      const bool holds = c.holds(r);
+      ok = ok && holds;
+      std::fprintf(stderr, "claim %s: %s\n", holds ? "holds" : "VIOLATED",
+                   c.text);
+    } catch (const Results::Missing& e) {
+      ok = ok && !complete;
+      std::fprintf(stderr, "claim skipped (%s): %s\n", e.what(), c.text);
+    }
+  }
+  return ok;
+}
+
 /// Shared main: strips `--metrics-out=FILE`, `--trace`,
 /// `--trace-format=chrome|v1`, `--trace-out=FILE`, `--profile`,
 /// `--check` and `--check-out=FILE` before handing the rest to
@@ -97,8 +188,10 @@ inline void record(benchmark::State& state, vt::Time virtual_ns,
 /// benchmarks run and writes the gpuddt-latency-v1 report
 /// (docs/latency.md) to FILE afterwards - it works with tracing off,
 /// since FlowStats consumes spans before the ring buffer can drop them.
-/// Returns the usual benchmark exit status.
-inline int bench_main(int argc, char** argv) {
+/// After the run every claim prints its verdict (check_claims); the exit
+/// status is 1 if one fails.
+inline int bench_main(int argc, char** argv,
+                      std::span<const Claim> claims = {}) {
   std::string metrics_out;
   std::string latency_out;
   std::string check_out;
@@ -146,7 +239,12 @@ inline int bench_main(int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  const std::string filter = benchmark::GetBenchmarkFilter();
+  const bool unfiltered = filter.empty() || filter == "." || filter == "all";
+  const bool claims_ok =
+      check_claims(claims, reporter.results, unfiltered && reporter.ran);
   benchmark::Shutdown();
   if (profile) {
     std::fputs(
@@ -183,13 +281,16 @@ inline int bench_main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return claims_ok ? 0 : 1;
 }
 
 }  // namespace gpuddt::bench
 
 /// Drop-in replacement for BENCHMARK_MAIN() with --metrics-out support.
-#define GPUDDT_BENCH_MAIN()                                \
-  int main(int argc, char** argv) {                        \
-    return gpuddt::bench::bench_main(argc, argv);          \
+/// GPUDDT_BENCH_MAIN(kClaims) also checks the file's claims; the name is
+/// looked up in gpuddt::bench.
+#define GPUDDT_BENCH_MAIN(...)                                     \
+  int main(int argc, char** argv) {                                \
+    using namespace gpuddt::bench;                                 \
+    return bench_main(argc, argv __VA_OPT__(, ) __VA_ARGS__);      \
   }

@@ -65,7 +65,42 @@ FIG10_BENCH(IB_T, Topo::kIb, t_type, false);
 FIG10_BENCH(IB_V_MVAPICH, Topo::kIb, v_type, true);
 FIG10_BENCH(IB_T_MVAPICH, Topo::kIb, t_type, true);
 
+
+const Claim kClaims[] = {
+    {"Fig. 10: ours beats the MVAPICH-style baseline in all six "
+     "configurations, and by > 20 % on SM-2GPU V",
+     [](const Results& r) {
+       return holds_for({"SM_1GPU_V", "SM_1GPU_T", "SM_2GPU_V",
+                         "SM_2GPU_T", "IB_V", "IB_T"},
+                        [&](const std::string& c) {
+                          return r.ns("BM_Fig10_" + c + "/2048") <
+                                 r.ns("BM_Fig10_" + c + "_MVAPICH/2048");
+                        }) &&
+              r.ns("BM_Fig10_SM_2GPU_V/2048") <
+                  0.8 * r.ns("BM_Fig10_SM_2GPU_V_MVAPICH/2048");
+     }},
+    {"Fig. 10: the baseline's indexed series blows up: SM-2GPU T takes "
+     "> 3x ours",
+     [](const Results& r) {
+       return r.ns("BM_Fig10_SM_2GPU_T_MVAPICH/2048") >
+              3 * r.ns("BM_Fig10_SM_2GPU_T/2048");
+     }},
+    {"Fig. 10: one GPU is about 2x faster than two: SM-2GPU V takes > 1.8x "
+     "SM-1GPU V (paper: at least 2x)",
+     [](const Results& r) {
+       return r.ns("BM_Fig10_SM_2GPU_V/2048") >
+              1.8 * r.ns("BM_Fig10_SM_1GPU_V/2048");
+     }},
+    {"Fig. 10: over IB ours is 1.2-3x faster than the baseline on V "
+     "(paper ~1.5x)",
+     [](const Results& r) {
+       const double speedup = r.ns("BM_Fig10_IB_V_MVAPICH/2048") /
+                              r.ns("BM_Fig10_IB_V/2048");
+       return speedup > 1.2 && speedup < 3.0;
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

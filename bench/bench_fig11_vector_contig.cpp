@@ -65,7 +65,16 @@ BENCHMARK(BM_Fig11_IB_VtoC_MVAPICH)
     ->UseManualTime()
     ->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Fig. 11: the V->C reshape beats the baseline (SM, N 2048)",
+     [](const Results& r) {
+       return r.ns("BM_Fig11_SM_VtoC/2048") <
+              r.ns("BM_Fig11_SM_VtoC_MVAPICH/2048");
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

@@ -52,7 +52,19 @@ BENCHMARK(BM_Fig12_IB_Transpose)
     ->UseManualTime()
     ->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Fig. 12: the baseline's transpose takes > 5x ours (SM, N 512 and "
+     "1024)",
+     [](const Results& r) {
+       return holds_for({"/512", "/1024"}, [&](const std::string& n) {
+         return r.ns("BM_Fig12_SM_Transpose_MVAPICH" + n) >
+                5 * r.ns("BM_Fig12_SM_Transpose" + n);
+       });
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

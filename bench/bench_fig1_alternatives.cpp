@@ -117,7 +117,21 @@ BENCHMARK(BM_Fig1d_GpuKernel_V)
     ->UseManualTime()
     ->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Fig. 1: (d) the GPU kernel packs T faster than (a), (b) and (c) at "
+     "N 1024 and 2048",
+     [](const Results& r) {
+       return holds_for({"/1024", "/2048"}, [&](const std::string& n) {
+         const double d = r.ns("BM_Fig1d_GpuKernel" + n);
+         return d < r.ns("BM_Fig1a_StageWhole" + n) &&
+                d < r.ns("BM_Fig1b_PerBlockD2H" + n) &&
+                d < r.ns("BM_Fig1c_PerBlockD2D" + n);
+       });
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

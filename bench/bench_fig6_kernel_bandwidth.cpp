@@ -59,7 +59,38 @@ BENCHMARK(BM_Fig6_C_cudaMemcpy)
     ->UseManualTime()
     ->Iterations(2);
 
+
+// Bandwidths relative to C, the cudaMemcpy of V's payload.
+const Claim kClaims[] = {
+    {"Fig. 6: the V kernel reaches 88-100 % of cudaMemcpy at N 2048 and "
+     "4096 (paper ~94 %)",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         const double v =
+             r.gbps("BM_Fig6_V" + n) / r.gbps("BM_Fig6_C_cudaMemcpy" + n);
+         return v > 0.88 && v < 1.0;
+       });
+     }},
+    {"Fig. 6: the T kernel loses to occupancy, 70-90 % of cudaMemcpy "
+     "(paper ~80 %)",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         const double t =
+             r.gbps("BM_Fig6_T" + n) / r.gbps("BM_Fig6_C_cudaMemcpy" + n);
+         return t > 0.70 && t < 0.90;
+       });
+     }},
+    {"Fig. 6: the stair triangle beats T and recovers > 95 % of V",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         const double stair = r.gbps("BM_Fig6_T_stair" + n);
+         return stair > r.gbps("BM_Fig6_T" + n) &&
+                stair > 0.95 * r.gbps("BM_Fig6_V" + n);
+       });
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

@@ -101,7 +101,43 @@ BENCHMARK(BM_Fig7_T_cpy_cached)
     ->UseManualTime()
     ->Iterations(2);
 
+
+const Claim kClaims[] = {
+    {"Fig. 7: pipelined conversion takes < 70 % of plain T-d2d's time at "
+     "N 2048 and 4096 (paper: almost doubles)",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         return r.ns("BM_Fig7_T_d2d_pipeline" + n) <
+                0.70 * r.ns("BM_Fig7_T_d2d" + n);
+       });
+     }},
+    {"Fig. 7: cached DEVs beat pipelined conversion",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         return r.ns("BM_Fig7_T_d2d_cached" + n) <
+                r.ns("BM_Fig7_T_d2d_pipeline" + n);
+       });
+     }},
+    {"Fig. 7: zero-copy is slightly faster than explicit staging: V-cpy "
+     "takes 50-100 % of V-d2d2h, and T-cpy < T-d2d2h (cached)",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         const double v =
+             r.ns("BM_Fig7_V_cpy" + n) / r.ns("BM_Fig7_V_d2d2h" + n);
+         return v > 0.5 && v < 1.0 &&
+                r.ns("BM_Fig7_T_cpy_cached" + n) <
+                    r.ns("BM_Fig7_T_d2d2h_cached" + n);
+       });
+     }},
+    {"Fig. 7: going through the host is PCI-E bound: V-cpy > 3x V-d2d",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         return r.ns("BM_Fig7_V_cpy" + n) > 3 * r.ns("BM_Fig7_V_d2d" + n);
+       });
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

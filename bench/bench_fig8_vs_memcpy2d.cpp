@@ -146,7 +146,24 @@ BENCHMARK(BM_Fig8_mcp2d_d2h)
     ->UseManualTime()
     ->Iterations(2);
 
+
+const Claim kClaims[] = {
+    {"Fig. 8: on the device the kernel matches cudaMemcpy2D: kernel-d2d "
+     "takes 70-130 % of mcp2d-d2d's time at 1024 B blocks",
+     [](const Results& r) {
+       const double k = r.ns("BM_Fig8_kernel_d2d/8192/1024") /
+                        r.ns("BM_Fig8_mcp2d_d2d/8192/1024");
+       return k > 0.7 && k < 1.3;
+     }},
+    {"Fig. 8: cudaMemcpy2D d2h regresses off the granule: 1000 B blocks "
+     "take > 1.8x as long as 1024 B blocks",
+     [](const Results& r) {
+       return r.ns("BM_Fig8_mcp2d_d2h/8192/1000") >
+              1.8 * r.ns("BM_Fig8_mcp2d_d2h/8192/1024");
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

@@ -30,7 +30,27 @@ void BM_Fig9_C(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig9_C)->Apply(matrix_sizes)->UseManualTime()->Iterations(1);
 
+
+const Claim kClaims[] = {
+    {"Fig. 9: V reaches > 75 % of contiguous bandwidth at N 2048 and 4096 "
+     "(paper ~90 %)",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         return r.gbps("BM_Fig9_V" + n) > 0.75 * r.gbps("BM_Fig9_C" + n);
+       });
+     }},
+    {"Fig. 9: T <= 1.02 V and V < C; T reaches 55-95 % of C (paper ~78 %)",
+     [](const Results& r) {
+       return holds_for({"/2048", "/4096"}, [&](const std::string& n) {
+         const double v = r.gbps("BM_Fig9_V" + n);
+         const double t = r.gbps("BM_Fig9_T" + n);
+         const double c = r.gbps("BM_Fig9_C" + n);
+         return t <= 1.02 * v && v < c && t > 0.55 * c && t < 0.95 * c;
+       });
+     }},
+};
+
 }  // namespace
 }  // namespace gpuddt::bench
 
-GPUDDT_BENCH_MAIN();
+GPUDDT_BENCH_MAIN(kClaims);

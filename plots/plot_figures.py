@@ -1,122 +1,150 @@
 #!/usr/bin/env python3
-"""Plot the reproduced figures from the CSV files dump_figures writes.
+"""Plot the reproduced figures from the JSON the bench binaries write.
 
 Usage:
-    ./build/tools/dump_figures figdata
+    mkdir -p figdata
+    for b in fig6_kernel_bandwidth fig7_pack_unpack fig8_vs_memcpy2d \\
+             fig9_pcie_pingpong fig10_pingpong fig11_vector_contig \\
+             fig12_transpose; do
+      ./build/bench/bench_$b --benchmark_out=figdata/bench_$b.json \\
+          --benchmark_out_format=json
+    done
     python3 plots/plot_figures.py figdata out
 
-Produces one PNG per paper figure in `out/`. Requires matplotlib.
+Produces one PNG per paper figure in `out/`. Every series is loaded
+before matplotlib is imported, so a missing file or benchmark fails
+even where matplotlib is not installed.
 """
-import csv
+import json
 import os
 import sys
 
+# One entry per PNG: the bench whose JSON it reads, the y metric (virtual
+# "ms" per iteration or the "gbps" counter) and its (series, label) lines.
+# A series is a benchmark name up to its last argument: fig8's
+# "BM_Fig8_kernel_d2d/8192" plots the block sizes of the 8192-block panel.
+FIGURES = [
+    dict(bench="bench_fig6_kernel_bandwidth", png="fig6_kernel_bandwidth.png",
+         title="Fig 6: GPU memory bandwidth of packing kernels",
+         xlabel="matrix order N", metric="gbps",
+         lines=[("BM_Fig6_C_cudaMemcpy", "C (cudaMemcpy)"), ("BM_Fig6_V", "V"),
+                ("BM_Fig6_T", "T"), ("BM_Fig6_T_stair", "T-stair")]),
+    dict(bench="bench_fig7_pack_unpack", png="fig7_pack_unpack.png",
+         title="Fig 7: pack+unpack time of the datatype engine",
+         xlabel="matrix order N", metric="ms", logy=True,
+         lines=[("BM_Fig7_V_d2d", "V-d2d"), ("BM_Fig7_T_d2d", "T-d2d"),
+                ("BM_Fig7_T_d2d_pipeline", "T-d2d-pipeline"),
+                ("BM_Fig7_T_d2d_cached", "T-d2d-cached"),
+                ("BM_Fig7_V_d2d2h", "V-d2d2h"), ("BM_Fig7_V_cpy", "V-cpy")]),
+    dict(bench="bench_fig8_vs_memcpy2d", png="fig8_vs_memcpy2d.png",
+         title="Fig 8: vector kernel vs cudaMemcpy2D (8192 blocks)",
+         xlabel="block size (bytes)", metric="gbps", logx=True,
+         lines=[("BM_Fig8_kernel_d2d/8192", "kernel d2d"),
+                ("BM_Fig8_mcp2d_d2d/8192", "cudaMemcpy2D d2d"),
+                ("BM_Fig8_kernel_d2h_zero_copy/8192",
+                 "kernel d2h (zero-copy)"),
+                ("BM_Fig8_mcp2d_d2h/8192", "cudaMemcpy2D d2h")]),
+    dict(bench="bench_fig9_pcie_pingpong", png="fig9_pcie_bandwidth.png",
+         title="Fig 9: PCI-E bandwidth of the ping-pong",
+         xlabel="matrix order N", metric="gbps",
+         lines=[("BM_Fig9_C", "C"), ("BM_Fig9_V", "V"), ("BM_Fig9_T", "T")]),
+] + [
+    dict(bench="bench_fig10_pingpong", png=f"fig10{panel}.png",
+         title=f"Fig 10({panel[0]}): ping-pong", xlabel="matrix order N",
+         metric="ms", logy=True,
+         lines=[(f"BM_Fig10_{topo}_{t}{impl}", f"{t}{label}")
+                for impl, label in (("", ""), ("_MVAPICH", " mvapich"))
+                for t in ("V", "T")])
+    for panel, topo in (("a_sm_1gpu", "SM_1GPU"), ("b_sm_2gpu", "SM_2GPU"),
+                        ("c_ib", "IB"))
+] + [
+    dict(bench="bench_fig11_vector_contig", png="fig11_vector_contig.png",
+         title="Fig 11: vector <-> contiguous ping-pong",
+         xlabel="matrix order N", metric="ms", logy=True,
+         lines=[("BM_Fig11_SM_VtoC", "SM (ours)"),
+                ("BM_Fig11_SM_VtoC_MVAPICH", "SM (mvapich)"),
+                ("BM_Fig11_IB_VtoC", "IB (ours)"),
+                ("BM_Fig11_IB_VtoC_MVAPICH", "IB (mvapich)")]),
+    dict(bench="bench_fig12_transpose", png="fig12_transpose.png",
+         title="Fig 12: matrix transpose ping-pong",
+         xlabel="matrix order N", metric="ms", logy=True,
+         lines=[("BM_Fig12_SM_Transpose", "SM (ours)"),
+                ("BM_Fig12_SM_Transpose_MVAPICH", "SM (mvapich)"),
+                ("BM_Fig12_IB_Transpose", "IB (ours)")]),
+]
 
-def read_csv(path):
+YLABEL = {"ms": "ms (virtual)", "gbps": "GB/s"}
+TIME_UNIT_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+
+def load(path):
+    """{benchmark name without google-benchmark's suffixes: metrics}."""
     with open(path) as f:
-        rows = list(csv.DictReader(f))
-    return {k: [float(r[k]) for r in rows] for k in rows[0]}
+        doc = json.load(f)
+    out = {}
+    for b in doc["benchmarks"]:
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        # "BM_X/2048/iterations:1/manual_time" -> "BM_X/2048"
+        name = "/".join(p for p in b["run_name"].split("/")
+                        if ":" not in p and not p.endswith("_time"))
+        out[name] = {"ms": b["real_time"] * TIME_UNIT_MS[b["time_unit"]],
+                     "gbps": b["GB/s"]}
+    return out
+
+
+def series(data, prefix, metric, path):
+    """(x, y) points of every `prefix/<x>` benchmark, sorted by x."""
+    pts = sorted((float(name[len(prefix) + 1:]), m[metric])
+                 for name, m in data.items()
+                 if name.startswith(prefix + "/")
+                 and "/" not in name[len(prefix) + 1:])
+    if not pts:
+        sys.exit(f"{path}: no {prefix}/* benchmarks")
+    return pts
 
 
 def main():
     data_dir = sys.argv[1] if len(sys.argv) > 1 else "figdata"
     out_dir = sys.argv[2] if len(sys.argv) > 2 else "plots/out"
-    os.makedirs(out_dir, exist_ok=True)
+    loaded = {}
+    for fig in FIGURES:
+        path = os.path.join(data_dir, fig["bench"] + ".json")
+        if path not in loaded:
+            loaded[path] = load(path)
+        fig["curves"] = [(label, series(loaded[path], prefix, fig["metric"],
+                                        path))
+                         for prefix, label in fig["lines"]]
+    print(f"loaded {len(FIGURES)} figures from {len(loaded)} files "
+          f"in {data_dir}/")
+
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        sys.exit("matplotlib is required: pip install matplotlib")
+        sys.exit("matplotlib is required to draw them: pip install matplotlib")
 
-    def save(fig, name, title, xlabel, ylabel, logy=False):
-        ax = fig.gca()
-        ax.set_title(title)
-        ax.set_xlabel(xlabel)
-        ax.set_ylabel(ylabel)
-        if logy:
+    os.makedirs(out_dir, exist_ok=True)
+    for fig in FIGURES:
+        f = plt.figure()
+        ax = f.gca()
+        for label, pts in fig["curves"]:
+            ax.plot([x for x, _ in pts], [y for _, y in pts], marker="o",
+                    label=label)
+        ax.set_title(fig["title"])
+        ax.set_xlabel(fig["xlabel"])
+        ax.set_ylabel(YLABEL[fig["metric"]])
+        if fig.get("logx"):
+            ax.set_xscale("log")
+        if fig.get("logy"):
             ax.set_yscale("log")
         ax.legend()
         ax.grid(True, alpha=0.3)
-        fig.tight_layout()
-        fig.savefig(os.path.join(out_dir, name), dpi=140)
-        print(f"  {name}")
-
-    # Figure 6
-    d = read_csv(os.path.join(data_dir, "fig6_kernel_bandwidth.csv"))
-    fig = plt.figure()
-    for k, lbl in [("C_gbps", "C (cudaMemcpy)"), ("V_gbps", "V"),
-                   ("T_gbps", "T"), ("Tstair_gbps", "T-stair")]:
-        fig.gca().plot(d["N"], d[k], marker="o", label=lbl)
-    save(fig, "fig6_kernel_bandwidth.png",
-         "Fig 6: GPU memory bandwidth of packing kernels",
-         "matrix order N", "GB/s")
-
-    # Figure 7
-    d = read_csv(os.path.join(data_dir, "fig7_pack_unpack.csv"))
-    fig = plt.figure()
-    for k, lbl in [("V_d2d_ms", "V-d2d"), ("T_d2d_ms", "T-d2d"),
-                   ("T_pipeline_ms", "T-d2d-pipeline"),
-                   ("T_cached_ms", "T-d2d-cached"),
-                   ("V_d2d2h_ms", "V-d2d2h"), ("V_cpy_ms", "V-cpy")]:
-        fig.gca().plot(d["N"], d[k], marker="o", label=lbl)
-    save(fig, "fig7_pack_unpack.png",
-         "Fig 7: pack+unpack time of the datatype engine",
-         "matrix order N", "ms", logy=True)
-
-    # Figure 8 (8192-block panel)
-    d = read_csv(os.path.join(data_dir, "fig8_vs_memcpy2d.csv"))
-    sel = [i for i, b in enumerate(d["blocks"]) if b == 8192]
-    fig = plt.figure()
-    for k, lbl in [("kernel_d2d_gbps", "kernel d2d"),
-                   ("mcp2d_d2d_gbps", "cudaMemcpy2D d2d"),
-                   ("kernel_d2h_gbps", "kernel d2h (zero-copy)"),
-                   ("mcp2d_d2h_gbps", "cudaMemcpy2D d2h")]:
-        fig.gca().plot([d["block_bytes"][i] for i in sel],
-                       [d[k][i] for i in sel], marker="o", label=lbl)
-    fig.gca().set_xscale("log")
-    save(fig, "fig8_vs_memcpy2d.png",
-         "Fig 8: vector kernel vs cudaMemcpy2D (8192 blocks)",
-         "block size (bytes)", "GB/s")
-
-    # Figure 9
-    d = read_csv(os.path.join(data_dir, "fig9_pcie_bandwidth.csv"))
-    fig = plt.figure()
-    for k, lbl in [("C_gbps", "C"), ("V_gbps", "V"), ("T_gbps", "T")]:
-        fig.gca().plot(d["N"], d[k], marker="o", label=lbl)
-    save(fig, "fig9_pcie_bandwidth.png",
-         "Fig 9: PCI-E bandwidth of the ping-pong",
-         "matrix order N", "GB/s")
-
-    # Figure 10
-    d = read_csv(os.path.join(data_dir, "fig10_pingpong.csv"))
-    for panel, series in [
-        ("a_sm_1gpu", [("SM1_V_ms", "V 1GPU"), ("SM1_T_ms", "T 1GPU")]),
-        ("b_sm_2gpu", [("SM2_V_ms", "V 2GPU"), ("SM2_T_ms", "T 2GPU"),
-                       ("SM2_V_mvapich_ms", "V mvapich"),
-                       ("SM2_T_mvapich_ms", "T mvapich")]),
-        ("c_ib", [("IB_V_ms", "V"), ("IB_T_ms", "T"),
-                  ("IB_V_mvapich_ms", "V mvapich"),
-                  ("IB_T_mvapich_ms", "T mvapich")]),
-    ]:
-        fig = plt.figure()
-        for k, lbl in series:
-            fig.gca().plot(d["N"], d[k], marker="o", label=lbl)
-        save(fig, f"fig10{panel}.png", f"Fig 10({panel[0]}): ping-pong",
-             "matrix order N", "ms", logy=True)
-
-    # Figures 11/12
-    d = read_csv(os.path.join(data_dir, "fig11_12_reshape_transpose.csv"))
-    fig = plt.figure()
-    for k, lbl in [("reshape_ms", "vector<->contig (ours)"),
-                   ("reshape_mvapich_ms", "vector<->contig (mvapich)"),
-                   ("transpose_ms", "transpose (ours)"),
-                   ("transpose_mvapich_ms", "transpose (mvapich)")]:
-        fig.gca().plot(d["N"], d[k], marker="o", label=lbl)
-    save(fig, "fig11_12_reshape_transpose.png",
-         "Figs 11/12: reshape and transpose ping-pong",
-         "matrix order N", "ms", logy=True)
-
+        f.tight_layout()
+        f.savefig(os.path.join(out_dir, fig["png"]), dpi=140)
+        plt.close(f)
+        print(f"  {fig['png']}")
     print(f"plots written to {out_dir}/")
 
 

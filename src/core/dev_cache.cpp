@@ -190,6 +190,9 @@ void DevCache::evict_if_needed(sg::HostContext& ctx) {
 }
 
 void DevCache::clear(sg::HostContext& ctx) {
+  // Each copy goes back to the arena's free list, which is address-ordered
+  // and coalescing.
+  // det-lint: allow(unordered_iter) - the free order does not matter
   for (auto& [k, n] : entries_) {
     for (auto& [dev, ptr] : n.entry->device_copies) sg::Free(ctx, ptr);
   }

@@ -133,6 +133,7 @@ std::string Pml::pending_summary() const {
 
   std::vector<std::uint64_t> ids;
   ids.reserve(recvs_.size());
+  // det-lint: allow(unordered_iter) - the ids are sorted on the next line
   for (const auto& [id, req] : recvs_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   for (const auto id : ids) {
@@ -150,6 +151,7 @@ std::string Pml::pending_summary() const {
 
   ids.clear();
   ids.reserve(sends_.size());
+  // det-lint: allow(unordered_iter) - the ids are sorted on the next line
   for (const auto& [id, req] : sends_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   for (const auto id : ids) {

@@ -272,7 +272,8 @@ TEST(Recorder, TraceHelperFeedsFlowStatsEvenWithTracingOff) {
   EXPECT_EQ(rep.flows, 1);
   EXPECT_EQ(rep.classes.begin()->second.max, 60);
   // write_latency_json emits the canonical report to disk.
-  const std::string path = ::testing::TempDir() + "/gpuddt_latency_test.json";
+  const std::string path =
+      ::testing::TempDir() + "/gpuddt_flow_report_test.json";
   ASSERT_TRUE(rec.write_latency_json(path));
   std::remove(path.c_str());
 }

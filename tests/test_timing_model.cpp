@@ -1,7 +1,9 @@
-// Timing-shape tests: the paper's qualitative results (Section 5), encoded
-// as assertions against the virtual-time harness. These pin down the
-// behaviours the benchmark figures rely on - if a refactor breaks a ratio,
-// these fail before the figures drift.
+// Timing-shape tests: the paper's qualitative results for Figures 6-10
+// (Section 5), encoded as assertions against the virtual-time harness at
+// one matrix order. These pin down the behaviours the benchmark figures
+// rely on - if a refactor breaks a ratio, these fail before the figures
+// drift. The figure claims themselves, over each bench's own sweep, are
+// the kClaims of bench/bench_fig*.cpp and bench/bench_ablation_*.cpp.
 #include <gtest/gtest.h>
 
 #include "baselines/mvapich_plugin.h"
@@ -237,63 +239,6 @@ TEST(Fig10Shape, IbVectorAboutHalfFasterThanBaseline) {
                          static_cast<double>(ours.avg_roundtrip);
   EXPECT_GT(speedup, 1.2);
   EXPECT_LT(speedup, 3.0);
-}
-
-// --- Figure 11: vector <-> contiguous (FFT reshape) ------------------------------------------
-
-TEST(Fig11Shape, VectorToContiguousBeatsBaseline) {
-  auto vec = core::submatrix_type(kN, kN / 2, kN + 512);
-  auto cont = mpi::Datatype::contiguous(vec->size() / 8, mpi::kDouble());
-  PingPongSpec spec;
-  spec.cfg = pingpong_cfg();
-  spec.dt0 = vec;
-  spec.dt1 = cont;
-  const auto ours = run_pingpong(spec);
-  spec.plugin = std::make_shared<base::MvapichLikePlugin>();
-  const auto theirs = run_pingpong(spec);
-  EXPECT_LT(ours.avg_roundtrip, theirs.avg_roundtrip);
-}
-
-// --- Section 5.3: minimal GPU resources -----------------------------------------------------
-
-TEST(Sec53Shape, FewBlocksSufficeWhenCommunicationBound) {
-  auto dt = core::submatrix_type(kN, kN / 2, kN + 512);
-  auto narrow_cfg = pingpong_cfg();
-  narrow_cfg.gpu_kernel_blocks = 4;
-  auto wide_cfg = pingpong_cfg();
-  wide_cfg.gpu_kernel_blocks = 64;
-  const auto narrow = pingpong_of(dt, narrow_cfg);
-  const auto wide = pingpong_of(dt, wide_cfg);
-  // Communication (PCI-E) is the bottleneck: a few blocks reach within
-  // ~25% of the full-width configuration.
-  EXPECT_LT(static_cast<double>(narrow.avg_roundtrip),
-            1.25 * static_cast<double>(wide.avg_roundtrip));
-  // ... while a single block is not enough.
-  auto one_cfg = pingpong_cfg();
-  one_cfg.gpu_kernel_blocks = 1;
-  const auto one = pingpong_of(dt, one_cfg);
-  EXPECT_GT(static_cast<double>(one.avg_roundtrip),
-            1.02 * static_cast<double>(wide.avg_roundtrip));
-}
-
-// --- Section 5.4: sharing the GPU with another application -----------------------------------
-
-TEST(Sec54Shape, CorunningKernelSlowsTransfer) {
-  auto dt = core::lower_triangular_type(kN, kN);
-  PingPongSpec spec;
-  spec.cfg = pingpong_cfg();
-  spec.dt0 = spec.dt1 = dt;
-  const auto alone = run_pingpong(spec);
-  // A compute-heavy co-runner occupying most SMs each iteration.
-  spec.background = [](mpi::Process& p) {
-    sg::Stream s(&p.gpu().dev());
-    sg::KernelProfile prof;
-    prof.device_txn_bytes = 64 << 20;
-    prof.blocks = 12;
-    sg::LaunchKernel(p.gpu(), s, prof, [] {});
-  };
-  const auto shared = run_pingpong(spec);
-  EXPECT_GT(shared.avg_roundtrip, alone.avg_roundtrip);
 }
 
 }  // namespace

@@ -145,8 +145,8 @@ std::string class_keys(const obs::FlowStats::Report& rep) {
 /// The DDT transfer of ddt_transfer_time, run with the flow-latency
 /// engine recording; returns the report after Runtime teardown (the
 /// generation fence has dropped any open flows by then).
-obs::FlowStats::Report ddt_latency_report(int stream_triggered,
-                                          obs::Recorder* rec) {
+obs::FlowStats::Report ddt_flow_report(int stream_triggered,
+                                       obs::Recorder* rec) {
   RuntimeConfig cfg = gpu_world();
   cfg.stream_triggered = stream_triggered;
   cfg.recorder = rec;
@@ -243,7 +243,7 @@ TEST(TraffSelfConsistency, LatencyReportP99HoldsInBothModes) {
   for (const int stream : {0, 1}) {
     obs::Recorder rec;
     rec.flowstats().enable(true);
-    const auto rep = ddt_latency_report(stream, &rec);
+    const auto rep = ddt_flow_report(stream, &rec);
     const std::int64_t ddt_p99 = class_p99(rep, "send", dt->shape_digest());
     ASSERT_GT(ddt_p99, 0)
         << "no DDT-send class in the " << (stream ? "stream" : "host")

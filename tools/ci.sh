@@ -2,7 +2,8 @@
 # CI driver: default build + tests, GPUDDT_CHECK=ON build + tests (the
 # whole suite must run hazard-clean with the access checker attached to
 # every machine), ASan/UBSan build + tests, a determinism sweep over all
-# benchmark binaries (docs/determinism.md), the symbolic verifier over
+# benchmark binaries (docs/determinism.md) that also enforces every
+# figure bench's paper claims (EXPERIMENTS.md), the symbolic verifier over
 # its corpus and over every DEV the bench suite caches
 # (docs/verification.md), the simulator scale stage (1024-rank smoke +
 # throughput baseline gate; docs/simulator.md), the flow-latency stage
@@ -72,9 +73,11 @@ run build/tools/trace_critpath --check-efficiency \
 # 5. Determinism sweep: every benchmark binary must double-run to
 #    byte-identical canonical metrics (the in-suite bench_determinism
 #    ctest entries cover bench_fig10_pingpong and the seeded datatype-zoo
-#    capacity sweep bench_ddt_zoo; this covers them all). The checked-in
-#    baseline gates (bench_baseline_gate*, including the shape-dedup
-#    workload's bench_baseline_gate_ddt_zoo) already ran as part of ctest.
+#    capacity sweep bench_ddt_zoo; this covers them all). Each run is
+#    unfiltered, so a figure bench whose paper claims fail exits 1 and
+#    fails the sweep. The checked-in baseline gates (bench_baseline_gate*,
+#    including the shape-dedup workload's bench_baseline_gate_ddt_zoo) and
+#    the paper_claims_* entries already ran as part of ctest.
 run build/tools/determinism_check build/bench/bench_*
 
 # 6. Symbolic verification (docs/verification.md): the static prover

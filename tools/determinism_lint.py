@@ -10,9 +10,13 @@ review time; this lint keeps the class from coming back:
                        /high_resolution clocks, time(), gettimeofday,
                        clock_gettime). Simulated time must come from the
                        virtual clock (src/vtime/).
-  unordered_iter    -- range-for over an unordered_{map,set}. Iteration
-                       order is hash-seed and allocator dependent; any
-                       output or decision derived from it jitters.
+  unordered_iter    -- range-for over an unordered_{map,set}: either the
+                       type is spelled in the loop header, or the loop
+                       walks a name (bare, or after `.` or `->`) that
+                       some linted file declares with such a type.
+                       Iteration order is hash-seed and allocator
+                       dependent; any output or decision derived from it
+                       jitters.
   pointer_order     -- ordered containers or sorts keyed on pointers
                        (std::map<T*, ...>, std::set<T*>). Address order
                        changes run to run under ASLR.
@@ -60,6 +64,17 @@ RULES = {
 
 WAIVER = re.compile(r"//\s*det-lint:\s*allow\(([a-z_,\s]+)\)\s*-\s*\S")
 
+# `unordered_map<K, std::unique_ptr<V>> name` (members, locals and
+# parameters): the template arguments nest one level deep at most.
+UNORDERED_DECL = re.compile(
+    r"\bunordered_(?:map|set|multimap|multiset)\s*"
+    r"<(?:[^<>]|<[^<>]*>)*>\s*[&*]?\s*(\w+)"
+)
+# The range of a range-for: `for (... : a.b->name)` yields `name`.
+RANGE_FOR_NAME = re.compile(
+    r"for\s*\(.*(?<!:):(?!:)\s*(?:\w+(?:\.|->))*(\w+)\s*\)"
+)
+
 
 def waived(rule: str, line: str) -> bool:
     m = WAIVER.search(line)
@@ -69,18 +84,28 @@ def waived(rule: str, line: str) -> bool:
     return rule in allowed
 
 
-def lint_file(path: Path) -> list:
+def code_of(line: str) -> str:
+    return line.split("//", 1)[0] if "det-lint:" not in line else line
+
+
+def unordered_names(texts: list) -> set:
+    """Every name declared with an unordered container type."""
+    names = set()
+    for text in texts:
+        for line in text.splitlines():
+            names.update(UNORDERED_DECL.findall(code_of(line)))
+    return names
+
+
+def lint_file(path: Path, lines: list, unordered: set) -> list:
     findings = []
-    try:
-        lines = path.read_text(errors="replace").splitlines()
-    except OSError as e:
-        print(f"determinism_lint: cannot read {path}: {e}", file=sys.stderr)
-        return [(path, 0, "io", str(e))]
     for i, line in enumerate(lines):
-        code = line.split("//", 1)[0] if "det-lint:" not in line else line
-        for rule, pat in RULES.items():
-            if not pat.search(code):
-                continue
+        code = code_of(line)
+        hits = [rule for rule, pat in RULES.items() if pat.search(code)]
+        m = RANGE_FOR_NAME.search(code)
+        if m and m.group(1) in unordered and "unordered_iter" not in hits:
+            hits.append("unordered_iter")
+        for rule in hits:
             if waived(rule, line):
                 continue
             if i > 0 and waived(rule, lines[i - 1]):
@@ -105,8 +130,16 @@ def main(argv: list) -> int:
             print(f"determinism_lint: no such path: {p}", file=sys.stderr)
             return 2
     findings = []
+    texts = {}
     for f in sorted(set(targets)):
-        findings.extend(lint_file(f))
+        try:
+            texts[f] = f.read_text(errors="replace")
+        except OSError as e:
+            print(f"determinism_lint: cannot read {f}: {e}", file=sys.stderr)
+            findings.append((f, 0, "io", str(e)))
+    unordered = unordered_names(list(texts.values()))
+    for f, text in texts.items():
+        findings.extend(lint_file(f, text.splitlines(), unordered))
     for path, lineno, rule, text in sorted(findings):
         print(f"{path}:{lineno}: [{rule}] {text}")
     if findings:

@@ -23,6 +23,9 @@ such claim from the tree on each run:
                      in kKnownFamilies (tools/metrics_diff.cpp).
   undocumented_family -- a kKnownFamilies entry that docs/metrics.md
                      never mentions (reported against metrics.md line 1).
+  stale_test      -- a backticked gtest reference, `Suite.Name` or
+                     `Suite.*`, with no matching TEST, TEST_F or TEST_P
+                     in tests/*.cpp.
 
 A finding on a line carrying (or directly below) the waiver comment
 
@@ -51,6 +54,8 @@ MDLINK = re.compile(r"\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 ENV = re.compile(r"\bGPUDDT_[A-Z0-9_]+\b")
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9_-]{2,}")
 METRIC = re.compile(r"`([a-z_]+)\.([a-z0-9_.*]+)`")
+GTEST_REF = re.compile(r"`([A-Z]\w*)\.(\*|[A-Z]\w*)`")
+GTEST_DEF = re.compile(r"\bTEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 WAIVER = re.compile(r"<!--\s*doc-lint:\s*allow\(([a-z_,\s]+)\)\s*-\s*\S")
 
 CORPUS_DIRS = ("src", "tools", "bench", "tests", "examples")
@@ -97,6 +102,16 @@ def known_families(root: Path) -> set:
     return set(re.findall(r'"([a-z_]+\.)"', m.group(1)))
 
 
+def gtests(root: Path) -> set:
+    """(suite, name) of every TEST, TEST_F and TEST_P in tests/*.cpp, plus
+    (suite, "*") for each suite. Fixture trees below tests/ don't count."""
+    found = set()
+    for p in sorted((root / "tests").glob("*.cpp")):
+        for suite, name in GTEST_DEF.findall(p.read_text(errors="replace")):
+            found |= {(suite, name), (suite, "*")}
+    return found
+
+
 def binary_exists(root: Path, ref: str) -> bool:
     """A directory, or a binary built from <name>.{cpp,py,sh}."""
     path = root / ref.removeprefix("build/")
@@ -112,7 +127,8 @@ def waived(rule: str, lines: list, i: int) -> bool:
     return False
 
 
-def lint_doc(root: Path, doc: Path, corpus: str, families: set) -> list:
+def lint_doc(root: Path, doc: Path, corpus: str, families: set,
+             tests: set) -> list:
     findings = []
     lines = doc.read_text(errors="replace").splitlines()
     in_fence = False
@@ -136,6 +152,12 @@ def lint_doc(root: Path, doc: Path, corpus: str, families: set) -> list:
             if not (doc.parent / target).exists():
                 if not waived("broken_ref", lines, i):
                     findings.append((doc, i + 1, "broken_ref", target))
+
+        for m in GTEST_REF.finditer(line):
+            if m.groups() not in tests:
+                if not waived("stale_test", lines, i):
+                    findings.append(
+                        (doc, i + 1, "stale_test", m.group(0).strip("`")))
 
         for m in ENV.finditer(line):
             if m.group(0) not in corpus:
@@ -182,10 +204,11 @@ def main(argv: list) -> int:
     docs += [root / name for name in TOP_LEVEL_DOCS if (root / name).is_file()]
     corpus = load_corpus(root)
     families = known_families(root)
+    tests = gtests(root)
 
     findings = []
     for doc in docs:
-        findings.extend(lint_doc(root, doc, corpus, families))
+        findings.extend(lint_doc(root, doc, corpus, families, tests))
 
     metrics_md = root / "docs" / "metrics.md"
     if metrics_md.is_file() and families:
