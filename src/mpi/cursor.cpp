@@ -1,5 +1,7 @@
 #include "mpi/cursor.h"
 
+#include <algorithm>
+
 namespace gpuddt::mpi {
 
 BlockCursor::BlockCursor(DatatypePtr dt, std::int64_t count,
@@ -11,6 +13,12 @@ BlockCursor::BlockCursor(DatatypePtr dt, std::int64_t count,
   total_ = remaining_ = dt_->size() * count_;
   if (count_ == 0 || prog_->empty()) remaining_ = total_ = 0;
   elem_base_ = 0;
+  if (prog_->size() == 1 && prog_->front().op == Instr::Op::kBlock) {
+    one_block_ = true;
+    blk_disp_ = prog_->front().disp;
+    blk_len_ = prog_->front().len;
+    extent_ = dt_->extent();
+  }
 }
 
 /// Move the instruction pointer past the just-finished instruction,
@@ -67,6 +75,21 @@ void BlockCursor::advance_instr() {
 
 bool BlockCursor::next(std::int64_t max_bytes, Block* out) {
   if (remaining_ == 0 || max_bytes <= 0) return false;
+  if (!one_block_) return next_in_program(max_bytes, out);
+  const std::int64_t take = std::min(blk_len_ - in_block_, max_bytes);
+  out->offset = elem_base_ + blk_disp_ + in_block_;
+  out->len = take;
+  in_block_ += take;
+  remaining_ -= take;
+  ++pieces_;
+  if (in_block_ == blk_len_) {
+    in_block_ = 0;
+    elem_base_ += extent_;
+  }
+  return true;
+}
+
+bool BlockCursor::next_in_program(std::int64_t max_bytes, Block* out) {
   const auto& prog = *prog_;
   // Position on a block: at construction ip_ == 0 which may not be a block.
   if (in_block_ == 0) {

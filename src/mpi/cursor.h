@@ -8,6 +8,18 @@
 // convertor position.
 //
 // Cursor state is a small copyable value: protocols snapshot it freely.
+//
+// A cursor yields exactly the pieces the cost model charges, so a faster
+// walk must keep the (offset, len) sequence. cpu_pack/cpu_unpack copy one
+// piece per memcpy and count it in PackStats::pieces, which the PML and
+// the baselines charge one host walk step each; DevCursor emits one DEV
+// unit per piece but charges the walk once per contiguous run. Merging
+// abutting pieces is therefore a cost-model change: fewer walk charges
+// and copies on the CPU paths, fewer DEV units on the GPU path.
+// Programs that are a single kBlock (primitives, contiguous(n, t),
+// single-block resized types) take a one-block path: element e's piece
+// starts at e * extent + disp + in_block, split at the budget as usual,
+// with no frame stack or instruction stepping.
 #pragma once
 
 #include <cassert>
@@ -62,6 +74,7 @@ class BlockCursor {
     std::int64_t origin = 0;  // parent base + loop disp
   };
 
+  bool next_in_program(std::int64_t max_bytes, Block* out);
   void advance_instr();
 
   DatatypePtr dt_;
@@ -75,6 +88,12 @@ class BlockCursor {
   std::int64_t remaining_ = 0;
   std::int64_t total_ = 0;
   std::int64_t pieces_ = 0;
+  // One-block path: the program's only block and the element stride;
+  // elem_base_ advances by extent_ and elem_ is not used.
+  bool one_block_ = false;
+  std::int64_t blk_disp_ = 0;
+  std::int64_t blk_len_ = 0;
+  std::int64_t extent_ = 0;
 };
 
 }  // namespace gpuddt::mpi

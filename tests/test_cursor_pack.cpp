@@ -3,6 +3,7 @@
 #include <numeric>
 #include <random>
 
+#include "core/dev.h"
 #include "core/layouts.h"
 #include "mpi/cpu_pack.h"
 #include "mpi/cursor.h"
@@ -144,6 +145,129 @@ TEST(BlockCursor, PartialTraversalMatchesFullTraversal) {
       EXPECT_EQ(merged[i].offset, ref[i].offset);
       EXPECT_EQ(merged[i].len, ref[i].len);
     }
+  }
+}
+
+// --- One-block programs -----------------------------------------------------
+//
+// Primitives, contiguous(n, t), single-block resized and hindexed types
+// compile to one kBlock, which the cursor walks without its frame stack.
+// Their pieces must still be element e's block at e * extent + disp, split
+// by the budget: the pieces the cost model charges.
+
+struct OneBlockCase {
+  const char* name;
+  DatatypePtr dt;
+  std::int64_t disp;  // block offset within an element
+  std::int64_t len;
+  std::int64_t extent;
+};
+
+std::vector<OneBlockCase> one_block_cases() {
+  const std::int64_t one[] = {1};
+  const std::int64_t minus8[] = {-8};
+  return {
+      {"byte", kByte(), 0, 1, 1},
+      {"double", kDouble(), 0, 8, 8},
+      {"contiguous(5, int32)", Datatype::contiguous(5, kInt32()), 0, 20, 20},
+      {"resized(double, 0, 24)", Datatype::resized(kDouble(), 0, 24), 0, 8,
+       24},
+      {"hindexed({1}, {-8}, double)",
+       Datatype::hindexed(one, minus8, kDouble()), -8, 8, 8},
+  };
+}
+
+/// Budget for the k-th piece: budgets[k], or unbounded when empty.
+std::int64_t budget_at(const std::vector<std::int64_t>& budgets,
+                       std::size_t k) {
+  return budgets.empty() ? INT64_MAX : budgets.at(k);
+}
+
+/// Element e's block at e * extent + disp, cut by the per-piece budgets.
+std::vector<Block> reference_pieces(const OneBlockCase& c, std::int64_t count,
+                                    const std::vector<std::int64_t>& budgets) {
+  std::vector<Block> out;
+  for (std::int64_t e = 0; e < count; ++e) {
+    for (std::int64_t at = 0; at < c.len;) {
+      const std::int64_t take =
+          std::min(c.len - at, budget_at(budgets, out.size()));
+      out.push_back({e * c.extent + c.disp + at, take});
+      at += take;
+    }
+  }
+  return out;
+}
+
+TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
+  using View = BlockCursor::ProgramView;
+  std::mt19937 rng(18);
+  std::uniform_int_distribution<std::int64_t> draw(1, 17);
+  for (const auto& c : one_block_cases()) {
+    for (const std::int64_t count : {0, 1, 37}) {
+      const std::string what = std::string(c.name) + " count " +
+                               std::to_string(count);
+      // cpu_pack copies the unbounded reference pieces, one memcpy each.
+      const auto whole = reference_pieces(c, count, {});
+      std::vector<std::byte> src(
+          static_cast<std::size_t>(test::span_bytes(c.dt, count)));
+      test::fill_pattern(src.data(), src.size(), 18);
+      const std::byte* base = src.data() - c.dt->true_lb();
+      std::vector<std::byte> ref, out(static_cast<std::size_t>(c.len * count));
+      for (const Block& p : whole)
+        ref.insert(ref.end(), base + p.offset, base + p.offset + p.len);
+      const PackStats st = cpu_pack(c.dt, count, base, out);
+      EXPECT_EQ(out, ref) << what;
+      EXPECT_EQ(st.pieces, static_cast<std::int64_t>(whole.size())) << what;
+
+      for (const View view : {View::kCompiled, View::kCanonical}) {
+        const auto& prog = view == View::kCompiled ? c.dt->program()
+                                                   : c.dt->canonical_program();
+        ASSERT_EQ(prog.size(), 1u) << c.name;
+        for (const bool bounded : {false, true}) {
+          // One budget per byte bounds the piece count, plus the final
+          // call that finds the walk done.
+          std::vector<std::int64_t> budgets;
+          if (bounded) {
+            for (std::int64_t i = 0; i <= c.len * count; ++i)
+              budgets.push_back(draw(rng));
+          }
+          const auto want = reference_pieces(c, count, budgets);
+          BlockCursor cur(c.dt, count, view);
+          std::vector<Block> got;
+          Block b;
+          while (cur.next(budget_at(budgets, got.size()), &b))
+            got.push_back(b);
+          const std::string where =
+              what + (bounded ? " bounded" : " unbounded");
+          ASSERT_EQ(got.size(), want.size()) << where;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].offset, want[i].offset) << where << " piece " << i;
+            EXPECT_EQ(got[i].len, want[i].len) << where << " piece " << i;
+          }
+          EXPECT_EQ(cur.pieces_produced(),
+                    static_cast<std::int64_t>(want.size()))
+              << where;
+          EXPECT_TRUE(cur.done()) << where;
+        }
+      }
+    }
+  }
+}
+
+// Today's charged counts: a dense count costs one piece (and one DEV
+// unit) per element, a dense element one piece. Merging abutting runs
+// changes these numbers, and must change them here on purpose.
+TEST(BlockCursor, ChargedPieceCountsArePinned) {
+  std::vector<std::byte> src(4096), out(4096);
+  EXPECT_EQ(cpu_pack(kByte(), 4096, src.data(), out).pieces, 4096);
+  EXPECT_EQ(
+      cpu_pack(Datatype::contiguous(4096, kByte()), 1, src.data(), out).pieces,
+      1);
+  const auto units = core::convert_all(kDouble(), 512, 1024);
+  ASSERT_EQ(units.size(), 512u);
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const auto at = static_cast<std::int64_t>(i) * 8;
+    EXPECT_EQ(units[i], (core::CudaDevDist{at, at, 8})) << "unit " << i;
   }
 }
 

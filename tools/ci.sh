@@ -8,10 +8,11 @@
 # (docs/verification.md), the simulator scale stage (1024-rank smoke +
 # throughput baseline gate; docs/simulator.md), the flow-latency stage
 # (traffic-mix baseline gates + gpuddt-latency-v1 shape validation +
-# double-run determinism of both reports; docs/latency.md), and the
-# blocking lint stage (clang-tidy with warnings-as-errors + the
-# determinism lint + the doc lint). Mirrors the CMakePresets.json
-# configurations.
+# double-run determinism of both reports; docs/latency.md), the
+# benchmark's virtual-time pins (perfbench's vt_digest per workload;
+# docs/determinism.md), and the blocking lint stage (clang-tidy with
+# warnings-as-errors + the determinism lint + the doc lint). Mirrors the
+# CMakePresets.json configurations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -140,7 +141,37 @@ run cmp build/ci_traffic_mix_metrics.json \
 run cmp build/ci_traffic_mix_latency.json \
   build/ci_traffic_mix_latency2.json
 
-# 9. Lint: blocking. clang-tidy findings are errors
+# 9. Benchmark virtual time (docs/determinism.md): every workload of the
+#    repository benchmark (BENCHMARK.json) runs for one second on its
+#    default seed. It must be correct, fail no operation and replay the
+#    pinned vt_digest, a digest of each episode's virtual-time results.
+#    A change that moves virtual time on purpose updates these pins in the
+#    same change as its regenerated baselines (tools/regen_baselines.sh).
+PERFBENCH_VT_DIGESTS=(
+  "engine_pack 4a7bc3651205bf31"
+  "host_ring 71baf603765bb4ce"
+  "gpu_mix dcd17cfdeaa77dc4"
+)
+for pin in "${PERFBENCH_VT_DIGESTS[@]}"; do
+  read -r workload want <<<"$pin"
+  out=build/ci_perfbench_$workload.txt
+  echo "== perfbench $workload: vt_digest pinned to $want =="
+  python3 perfbench/run.py --workload "$workload" --seed 20160531 \
+    --seconds 1 >"$out"
+  if ! tail -n 1 "$out" | python3 -c 'import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
+    echo "ci.sh: perfbench $workload is incorrect or failed operations" >&2
+    exit 1
+  fi
+  got=$(sed -n 's/^# episodes=[0-9]* vt_digest=\([0-9a-f]*\)$/\1/p' "$out")
+  if [ "$got" != "$want" ]; then
+    echo "ci.sh: perfbench $workload vt_digest is now $got, pinned $want" >&2
+    exit 1
+  fi
+done
+
+# 10. Lint: blocking. clang-tidy findings are errors
 #    (--warnings-as-errors=*) and a missing clang-tidy fails the stage
 #    instead of degrading; the determinism lint and the documentation
 #    lint (tools/doc_lint.py) run in the same target.

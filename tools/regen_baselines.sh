@@ -10,6 +10,8 @@
 # moves a modeled cost, then commit the updated baselines with the change
 # that moved them. docs/determinism.md has the full story. A chrome/<name>
 # baseline is instead one small run's raw --trace-format=chrome array.
+# The perfbench vt_digest pins (PERFBENCH_VT_DIGESTS in tools/ci.sh) move
+# with these baselines: update them in the same change.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
