@@ -3,7 +3,9 @@
 // All benchmarks report *virtual* time from the calibrated machine model
 // (benchmark::State::SetIterationTime with manual timing), so results are
 // deterministic and hardware-independent. Counters expose the payload
-// bandwidth the paper's figures plot.
+// bandwidth the paper's figures plot. bench_main checks each figure's
+// paper claims after the run and fails a run whose recorder holds a
+// check or verify finding.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -166,10 +168,10 @@ inline bool check_claims(std::span<const Claim> claims, const Results& r,
 }
 
 /// Shared main: strips `--metrics-out=FILE`, `--trace`,
-/// `--trace-format=chrome|v1`, `--trace-out=FILE`, `--profile`,
-/// `--check` and `--check-out=FILE` before handing the rest to
-/// google-benchmark, then dumps the process-global recorder (which the
-/// harness feeds when specs carry no recorder of their own) as JSON.
+/// `--trace-format=chrome|v1`, `--trace-out=FILE`, `--profile` and
+/// `--check` before handing the rest to google-benchmark, then dumps the
+/// process-global recorder (which the harness feeds when specs carry no
+/// recorder of their own) as JSON.
 /// `--trace-format=chrome` (or any `--trace-out=`) implies `--trace` and
 /// writes the trace buffer as a Chrome Trace Event Format array
 /// (docs/tracing.md) to `--trace-out` (default `trace.json`), loadable
@@ -178,23 +180,24 @@ inline bool check_claims(std::span<const Claim> claims, const Results& r,
 /// behaviour of bare `--trace`. `--profile` implies `--trace` and prints
 /// the per-rank stage-utilization table (obs::stage_profile_table) to
 /// stdout after the run. `--check` turns the access checker on for every
-/// machine the run creates; `--check-out` also writes the
-/// gpuddt-check-v1 diagnostic report (docs/checking.md).
+/// machine the run creates; its findings land in the recorder's
+/// `diagnostics` section (docs/checking.md).
 /// `--stream-triggered` forces the stream-triggered fragment chains on
 /// for every runtime the run creates (mpi::stream_triggered_switch,
-/// docs/protocols.md), the same set_forced slot the check flags use.
+/// docs/protocols.md), the same set_forced slot `--check` uses.
 /// `--latency-out=FILE` switches the
 /// process-global recorder's streaming flow-latency engine on before the
 /// benchmarks run and writes the gpuddt-latency-v1 report
 /// (docs/latency.md) to FILE afterwards - it works with tracing off,
 /// since FlowStats consumes spans before the ring buffer can drop them.
 /// After the run every claim prints its verdict (check_claims); the exit
-/// status is 1 if one fails.
+/// status is 1 if one fails, or if the process-global recorder holds a
+/// check or verify finding (any run with checking or verification on is
+/// gated this way).
 inline int bench_main(int argc, char** argv,
                       std::span<const Claim> claims = {}) {
   std::string metrics_out;
   std::string latency_out;
-  std::string check_out;
   std::string trace_format;
   std::string trace_out;
   bool profile = false;
@@ -221,9 +224,6 @@ inline int bench_main(int argc, char** argv,
       mpi::stream_triggered_switch.set_forced(true);
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check::check_switch.set_forced(true);
-    } else if (std::strncmp(argv[i], "--check-out=", 12) == 0) {
-      check::check_switch.set_forced(true);
-      check_out = argv[i] + 12;
     } else {
       args.push_back(argv[i]);
     }
@@ -274,14 +274,11 @@ inline int bench_main(int argc, char** argv,
       return 1;
     }
   }
-  if (!check_out.empty()) {
-    if (!check::write_report(check_out)) {
-      std::fprintf(stderr, "failed to write check report to %s\n",
-                   check_out.c_str());
-      return 1;
-    }
+  const std::size_t findings = obs::default_recorder().diagnostics().size();
+  if (findings > 0) {
+    std::fprintf(stderr, "%zu check/verify finding(s) recorded\n", findings);
   }
-  return claims_ok ? 0 : 1;
+  return claims_ok && findings == 0 ? 0 : 1;
 }
 
 }  // namespace gpuddt::bench

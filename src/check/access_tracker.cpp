@@ -24,11 +24,11 @@ std::string queue_string(const void* queue, const char* name) {
   return buf;
 }
 
-AccessDesc describe(const char* label, const void* queue,
-                    const char* queue_name, std::uintptr_t lo,
-                    std::uintptr_t hi, vt::Time start, vt::Time finish,
-                    bool write) {
-  AccessDesc d;
+obs::AccessDesc describe(const char* label, const void* queue,
+                         const char* queue_name, std::uintptr_t lo,
+                         std::uintptr_t hi, vt::Time start, vt::Time finish,
+                         bool write) {
+  obs::AccessDesc d;
   d.label = label != nullptr ? label : "op";
   d.queue = queue_string(queue, queue_name);
   d.ptr = lo;
@@ -67,13 +67,12 @@ void AccessTracker::scan_and_insert(Buffer& buf, const Record& r) {
     if (!(o.write || r.write)) continue;
     if (!(o.start < r.finish && r.start < o.finish)) continue;  // ordered
     if (!(std::max(o.lo, r.lo) < std::min(o.hi, r.hi))) continue;
-    ++hazards_;
     obs::count(rec_, "check.hazards");
     // `o` predates `r` in program order; classify by guaranteed start.
     const bool o_first = o.start <= r.start;
     const Record& first = o_first ? o : r;
     const Record& second = o_first ? r : o;
-    Diagnostic d;
+    obs::Diagnostic d;
     d.kind = "hazard";
     d.type = first.write ? (second.write ? "WAW" : "RAW") : "WAR";
     d.device = buf.device;
@@ -84,7 +83,7 @@ void AccessTracker::scan_and_insert(Buffer& buf, const Record& r) {
     d.message = "unordered overlapping accesses (device " +
                 std::to_string(buf.device) + "): " + d.a.label + " [" +
                 d.a.queue + "] vs " + d.b.label + " [" + d.b.queue + "]";
-    report(std::move(d));
+    obs::report(rec_, std::move(d));
   }
   if (buf.recs.size() >= kMaxRecordsPerBuffer) compact(buf);
   buf.recs.push_back(r);
@@ -95,7 +94,6 @@ void AccessTracker::scan_and_insert(Buffer& buf, const Record& r) {
 
 void AccessTracker::compact(Buffer& buf) {
   const std::size_t drop = buf.recs.size() / 2;
-  add_dropped(static_cast<std::int64_t>(drop));
   obs::count(rec_, "check.history.dropped", static_cast<std::int64_t>(drop));
   buf.recs.erase(buf.recs.begin(),
                  buf.recs.begin() + static_cast<std::ptrdiff_t>(drop));
@@ -109,7 +107,6 @@ void AccessTracker::compact(Buffer& buf) {
 
 void AccessTracker::on_op(const sg::OpInfo& info,
                           std::span<const sg::MemRange> ranges) {
-  ++ops_;
   obs::count(rec_, "check.ops");
   // Normalize: drop empty ranges, then merge touching same-kind ranges so
   // a many-unit kernel costs rows, not units.
@@ -184,7 +181,6 @@ void AccessTracker::on_op(const sg::OpInfo& info,
     ++tracked;
   }
   obs::count(rec_, "check.ranges", tracked);
-  add_tracked(1, tracked);
 }
 
 void AccessTracker::on_release(const void* ptr, std::size_t bytes) {

@@ -22,6 +22,10 @@
 // History is keyed per allocation (device arena block or registered host
 // block), pruned on free/reset, and capped per buffer; dropped records
 // are counted, never silently discarded.
+//
+// Counts go to the check.* counters of the tracker's recorder, and each
+// hazard is one obs::Diagnostic reported into that recorder (obs::report:
+// default_recorder() when the tracker has none).
 #pragma once
 
 #include <cstdint>
@@ -41,16 +45,14 @@ class AccessTracker : public sg::AccessObserver {
  public:
   explicit AccessTracker(sg::Machine& machine);
 
-  /// Mirror per-op / hazard counters into `rec` (nullable).
+  /// Count check.* into `rec` and report hazards there. Null leaves the
+  /// counters unrecorded and reports hazards to obs::default_recorder().
   void set_recorder(obs::Recorder* rec);
 
   void on_op(const sg::OpInfo& info,
              std::span<const sg::MemRange> ranges) override;
   void on_release(const void* ptr, std::size_t bytes) override;
   void on_reset() override;
-
-  std::int64_t ops() const { return ops_; }
-  std::int64_t hazards() const { return hazards_; }
 
  private:
   struct Record {
@@ -81,8 +83,6 @@ class AccessTracker : public sg::AccessObserver {
   std::map<std::uintptr_t, Buffer> buffers_;  // key: allocation base
   obs::Recorder* rec_ = nullptr;
   std::uint64_t next_seq_ = 1;
-  std::int64_t ops_ = 0;
-  std::int64_t hazards_ = 0;
   std::vector<sg::MemRange> scratch_;  // normalized ranges of one op
 };
 

@@ -1,5 +1,4 @@
-// The process-wide on/off switches and the process-global diagnostic sink
-// of the checking layer.
+// The process-wide on/off switches of the simulator's opt-in tools.
 //
 // Every opt-in tool of the simulator resolves through one Switch, in
 // order (docs/api.md, "Switch precedence"):
@@ -14,19 +13,11 @@
 // verify::verify_switch (verify/hook.h) and mpi::stream_triggered_switch
 // (mpi/runtime.h; tri-state RuntimeConfig::stream_triggered).
 //
-// Diagnostics from every tracker and validator in the process land in one
-// sink: counted without bound, stored up to a cap, echoed to stderr up to
-// a smaller cap. report_json() serializes the sink (and the tracker
-// aggregate counters) as a `gpuddt-check-v1` document for
-// tools/check_report.
+// The checking layer's findings go into the run's Recorder (obs::report,
+// obs/recorder.h), not into state of this layer.
 #pragma once
 
-#include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
-
-#include "check/diagnostics.h"
 
 namespace gpuddt::check {
 
@@ -53,37 +44,5 @@ class Switch {
 /// The access checker: attach a tracker to each new Machine (GPUDDT_CHECK;
 /// the bench --check flag forces it on).
 extern Switch check_switch;
-
-// --- Diagnostic sink --------------------------------------------------------
-
-/// Record a diagnostic: count it, store it (up to a cap) and echo it to
-/// stderr (up to a smaller cap).
-void report(Diagnostic diag);
-
-/// Stored diagnostics (capped copy; counts below are exact).
-std::vector<Diagnostic> diagnostics();
-
-/// Exact totals since process start / the last clear.
-std::int64_t hazard_count();
-std::int64_t violation_count();
-
-/// Drop stored diagnostics and zero the totals (tests).
-void clear_diagnostics();
-
-// --- Tracker aggregate counters (all trackers in the process) ---------------
-
-void add_tracked(std::int64_t ops, std::int64_t ranges);
-void add_dropped(std::int64_t records);
-std::int64_t ops_tracked();
-std::int64_t ranges_tracked();
-std::int64_t records_dropped();
-
-// --- Report -----------------------------------------------------------------
-
-/// Serialize the sink as a `gpuddt-check-v1` JSON document.
-std::string report_json();
-
-/// report_json() into `path`; returns false on I/O failure.
-bool write_report(const std::string& path);
 
 }  // namespace gpuddt::check

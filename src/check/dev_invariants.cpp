@@ -3,22 +3,23 @@
 #include <algorithm>
 #include <vector>
 
-#include "check/config.h"
+#include "obs/recorder.h"
 
 namespace gpuddt::check {
 
 namespace {
 
-[[noreturn]] void fail(const char* origin, const char* type,
-                       std::int64_t unit_index, std::string message) {
-  Diagnostic d;
+[[noreturn]] void fail(const char* origin, obs::Recorder* rec,
+                       const char* type, std::int64_t unit_index,
+                       std::string message) {
+  obs::Diagnostic d;
   d.kind = "dev_invariant";
   d.type = type;
   d.unit_index = unit_index;
   d.message = std::string(origin) + ": " + message;
   std::string what = "gpuddt-check dev_invariant " + std::string(type) +
                      " at " + d.message;
-  report(std::move(d));
+  obs::report(rec, std::move(d));
   throw InvariantViolation(what);
 }
 
@@ -30,22 +31,23 @@ std::string unit_str(const core::CudaDevDist& u) {
 
 /// Shared per-unit checks: length in (0, S] and nc side within bounds.
 void check_units(std::span<const core::CudaDevDist> units,
-                 const DevListBounds& b, const char* origin) {
+                 const DevListBounds& b, const char* origin,
+                 obs::Recorder* rec) {
   for (std::size_t i = 0; i < units.size(); ++i) {
     const auto& u = units[i];
     if (u.length <= 0 || u.length > b.unit_bytes) {
-      fail(origin, "unit_length", static_cast<std::int64_t>(i),
+      fail(origin, rec, "unit_length", static_cast<std::int64_t>(i),
            "unit " + unit_str(u) + " length outside (0, " +
                std::to_string(b.unit_bytes) + "]");
     }
     if (u.nc_disp < b.nc_lo || u.nc_disp + u.length > b.nc_hi) {
-      fail(origin, "nc_bounds", static_cast<std::int64_t>(i),
+      fail(origin, rec, "nc_bounds", static_cast<std::int64_t>(i),
            "unit " + unit_str(u) + " outside buffer bounds [" +
                std::to_string(b.nc_lo) + ", " + std::to_string(b.nc_hi) +
                ")");
     }
     if (u.pk_disp < 0 || u.pk_disp + u.length > b.total_bytes) {
-      fail(origin, "pk_bounds", static_cast<std::int64_t>(i),
+      fail(origin, rec, "pk_bounds", static_cast<std::int64_t>(i),
            "unit " + unit_str(u) + " packed side outside [0, " +
                std::to_string(b.total_bytes) + ")");
     }
@@ -55,7 +57,8 @@ void check_units(std::span<const core::CudaDevDist> units,
 /// Packed-side overlap check on a sorted-by-pk copy; returns the sorted
 /// order for further coverage checks.
 std::vector<std::size_t> check_pk_disjoint(
-    std::span<const core::CudaDevDist> units, const char* origin) {
+    std::span<const core::CudaDevDist> units, const char* origin,
+    obs::Recorder* rec) {
   std::vector<std::size_t> order(units.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
@@ -65,7 +68,7 @@ std::vector<std::size_t> check_pk_disjoint(
     const auto& prev = units[order[i - 1]];
     const auto& cur = units[order[i]];
     if (cur.pk_disp < prev.pk_disp + prev.length) {
-      fail(origin, "pk_overlap", static_cast<std::int64_t>(order[i]),
+      fail(origin, rec, "pk_overlap", static_cast<std::int64_t>(order[i]),
            "pack destinations overlap: " + unit_str(prev) + " and " +
                unit_str(cur));
     }
@@ -76,22 +79,23 @@ std::vector<std::size_t> check_pk_disjoint(
 }  // namespace
 
 void validate_dev_list(std::span<const core::CudaDevDist> units,
-                       const DevListBounds& b, const char* origin) {
-  check_units(units, b, origin);
-  const auto order = check_pk_disjoint(units, origin);
+                       const DevListBounds& b, const char* origin,
+                       obs::Recorder* rec) {
+  check_units(units, b, origin, rec);
+  const auto order = check_pk_disjoint(units, origin, rec);
   // Disjoint packed units covering total_bytes in sum cover [0, total)
   // exactly iff they are also gap-free from 0.
   std::int64_t expect = 0;
   for (const std::size_t i : order) {
     if (units[i].pk_disp != expect) {
-      fail(origin, "pk_gap", static_cast<std::int64_t>(i),
+      fail(origin, rec, "pk_gap", static_cast<std::int64_t>(i),
            "packed coverage gap: expected offset " + std::to_string(expect) +
                ", got " + unit_str(units[i]));
     }
     expect += units[i].length;
   }
   if (expect != b.total_bytes) {
-    fail(origin, "pk_coverage", -1,
+    fail(origin, rec, "pk_coverage", -1,
          "packed bytes " + std::to_string(expect) + " != datatype size " +
              std::to_string(b.total_bytes));
   }
@@ -105,7 +109,7 @@ void validate_dev_list(std::span<const core::CudaDevDist> units,
       nc_max = std::max(nc_max, u.nc_disp + u.length);
     }
     if (nc_min != b.nc_lo || nc_max != b.nc_hi) {
-      fail(origin, "nc_coverage", -1,
+      fail(origin, rec, "nc_coverage", -1,
            "non-contiguous span [" + std::to_string(nc_min) + ", " +
                std::to_string(nc_max) + ") != true extent [" +
                std::to_string(b.nc_lo) + ", " + std::to_string(b.nc_hi) +
@@ -116,20 +120,21 @@ void validate_dev_list(std::span<const core::CudaDevDist> units,
 
 void validate_dev_window(std::span<const core::CudaDevDist> units,
                          const DevListBounds& b, std::int64_t pk_expected,
-                         bool contiguous, const char* origin) {
-  check_units(units, b, origin);
+                         bool contiguous, const char* origin,
+                         obs::Recorder* rec) {
+  check_units(units, b, origin, rec);
   if (contiguous) {
     std::int64_t expect = pk_expected;
     for (std::size_t i = 0; i < units.size(); ++i) {
       if (units[i].pk_disp != expect) {
-        fail(origin, "pk_not_contiguous", static_cast<std::int64_t>(i),
+        fail(origin, rec, "pk_not_contiguous", static_cast<std::int64_t>(i),
              "window pack destination expected " + std::to_string(expect) +
                  ", got " + unit_str(units[i]));
       }
       expect += units[i].length;
     }
   } else {
-    check_pk_disjoint(units, origin);
+    check_pk_disjoint(units, origin, rec);
   }
 }
 

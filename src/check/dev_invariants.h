@@ -12,7 +12,8 @@
 //     unpack of such a list writes each packed byte's target once, so
 //     coverage equals the datatype's true extent footprint.
 //
-// Violations are reported as structured diagnostics (config.h) and then
+// Violations are reported as structured diagnostics into the caller's
+// recorder (obs::report: default_recorder() when it has none) and then
 // thrown as InvariantViolation: an invalid descriptor list must never
 // launch.
 //
@@ -27,6 +28,10 @@
 #include <string>
 
 #include "core/dev.h"
+
+namespace gpuddt::obs {
+class Recorder;
+}
 
 namespace gpuddt::check {
 
@@ -50,9 +55,11 @@ struct DevListBounds {
 /// Validate a complete converted list (cache insert / prefetch): unit
 /// lengths and bounds, packed side exactly covering [0, total_bytes)
 /// with no gaps or overlaps, and the non-contiguous span touching both
-/// datatype bounds. `origin` names the call site in diagnostics.
+/// datatype bounds. `origin` names the call site in diagnostics, which
+/// go to `rec` (nullable).
 void validate_dev_list(std::span<const core::CudaDevDist> units,
-                       const DevListBounds& b, const char* origin);
+                       const DevListBounds& b, const char* origin,
+                       obs::Recorder* rec);
 
 /// Validate one launch window (budget-trimmed units). `pk_expected` is
 /// the packed offset the window must start at; with `contiguous` the pack
@@ -60,6 +67,7 @@ void validate_dev_list(std::span<const core::CudaDevDist> units,
 /// windows, which reorder units) merely pairwise non-overlapping.
 void validate_dev_window(std::span<const core::CudaDevDist> units,
                          const DevListBounds& b, std::int64_t pk_expected,
-                         bool contiguous, const char* origin);
+                         bool contiguous, const char* origin,
+                         obs::Recorder* rec);
 
 }  // namespace gpuddt::check

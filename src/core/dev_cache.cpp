@@ -85,7 +85,7 @@ const DevCache::Entry* DevCache::insert(sg::HostContext& ctx,
         tlb, tlb + (count - 1) * dt->extent() + dt->true_extent(),
         dt->size() * count, unit_bytes};
     check::validate_dev_list(std::span<const CudaDevDist>(units), b,
-                             "dev_cache.insert");
+                             "dev_cache.insert", rec_);
   }
   if (verify::verify_switch.enabled()) {
     // Symbolic certification (src/verify/): proves the unit list

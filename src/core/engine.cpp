@@ -323,7 +323,7 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
                                  bounds_of(*op.dt_, op.count_,
                                            cfg_.unit_bytes),
                                  win_pk, /*contiguous=*/true,
-                                 "engine.window");
+                                 "engine.window", cfg_.recorder);
     }
     if (!cfg_.residue_separate_stream) {
       const CudaDevDist* dev_units =
@@ -362,7 +362,8 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
                                    bounds_of(*op.dt_, op.count_,
                                              cfg_.unit_bytes),
                                    win_pk, /*contiguous=*/false,
-                                   "engine.window.residue_split");
+                                   "engine.window.residue_split",
+                                   cfg_.recorder);
       }
       const CudaDevDist* dev_split = upload_descriptors(op, split);
       sg::StreamWaitEvent(ctx_, residue_stream_,

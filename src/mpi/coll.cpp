@@ -14,14 +14,15 @@ namespace {
 
 constexpr int kCollTagBase = 0x2fff0000;
 
-/// Per-call observability for one collective on one rank: counters
-/// (docs/metrics.md `coll.*` family) plus one trace span covering the
-/// whole call. `sent()` tallies bytes this rank injects into the
-/// transport, split packed/contiguous by the datatype's layout and
-/// staged/direct by whether the algorithm bounces the payload through a
-/// host staging copy (the packed-stream reduce path) or hands user
-/// buffers straight to the point-to-point layer. The destructor emits,
-/// so early returns (leaf ranks) are covered.
+/// Per-call observability for one collective on one rank: the layer-op
+/// record (obs::record_layer_op: `coll.<op>.*` counters, one span over
+/// the whole call, the flow completion) plus the collectives' own
+/// counters (docs/metrics.md `coll.*` family). `sent()` tallies bytes
+/// this rank injects into the transport, split packed/contiguous by the
+/// datatype's layout and staged/direct by whether the algorithm bounces
+/// the payload through a host staging copy (the packed-stream reduce
+/// path) or hands user buffers straight to the point-to-point layer. The
+/// destructor emits, so early returns (leaf ranks) are covered.
 class CollSpan {
  public:
   CollSpan(Comm& comm, const char* op, std::uint64_t flow = 0,
@@ -45,26 +46,20 @@ class CollSpan {
 
   ~CollSpan() {
     if (rec_ == nullptr) return;
-    const std::string prefix = std::string("coll.") + op_;
-    obs::count(rec_, prefix + ".calls");
-    obs::count(rec_, prefix + ".bytes", bytes_);
-    if (flops_ > 0) obs::count(rec_, prefix + ".op_flops", flops_);
+    if (flops_ > 0)
+      obs::count(rec_, std::string("coll.") + op_ + ".op_flops", flops_);
     if (packed_ > 0) obs::count(rec_, "coll.bytes.packed", packed_);
     if (contiguous_ > 0)
       obs::count(rec_, "coll.bytes.contiguous", contiguous_);
     if (staged_ > 0) obs::count(rec_, "coll.bytes.staged", staged_);
     if (direct_ > 0) obs::count(rec_, "coll.bytes.direct", direct_);
-    const std::int64_t end = comm_.process().clock().now();
-    obs::trace(rec_, {op_, "coll", begin_, end, comm_.rank(), bytes_,
-                      comm_.rank(), flow_});
     // Every member rank emits one completion against the shared
     // coll_flow id; the latency engine finalizes the flow when all
     // comm.size() participants have reported, spanning the earliest
     // begin to the latest end (obs/flowstats.h).
-    if (flow_ != 0 && rec_->flowstats().enabled()) {
-      rec_->flowstats().complete({flow_, std::string("coll.") + op_, shape_,
-                                  bytes_, begin_, end, comm_.size()});
-    }
+    obs::record_layer_op(
+        *rec_, {"coll", op_, begin_, comm_.process().clock().now(),
+                comm_.rank(), bytes_, flow_, shape_, comm_.size()});
   }
 
   CollSpan(const CollSpan&) = delete;

@@ -62,7 +62,7 @@ const char* FlowStats::stage_name(int stage) {
 }
 
 void FlowStats::bump(const char* name, std::int64_t delta) {
-  if (metrics_ != nullptr) metrics_->counter(name).add(delta);
+  metrics_.counter(name).add(delta);
 }
 
 void FlowStats::retire_key(std::uint64_t key) {
@@ -77,14 +77,12 @@ void FlowStats::retire_key(std::uint64_t key) {
 
 FlowStats::Pending* FlowStats::open_flow(std::uint64_t key) {
   if (completed_keys_.count(key) != 0) {
-    ++late_spans_;
     bump("flowstats.late_spans");
     return nullptr;
   }
   auto it = pending_.find(key);
   if (it != pending_.end()) return &it->second;
   if (pending_.size() >= kMaxPending) {
-    ++dropped_;
     bump("flowstats.dropped");
     return nullptr;
   }
@@ -133,7 +131,6 @@ void FlowStats::on_span(const TraceEvent& ev) {
     }
     ivals = std::move(merged);
   }
-  ++spans_;
   bump("flowstats.spans");
 }
 
@@ -172,7 +169,6 @@ void FlowStats::finalize(std::uint64_t key, Pending& p) {
   if (begin < 0 || end < begin) {
     // No usable window (completion without times and without any span):
     // count it dropped rather than invent a latency.
-    ++dropped_;
     bump("flowstats.dropped");
     return;
   }
@@ -190,7 +186,6 @@ void FlowStats::finalize(std::uint64_t key, Pending& p) {
     // Distinct-value cap: coarsen *new* values to their log2 bucket upper
     // bound (at most 64 extra keys), never silently discard the sample.
     ++acc.values[bucket_upper_bound(e2e)];
-    ++capped_;
     bump("flowstats.capped");
   }
 
@@ -228,22 +223,17 @@ void FlowStats::finalize(std::uint64_t key, Pending& p) {
             });
   if (acc.tail.size() > kTailFlows) acc.tail.resize(kTailFlows);
 
-  ++flows_;
   bump("flowstats.flows");
-  if (metrics_ != nullptr) {
-    metrics_->histogram("latency.e2e_ns").record(e2e);
-  }
+  metrics_.histogram("latency.e2e_ns").record(e2e);
 }
 
 void FlowStats::drop(std::uint64_t key) {
   retire_key(key);
-  ++dropped_;
   bump("flowstats.dropped");
 }
 
 void FlowStats::drop_unidentified() {
   if (!enabled()) return;
-  ++dropped_;
   bump("flowstats.dropped");
 }
 
@@ -262,11 +252,11 @@ void FlowStats::end_generation() {
 
 FlowStats::Report FlowStats::report() const {
   Report r;
-  r.spans = spans_;
-  r.flows = flows_;
-  r.dropped = dropped_;
-  r.late_spans = late_spans_;
-  r.capped = capped_;
+  r.spans = metrics_.value("flowstats.spans");
+  r.flows = metrics_.value("flowstats.flows");
+  r.dropped = metrics_.value("flowstats.dropped");
+  r.late_spans = metrics_.value("flowstats.late_spans");
+  r.capped = metrics_.value("flowstats.capped");
   for (const auto& [key, acc] : classes_) {
     ClassReport cr;
     cr.count = acc.count;
@@ -370,11 +360,6 @@ void FlowStats::clear() {
   completed_fifo_.clear();
   classes_.clear();
   next_seq_ = 0;
-  spans_ = 0;
-  flows_ = 0;
-  dropped_ = 0;
-  late_spans_ = 0;
-  capped_ = 0;
 }
 
 }  // namespace gpuddt::obs

@@ -48,7 +48,9 @@ class FlowStats {
   /// (stage_key), "none" out of range.
   static const char* stage_name(int stage);
 
-  explicit FlowStats(Registry* metrics) : metrics_(metrics) {}
+  /// The flowstats.* counts live in `metrics` only: report() reads them
+  /// back from there, and Recorder::clear() clears them with it.
+  explicit FlowStats(Registry& metrics) : metrics_(metrics) {}
 
   /// Off by default: with flowstats disabled the hot obs::trace path pays
   /// one flag test, and no latency.* / flowstats.* instruments ever
@@ -123,7 +125,8 @@ class FlowStats {
   std::string to_json() const;
 
   /// Drop all state, including per-class accumulators (between benchmark
-  /// repetitions). Leaves the enabled flag untouched.
+  /// repetitions); the flowstats.* counters go with the registry's
+  /// clear(). Leaves the enabled flag untouched.
   void clear();
 
  private:
@@ -173,18 +176,13 @@ class FlowStats {
   void retire_key(std::uint64_t key);
   void bump(const char* name, std::int64_t delta = 1);
 
-  Registry* metrics_;
+  Registry& metrics_;
   bool enabled_ = false;
   std::map<std::uint64_t, Pending> pending_;
   std::set<std::uint64_t> completed_keys_;
   std::deque<std::uint64_t> completed_fifo_;
   std::map<std::string, ClassAcc> classes_;
   std::uint64_t next_seq_ = 0;
-  std::int64_t spans_ = 0;
-  std::int64_t flows_ = 0;
-  std::int64_t dropped_ = 0;
-  std::int64_t late_spans_ = 0;
-  std::int64_t capped_ = 0;
 };
 
 }  // namespace gpuddt::obs

@@ -75,6 +75,11 @@ Counter& Registry::counter(std::string_view name) {
   return *it->second;
 }
 
+std::int64_t Registry::value(std::string_view name) const {
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
 Histogram& Registry::histogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {

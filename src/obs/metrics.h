@@ -77,6 +77,10 @@ class Registry {
   Counter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
 
+  /// Value of counter `name`, 0 when it was never recorded. Unlike
+  /// counter(), never creates it, so reading leaves a dump unchanged.
+  std::int64_t value(std::string_view name) const;
+
   std::map<std::string, std::int64_t> counters_snapshot() const;
   std::map<std::string, Histogram::Snapshot> histograms_snapshot() const;
 

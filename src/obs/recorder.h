@@ -1,19 +1,26 @@
 // Recorder - the observability layer's front door.
 //
-// Bundles a metrics Registry and a TraceBuffer and serializes both as one
-// JSON document (schema: docs/metrics.md, `gpuddt-metrics-v1`). Producers
-// (the GPU datatype engine, the DEV cache, the PML, the GPU transfer
-// plugin) take a nullable Recorder* and record nothing when it is null,
-// so unit tests attach private recorders and production paths pay one
-// branch when observability is off.
+// Bundles a metrics Registry, a TraceBuffer and the run's check/verify
+// findings and serializes them as one JSON document (schema:
+// docs/metrics.md, `gpuddt-metrics-v1`). Producers (the GPU datatype
+// engine, the DEV cache, the PML, the GPU transfer plugin) take a
+// nullable Recorder* and record nothing when it is null, so unit tests
+// attach private recorders and production paths pay one branch when
+// observability is off. Findings are the exception: obs::report sends
+// them to default_recorder() when the producer has no recorder, so no
+// finding is ever dropped.
 //
 // The process-global default_recorder() is what the harness attaches to
 // runs that did not bring their own, and what the bench binaries dump
-// with --metrics-out=FILE.
+// with --metrics-out=FILE and gate on (any finding fails the run).
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "obs/diagnostics.h"
 #include "obs/flowstats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,6 +29,11 @@ namespace gpuddt::obs {
 
 class Recorder {
  public:
+  Recorder() = default;
+  // flowstats_ refers to metrics_, so a copy would count into the source.
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
   Registry& metrics() { return metrics_; }
   const Registry& metrics() const { return metrics_; }
   TraceBuffer& trace() { return trace_; }
@@ -32,7 +44,16 @@ class Recorder {
   void enable_tracing(bool on = true) { trace_.enable(on); }
   bool tracing() const { return trace_.enabled(); }
 
-  /// Serialize counters, histograms and (if any) trace events as one
+  /// Stored-finding cap: a hazard storm cannot exhaust memory, and the
+  /// producers' counters (check.hazards, verify.*) stay exact past it.
+  static constexpr std::size_t kMaxDiagnostics = 1024;
+
+  /// Record one check or verify finding: echoed to stderr while fewer
+  /// than 50 are stored, stored while fewer than kMaxDiagnostics.
+  void report(Diagnostic d);
+  const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
+
+  /// Serialize counters, histograms, trace events and findings as one
   /// JSON document.
   std::string to_json() const;
 
@@ -63,16 +84,24 @@ class Recorder {
     metrics_.clear();
     trace_.clear();
     flowstats_.clear();
+    diagnostics_.clear();
   }
 
  private:
   Registry metrics_;
   TraceBuffer trace_;
-  FlowStats flowstats_{&metrics_};
+  FlowStats flowstats_{metrics_};
+  std::vector<Diagnostic> diagnostics_;
 };
 
 /// Process-wide recorder used whenever a run does not provide its own.
 Recorder& default_recorder();
+
+/// Record a finding into `rec`, or into default_recorder() when `rec` is
+/// null - the fallback the harness applies to runs without a recorder.
+inline void report(Recorder* rec, Diagnostic d) {
+  (rec != nullptr ? *rec : default_recorder()).report(std::move(d));
+}
 
 /// Shorthand for guarded recording at instrumentation sites.
 inline void count(Recorder* rec, std::string_view name,
@@ -91,5 +120,27 @@ inline void trace(Recorder* rec, TraceEvent ev) {
   if (rec->flowstats().enabled()) rec->flowstats().on_span(ev);
   rec->trace().record(std::move(ev));
 }
+
+/// One call of a layer operation on one rank: a collective, an RMA op or
+/// a SHMEM op.
+struct LayerOp {
+  const char* family;       // "coll", "rma", "shmem"
+  const char* op;           // "bcast", "put", "get_datatype", ...
+  std::int64_t begin;       // virtual ns
+  std::int64_t end;         // virtual ns
+  int rank;
+  std::int64_t bytes;
+  std::uint64_t flow = 0;   // 0: not part of a flow
+  std::uint64_t shape = 0;  // DDT shape digest of the flow class
+  int participants = 1;     // completions that finalize the flow
+};
+
+/// The layers' shared recording policy: count `<family>.<op>.calls` and
+/// `<family>.<op>.bytes`, emit one span {op, family, begin, end, rank,
+/// bytes, rank, flow}, then - for a flow while FlowStats is on - complete
+/// the flow with class `<family>.<op>`. The span comes first because
+/// FlowStats folds a flow's spans before it finalizes the flow. Each
+/// layer counts its own byte splits (docs/metrics.md).
+void record_layer_op(Recorder& rec, const LayerOp& op);
 
 }  // namespace gpuddt::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "obs/recorder.h"
 #include "simgpu/staging.h"
@@ -12,21 +11,19 @@ namespace gpuddt::rma {
 
 namespace {
 
-/// One-sided-op observability (docs/metrics.md `rma.*` family): call and
-/// byte counters split contiguous/packed by the layouts on both sides and
-/// by where the staging copy lives, plus one trace span per call. `end`
-/// is the op's virtual completion (the epoch-horizon contribution), so
-/// spans from back-to-back puts overlap in the timeline exactly as the
-/// fence sees them.
+/// One-sided-op observability (docs/metrics.md `rma.*` family): the
+/// layer-op record (obs::record_layer_op: call and byte counters, one
+/// trace span per call, the flow completion) plus bytes split
+/// contiguous/packed by the layouts on both sides and by where the
+/// staging copy lives. `end` is the op's virtual completion (the
+/// epoch-horizon contribution), so spans from back-to-back puts overlap
+/// in the timeline exactly as the fence sees them.
 void record_rma(mpi::Comm& comm, const char* op, vt::Time begin,
                 vt::Time end, std::int64_t bytes, bool contiguous,
                 bool device_staging, std::uint64_t flow = 0,
                 std::uint64_t shape = 0) {
   obs::Recorder* rec = comm.process().config().recorder;
   if (rec == nullptr) return;
-  const std::string prefix = std::string("rma.") + op;
-  obs::count(rec, prefix + ".calls");
-  obs::count(rec, prefix + ".bytes", bytes);
   if (bytes > 0) {
     obs::count(rec,
                contiguous ? "rma.bytes.contiguous" : "rma.bytes.packed",
@@ -36,14 +33,10 @@ void record_rma(mpi::Comm& comm, const char* op, vt::Time begin,
                               : "rma.bytes.staged_host",
                bytes);
   }
-  obs::trace(rec,
-             {op, "rma", begin, end, comm.rank(), bytes, comm.rank(), flow});
   // One-sided ops are single-participant flows: the origin drives both
   // halves, so its op span closes the flow for the latency engine.
-  if (flow != 0 && rec->flowstats().enabled()) {
-    rec->flowstats().complete(
-        {flow, std::string("rma.") + op, shape, bytes, begin, end, 1});
-  }
+  obs::record_layer_op(
+      *rec, {"rma", op, begin, end, comm.rank(), bytes, flow, shape, 1});
 }
 }  // namespace
 

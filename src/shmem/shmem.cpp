@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "mpi/pml.h"
 #include "obs/recorder.h"
@@ -20,28 +19,23 @@ core::EngineConfig pe_engine_cfg(mpi::Process& p) {
   return ec;
 }
 
-/// One-sided-op observability (docs/metrics.md `shmem.*` family): call +
-/// byte counters, bytes split direct (RDMA straight from/to symmetric
-/// memory) vs. staged (datatype ops bounced through a packed device
-/// staging buffer), plus one trace span per call.
+/// One-sided-op observability (docs/metrics.md `shmem.*` family): the
+/// layer-op record (obs::record_layer_op: call + byte counters, one trace
+/// span per call, the flow completion) plus bytes split direct (RDMA
+/// straight from/to symmetric memory) vs. staged (datatype ops bounced
+/// through a packed device staging buffer).
 void record_shmem(mpi::Process& p, const char* op, vt::Time begin,
                   vt::Time end, std::int64_t bytes, bool staged,
                   std::uint64_t flow = 0, std::uint64_t shape = 0) {
   obs::Recorder* rec = p.config().recorder;
   if (rec == nullptr) return;
-  const std::string prefix = std::string("shmem.") + op;
-  obs::count(rec, prefix + ".calls");
-  obs::count(rec, prefix + ".bytes", bytes);
   if (bytes > 0)
     obs::count(rec, staged ? "shmem.bytes.staged" : "shmem.bytes.direct",
                bytes);
-  obs::trace(rec, {op, "shmem", begin, end, p.rank(), bytes, p.rank(), flow});
   // Datatype ops close their flow here: the initiating PE drives both the
   // pack and unpack halves, so this is the whole-op completion.
-  if (flow != 0 && rec->flowstats().enabled()) {
-    rec->flowstats().complete(
-        {flow, std::string("shmem.") + op, shape, bytes, begin, end, 1});
-  }
+  obs::record_layer_op(
+      *rec, {"shmem", op, begin, end, p.rank(), bytes, flow, shape, 1});
 }
 
 }  // namespace

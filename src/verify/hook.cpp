@@ -3,7 +3,6 @@
 #include <chrono>
 #include <string>
 
-#include "check/config.h"
 #include "obs/recorder.h"
 #include "verify/verifier.h"
 
@@ -54,12 +53,12 @@ void certify_insert(const mpi::DatatypePtr& dt, std::int64_t count,
   obs::count(rec, "verify.devs.rejected");
   const Report& bad = type_rep.certified() ? dev_rep : type_rep;
   const Obligation* o = bad.first_failed();
-  check::Diagnostic diag;
+  obs::Diagnostic diag;
   diag.kind = "verify";
   diag.type = o->name;
   diag.message = "verify: obligation '" + o->name + "' unproven for " +
                  bad.subject + ": " + o->detail;
-  check::report(diag);
+  obs::report(rec, diag);
   throw CertificationFailure(diag.message);
 }
 

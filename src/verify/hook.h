@@ -4,9 +4,9 @@
 // finish-path fills and prefetches alike) is first certified by the
 // symbolic prover: verify_type over the datatype's three
 // representations, then verify_dev over the exact unit list. An
-// unproven obligation reports a structured diagnostic into the
-// src/check/ sink and throws CertificationFailure - an uncertified DEV
-// never becomes reachable from the cache.
+// unproven obligation reports a `kind: "verify"` diagnostic into the
+// cache's recorder (obs::report) and throws CertificationFailure - an
+// uncertified DEV never becomes reachable from the cache.
 //
 // Enablement is verify_switch, resolved like every check::Switch
 // (check/config.h): set_forced() (tools / tests) > the GPUDDT_VERIFY
@@ -43,9 +43,9 @@ class CertificationFailure : public std::runtime_error {
 extern check::Switch verify_switch;
 
 /// Certify (dt, count, unit_bytes) -> units at a cache-insert boundary.
-/// Counts verify.* metrics into `rec` (nullable) and throws
-/// CertificationFailure on the first unproven obligation. Callers gate
-/// on verify_switch.
+/// Counts verify.* metrics into `rec` (nullable), reports the first
+/// unproven obligation there (obs::report) and throws
+/// CertificationFailure for it. Callers gate on verify_switch.
 void certify_insert(const mpi::DatatypePtr& dt, std::int64_t count,
                     std::int64_t unit_bytes,
                     std::span<const core::CudaDevDist> units,

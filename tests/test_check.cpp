@@ -4,6 +4,7 @@
 // runtime, and the one resolver behind every opt-in switch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "core/layouts.h"
 #include "harness/harness.h"
 #include "mpi/runtime.h"
+#include "obs/canon.h"
+#include "obs/json.h"
 #include "obs/recorder.h"
 #include "simgpu/runtime.h"
 #include "simgpu/staging.h"
@@ -33,16 +36,17 @@ sg::MachineConfig checked_config(int devices = 1) {
   return m;
 }
 
-/// Snapshot of the global sink totals, for per-test deltas (the sink is
-/// process-global and other tests contribute to it).
-struct SinkDelta {
-  std::int64_t hazards0 = check::hazard_count();
-  std::int64_t violations0 = check::violation_count();
-  std::int64_t hazards() const { return check::hazard_count() - hazards0; }
-  std::int64_t violations() const {
-    return check::violation_count() - violations0;
-  }
-};
+/// Hazards a machine's tracker counted into `rec` (check::set_recorder).
+std::int64_t hazards(const obs::Recorder& rec) {
+  return test::counter(rec, "check.hazards");
+}
+
+/// DEV-invariant violations reported into `rec`.
+std::int64_t violations(const obs::Recorder& rec) {
+  return std::count_if(
+      rec.diagnostics().begin(), rec.diagnostics().end(),
+      [](const obs::Diagnostic& d) { return d.kind == "dev_invariant"; });
+}
 
 // --- Enablement -------------------------------------------------------------
 
@@ -60,7 +64,9 @@ TEST(CheckConfig, MachineSettingWins) {
 // --- Hazard detector --------------------------------------------------------
 
 TEST(CheckHazard, UnorderedWritesAreWaw) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -68,17 +74,14 @@ TEST(CheckHazard, UnorderedWritesAreWaw) {
   sg::Stream s1(&m.device(0), "s1");
   sg::Stream s2(&m.device(0), "s2");
 
-  const SinkDelta d;
-  const auto n0 = check::diagnostics().size();
   sg::MemcpyAsync(ctx, dev, h1.data(), bytes, s1);
   // No event wait: the second upload is enqueued while the first may
   // still be in flight - a WAW on the device buffer.
   sg::MemcpyAsync(ctx, dev, h2.data(), bytes, s2);
-  EXPECT_GE(d.hazards(), 1);
+  EXPECT_GE(hazards(rec), 1);
 
-  const auto diags = check::diagnostics();
-  ASSERT_GT(diags.size(), n0);
-  const check::Diagnostic& diag = diags.back();
+  ASSERT_FALSE(rec.diagnostics().empty());
+  const obs::Diagnostic& diag = rec.diagnostics().back();
   EXPECT_EQ(diag.kind, "hazard");
   EXPECT_EQ(diag.type, "WAW");
   EXPECT_EQ(diag.device, 0);
@@ -101,7 +104,9 @@ TEST(CheckHazard, RegisteredHostScratchExposesHiddenWaw) {
   // while unregistered - this WAW used to go undetected. Registering the
   // scratch (sg::ScopedStagingRegistration, what the protocol layers now
   // do for their staging) makes the same pair of copies a reported WAW.
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev1 = sg::Malloc(ctx, bytes);
@@ -111,22 +116,21 @@ TEST(CheckHazard, RegisteredHostScratchExposesHiddenWaw) {
   sg::Stream s2(&m.device(0), "s2");
 
   {
-    const SinkDelta d;
+    const std::int64_t h0 = hazards(rec);
     sg::MemcpyAsync(ctx, scratch.data(), dev1, bytes, s1);
     sg::MemcpyAsync(ctx, scratch.data(), dev2, bytes, s2);
-    EXPECT_EQ(d.hazards(), 0);  // the historical blind spot
+    EXPECT_EQ(hazards(rec) - h0, 0);  // the historical blind spot
   }
   sg::StreamSynchronize(ctx, s1);
   sg::StreamSynchronize(ctx, s2);
   {
     sg::ScopedStagingRegistration reg(m, scratch.data(), scratch.size());
-    const SinkDelta d;
+    const std::int64_t h0 = hazards(rec);
     sg::MemcpyAsync(ctx, scratch.data(), dev1, bytes, s1);
     sg::MemcpyAsync(ctx, scratch.data(), dev2, bytes, s2);
-    EXPECT_GE(d.hazards(), 1);
-    // diagnostics() returns a snapshot by value; copy the entry so it
-    // outlives the temporary vector.
-    const check::Diagnostic diag = check::diagnostics().back();
+    EXPECT_GE(hazards(rec) - h0, 1);
+    ASSERT_FALSE(rec.diagnostics().empty());
+    const obs::Diagnostic& diag = rec.diagnostics().back();
     EXPECT_EQ(diag.type, "WAW");
     EXPECT_EQ(diag.a.ptr, reinterpret_cast<std::uintptr_t>(scratch.data()));
   }
@@ -135,7 +139,9 @@ TEST(CheckHazard, RegisteredHostScratchExposesHiddenWaw) {
 }
 
 TEST(CheckHazard, ReadAfterUnorderedWriteIsRaw) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -143,16 +149,18 @@ TEST(CheckHazard, ReadAfterUnorderedWriteIsRaw) {
   sg::Stream s1(&m.device(0), "writer");
   sg::Stream s2(&m.device(0), "reader");
 
-  const SinkDelta d;
   sg::MemcpyAsync(ctx, dev, host.data(), bytes, s1);
   sg::MemcpyAsync(ctx, host.data(), dev, bytes, s2);  // missing wait
-  EXPECT_GE(d.hazards(), 1);
-  EXPECT_EQ(check::diagnostics().back().type, "RAW");
+  EXPECT_GE(hazards(rec), 1);
+  ASSERT_FALSE(rec.diagnostics().empty());
+  EXPECT_EQ(rec.diagnostics().back().type, "RAW");
   sg::Free(ctx, dev);
 }
 
 TEST(CheckHazard, WriteAfterUnorderedReadIsWar) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -161,15 +169,18 @@ TEST(CheckHazard, WriteAfterUnorderedReadIsWar) {
   sg::Stream s2(&m.device(0), "writer");
 
   sg::MemcpyAsync(ctx, host.data(), dev, bytes, s1);  // read dev
-  const SinkDelta d;
+  const std::int64_t h0 = hazards(rec);
   sg::MemcpyAsync(ctx, dev, host.data(), bytes, s2);  // overwrite, no wait
-  EXPECT_GE(d.hazards(), 1);
-  EXPECT_EQ(check::diagnostics().back().type, "WAR");
+  EXPECT_GE(hazards(rec) - h0, 1);
+  ASSERT_FALSE(rec.diagnostics().empty());
+  EXPECT_EQ(rec.diagnostics().back().type, "WAR");
   sg::Free(ctx, dev);
 }
 
 TEST(CheckHazard, EventWaitOrdersAccesses) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -177,32 +188,34 @@ TEST(CheckHazard, EventWaitOrdersAccesses) {
   sg::Stream s1(&m.device(0), "producer");
   sg::Stream s2(&m.device(0), "consumer");
 
-  const SinkDelta d;
   sg::MemcpyAsync(ctx, dev, host.data(), bytes, s1);
   sg::StreamWaitEvent(ctx, s2, sg::EventRecord(ctx, s1));
   sg::MemcpyAsync(ctx, host.data(), dev, bytes, s2);
-  EXPECT_EQ(d.hazards(), 0);
+  EXPECT_EQ(hazards(rec), 0);
   sg::Free(ctx, dev);
 }
 
 TEST(CheckHazard, SameStreamIsOrdered) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
   std::vector<std::byte> h1(bytes), h2(bytes);
   sg::Stream s(&m.device(0), "only");
 
-  const SinkDelta d;
   sg::MemcpyAsync(ctx, dev, h1.data(), bytes, s);
   sg::MemcpyAsync(ctx, dev, h2.data(), bytes, s);
   sg::MemcpyAsync(ctx, h1.data(), dev, bytes, s);
-  EXPECT_EQ(d.hazards(), 0);
+  EXPECT_EQ(hazards(rec), 0);
   sg::Free(ctx, dev);
 }
 
 TEST(CheckHazard, DisjointRangesAreClean) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   auto* dev = static_cast<std::byte*>(sg::Malloc(ctx, 2 * bytes));
@@ -210,22 +223,22 @@ TEST(CheckHazard, DisjointRangesAreClean) {
   sg::Stream s1(&m.device(0), "a");
   sg::Stream s2(&m.device(0), "b");
 
-  const SinkDelta d;
   sg::MemcpyAsync(ctx, dev, h1.data(), bytes, s1);
   sg::MemcpyAsync(ctx, dev + bytes, h2.data(), bytes, s2);  // disjoint halves
-  EXPECT_EQ(d.hazards(), 0);
+  EXPECT_EQ(hazards(rec), 0);
   sg::Free(ctx, dev);
 }
 
 TEST(CheckHazard, FreeDropsHistory) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   std::vector<std::byte> host(bytes);
   sg::Stream s1(&m.device(0), "a");
   sg::Stream s2(&m.device(0), "b");
 
-  const SinkDelta d;
   void* dev = sg::Malloc(ctx, bytes);
   sg::MemcpyAsync(ctx, dev, host.data(), bytes, s1);
   sg::Free(ctx, dev);
@@ -233,7 +246,7 @@ TEST(CheckHazard, FreeDropsHistory) {
   // not produce a false positive against it.
   void* dev2 = sg::Malloc(ctx, bytes);
   sg::MemcpyAsync(ctx, dev2, host.data(), bytes, s2);
-  EXPECT_EQ(d.hazards(), 0);
+  EXPECT_EQ(hazards(rec), 0);
   sg::Free(ctx, dev2);
 }
 
@@ -242,7 +255,9 @@ TEST(CheckHazard, UnregisteredHostStagingIsInvisible) {
   // a WAW on the host side - but plain host memory is not keyed to any
   // allocation, so the tracker has nowhere to file the ranges. This is
   // the blind spot register_host_range closes (next test).
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -250,17 +265,18 @@ TEST(CheckHazard, UnregisteredHostStagingIsInvisible) {
   sg::Stream s1(&m.device(0), "a");
   sg::Stream s2(&m.device(0), "b");
 
-  const SinkDelta d;
   sg::MemcpyAsync(ctx, staging.data(), dev, bytes, s1);
   sg::MemcpyAsync(ctx, staging.data(), dev, bytes, s2);
-  EXPECT_EQ(d.hazards(), 0);  // undetected: documents the gap
+  EXPECT_EQ(hazards(rec), 0);  // undetected: documents the gap
   sg::Free(ctx, dev);
 }
 
 TEST(CheckHazard, RegisteredHostStagingIsTracked) {
   // Same seeded WAW as above, with the staging registered the way the
   // protocol registers payload staging: now the hazard is caught.
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -269,22 +285,19 @@ TEST(CheckHazard, RegisteredHostStagingIsTracked) {
   sg::Stream s2(&m.device(0), "b");
 
   m.register_host_range(staging.data(), bytes);
-  const SinkDelta d;
-  const auto n0 = check::diagnostics().size();
   sg::MemcpyAsync(ctx, staging.data(), dev, bytes, s1);
   sg::MemcpyAsync(ctx, staging.data(), dev, bytes, s2);
-  EXPECT_GE(d.hazards(), 1);
-  const auto diags = check::diagnostics();
-  ASSERT_GT(diags.size(), n0);
-  EXPECT_EQ(diags.back().type, "WAW");
+  EXPECT_GE(hazards(rec), 1);
+  ASSERT_FALSE(rec.diagnostics().empty());
+  EXPECT_EQ(rec.diagnostics().back().type, "WAW");
 
   // Unregistering drops the history: a reuse of the same addresses as a
   // new logical buffer must not alias the old accesses.
   m.unregister_host_range(staging.data());
-  const SinkDelta d2;
+  const std::int64_t h1 = hazards(rec);
   m.register_host_range(staging.data(), bytes);
   sg::MemcpyAsync(ctx, staging.data(), dev, bytes, s2);
-  EXPECT_EQ(d2.hazards(), 0);
+  EXPECT_EQ(hazards(rec) - h1, 0);
   m.unregister_host_range(staging.data());
   EXPECT_THROW(m.unregister_host_range(staging.data()),
                std::invalid_argument);
@@ -349,48 +362,50 @@ void roundtrip(sg::HostContext& ctx, core::GpuDatatypeEngine& eng,
 }
 
 TEST(CheckEngine, PipelinedConversionRunsClean) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
-  obs::Recorder rec;
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
   cfg.convert_chunk_units = 16;  // many small upload/launch windows
   cfg.recorder = &rec;
+  check::set_recorder(m, &rec);
   core::GpuDatatypeEngine eng(ctx, cfg);
 
-  const SinkDelta d;
   roundtrip(ctx, eng, core::lower_triangular_type(96, 96), 1, 8 * 1024);
-  EXPECT_EQ(d.hazards(), 0);
-  EXPECT_EQ(d.violations(), 0);
+  EXPECT_EQ(hazards(rec), 0);
+  EXPECT_EQ(violations(rec), 0);
   EXPECT_GT(test::counter(rec, "engine.kernels.dev"), 2);
 }
 
 TEST(CheckEngine, ResidueStreamRunsClean) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
   cfg.convert_chunk_units = 16;
   cfg.residue_separate_stream = true;
+  cfg.recorder = &rec;
+  check::set_recorder(m, &rec);
   core::GpuDatatypeEngine eng(ctx, cfg);
 
-  const SinkDelta d;
   roundtrip(ctx, eng, core::lower_triangular_type(96, 96), 1, 8 * 1024);
-  EXPECT_EQ(d.hazards(), 0);
-  EXPECT_EQ(d.violations(), 0);
+  EXPECT_EQ(hazards(rec), 0);
+  EXPECT_EQ(violations(rec), 0);
 }
 
 TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
-  obs::Recorder rec;
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
   cfg.recorder = &rec;
+  check::set_recorder(m, &rec);
   core::GpuDatatypeEngine eng(ctx, cfg);
   auto dt = core::lower_triangular_type(64, 64);
 
-  const SinkDelta d;
   roundtrip(ctx, eng, dt, 1, 64 * 1024);  // first run fills the cache
   const auto* entry = eng.cache().find(dt, 1, cfg.unit_bytes);
   ASSERT_NE(entry, nullptr);
@@ -422,8 +437,8 @@ TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {
       test::counter(rec, "engine.units.from_cache_distinct") - distinct0;
   EXPECT_EQ(distinct, n_units);
   EXPECT_GT(from_cache, distinct);
-  EXPECT_EQ(d.hazards(), 0);
-  EXPECT_EQ(d.violations(), 0);
+  EXPECT_EQ(hazards(rec), 0);
+  EXPECT_EQ(violations(rec), 0);
   sg::Free(ctx, src);
   sg::Free(ctx, packed);
 }
@@ -434,12 +449,13 @@ TEST(CheckEngine, PingPongRunsClean) {
   spec.cfg.machine = checked_config(2);
   spec.cfg.machine.device_memory_bytes = std::size_t{1} << 30;
   spec.dt0 = spec.dt1 = core::lower_triangular_type(256, 256);
+  obs::Recorder rec;
+  spec.cfg.recorder = &rec;
 
-  const SinkDelta d;
   const auto res = harness::run_pingpong(spec);
   EXPECT_GT(res.avg_roundtrip, 0);
-  EXPECT_EQ(d.hazards(), 0);
-  EXPECT_EQ(d.violations(), 0);
+  EXPECT_EQ(hazards(rec), 0);
+  EXPECT_EQ(violations(rec), 0);
 }
 
 // --- DEV invariant checker --------------------------------------------------
@@ -447,36 +463,40 @@ TEST(CheckEngine, PingPongRunsClean) {
 TEST(CheckInvariants, OutOfBoundsUnitThrows) {
   const check::DevListBounds b{0, 1000, 2048, 1024};
   const CudaDevDist bad[] = {{950, 0, 100}};  // nc end 1050 > 1000
-  const SinkDelta d;
-  EXPECT_THROW(
-      check::validate_dev_window(bad, b, 0, /*contiguous=*/false, "test"),
-      check::InvariantViolation);
-  EXPECT_EQ(d.violations(), 1);
-  EXPECT_EQ(check::diagnostics().back().kind, "dev_invariant");
-  EXPECT_EQ(check::diagnostics().back().type, "nc_bounds");
-  EXPECT_EQ(check::diagnostics().back().unit_index, 0);
+  obs::Recorder rec;
+  EXPECT_THROW(check::validate_dev_window(bad, b, 0, /*contiguous=*/false,
+                                          "test", &rec),
+               check::InvariantViolation);
+  EXPECT_EQ(violations(rec), 1);
+  ASSERT_FALSE(rec.diagnostics().empty());
+  EXPECT_EQ(rec.diagnostics().back().kind, "dev_invariant");
+  EXPECT_EQ(rec.diagnostics().back().type, "nc_bounds");
+  EXPECT_EQ(rec.diagnostics().back().unit_index, 0);
 }
 
 TEST(CheckInvariants, BadUnitLengthThrows) {
   const check::DevListBounds b{0, 4096, 4096, 1024};
   const CudaDevDist zero[] = {{0, 0, 0}};
   const CudaDevDist oversize[] = {{0, 0, 2048}};
-  EXPECT_THROW(check::validate_dev_window(zero, b, 0, false, "test"),
+  obs::Recorder rec;
+  EXPECT_THROW(check::validate_dev_window(zero, b, 0, false, "test", &rec),
                check::InvariantViolation);
-  EXPECT_THROW(check::validate_dev_window(oversize, b, 0, false, "test"),
-               check::InvariantViolation);
+  EXPECT_THROW(
+      check::validate_dev_window(oversize, b, 0, false, "test", &rec),
+      check::InvariantViolation);
 }
 
 TEST(CheckInvariants, OverlappingPackDestinationsThrow) {
   const check::DevListBounds b{0, 8192, 2048, 1024};
   // Two units whose packed destinations collide on [512, 1024).
   const CudaDevDist bad[] = {{0, 0, 1024}, {4096, 512, 1024}};
-  const SinkDelta d;
-  EXPECT_THROW(
-      check::validate_dev_window(bad, b, 0, /*contiguous=*/false, "test"),
-      check::InvariantViolation);
-  EXPECT_EQ(d.violations(), 1);
-  EXPECT_EQ(check::diagnostics().back().type, "pk_overlap");
+  obs::Recorder rec;
+  EXPECT_THROW(check::validate_dev_window(bad, b, 0, /*contiguous=*/false,
+                                          "test", &rec),
+               check::InvariantViolation);
+  EXPECT_EQ(violations(rec), 1);
+  ASSERT_FALSE(rec.diagnostics().empty());
+  EXPECT_EQ(rec.diagnostics().back().type, "pk_overlap");
 }
 
 TEST(CheckInvariants, NonContiguousWindowThrows) {
@@ -484,18 +504,20 @@ TEST(CheckInvariants, NonContiguousWindowThrows) {
   // Valid pairwise, but the window must start at pk_expected=0 and be
   // gap-free; this one jumps 512 bytes.
   const CudaDevDist bad[] = {{0, 0, 1024}, {4096, 1536, 1024}};
-  EXPECT_THROW(
-      check::validate_dev_window(bad, b, 0, /*contiguous=*/true, "test"),
-      check::InvariantViolation);
+  obs::Recorder rec;
+  EXPECT_THROW(check::validate_dev_window(bad, b, 0, /*contiguous=*/true,
+                                          "test", &rec),
+               check::InvariantViolation);
 }
 
 TEST(CheckInvariants, FullListCoverageChecked) {
   const check::DevListBounds b{0, 2048, 2048, 1024};
   const CudaDevDist good[] = {{0, 0, 1024}, {1024, 1024, 1024}};
-  EXPECT_NO_THROW(check::validate_dev_list(good, b, "test"));
+  obs::Recorder rec;
+  EXPECT_NO_THROW(check::validate_dev_list(good, b, "test", &rec));
   // Same list with a missing tail no longer covers [0, total_bytes).
   const CudaDevDist gap[] = {{0, 0, 1024}};
-  EXPECT_THROW(check::validate_dev_list(gap, b, "test"),
+  EXPECT_THROW(check::validate_dev_list(gap, b, "test", &rec),
                check::InvariantViolation);
 }
 
@@ -515,21 +537,24 @@ TEST(CheckInvariants, CacheInsertValidates) {
 TEST(CheckInvariants, EngineValidatesWindowsWithoutFalsePositives) {
   // The whole-suite guarantee in miniature: a checked engine validates
   // every window of a real conversion without tripping.
+  obs::Recorder rec;
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
+  cfg.recorder = &rec;
   core::GpuDatatypeEngine eng(ctx, cfg);
-  const SinkDelta d;
   roundtrip(ctx, eng, core::submatrix_type(64, 32, 96), 1, 4 * 1024);
   roundtrip(ctx, eng, core::lower_triangular_type(48, 48), 2, 4 * 1024);
-  EXPECT_EQ(d.violations(), 0);
+  EXPECT_EQ(violations(rec), 0);
 }
 
-// --- Report serialization ---------------------------------------------------
+// --- Findings in the recorder's report ---------------------------------------
 
 TEST(CheckReport, JsonCarriesTotalsAndDiagnostics) {
+  obs::Recorder rec;
   sg::Machine m(checked_config());
+  check::set_recorder(m, &rec);
   sg::HostContext ctx(m, 0);
   const std::size_t bytes = 1 << 20;
   void* dev = sg::Malloc(ctx, bytes);
@@ -538,14 +563,33 @@ TEST(CheckReport, JsonCarriesTotalsAndDiagnostics) {
   sg::Stream s2(&m.device(0), "jsb");
   sg::MemcpyAsync(ctx, dev, host.data(), bytes, s1);
   sg::MemcpyAsync(ctx, dev, host.data(), bytes, s2);
-  sg::Free(ctx, dev);
+  ASSERT_EQ(rec.diagnostics().size(), 1u);
+  EXPECT_EQ(rec.diagnostics().front().type, "WAW");
 
-  const std::string json = check::report_json();
-  EXPECT_NE(json.find("\"schema\": \"gpuddt-check-v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"hazards\""), std::string::npos);
-  EXPECT_NE(json.find("\"dev_violations\""), std::string::npos);
-  EXPECT_NE(json.find("\"WAW\""), std::string::npos);
-  EXPECT_NE(json.find("jsa"), std::string::npos);
+  // The dump carries the finding next to the trace; the canonical text
+  // the baseline gates compare does not.
+  const obs::json::Value doc = obs::json::parse(rec.to_json());
+  const auto& diags = doc.at("diagnostics").as_array();
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].at("kind").as_string(), "hazard");
+  EXPECT_EQ(diags[0].at("type").as_string(), "WAW");
+  EXPECT_EQ(diags[0].at("a").at("queue").as_string(), "jsa");
+  EXPECT_EQ(diags[0].at("b").at("queue").as_string(), "jsb");
+  const std::string canon = obs::canonical_metrics(doc);
+  EXPECT_EQ(canon.find("WAW"), std::string::npos);
+  EXPECT_EQ(canon.find("jsa"), std::string::npos);
+
+  // Storage stops at the cap; check.hazards keeps counting.
+  const auto cap = static_cast<std::int64_t>(obs::Recorder::kMaxDiagnostics);
+  for (int i = 0; i < 4096 && hazards(rec) <= cap; ++i) {
+    sg::MemcpyAsync(ctx, dev, host.data(), bytes, (i % 2 == 0) ? s1 : s2);
+  }
+  EXPECT_GT(hazards(rec), cap);
+  EXPECT_EQ(rec.diagnostics().size(), obs::Recorder::kMaxDiagnostics);
+
+  rec.clear();
+  EXPECT_TRUE(rec.diagnostics().empty());
+  sg::Free(ctx, dev);
 }
 
 // --- Switch resolution (check/config.h) -------------------------------------

@@ -55,9 +55,7 @@ class ScopedEnv {
 /// Value of counter `name` in `rec` (0 when it was never recorded).
 inline std::int64_t counter(const obs::Recorder& rec,
                             const std::string& name) {
-  const auto snap = rec.metrics().counters_snapshot();
-  const auto it = snap.find(name);
-  return it == snap.end() ? 0 : it->second;
+  return rec.metrics().value(name);
 }
 
 /// Deterministically fill a byte region with position-dependent values.

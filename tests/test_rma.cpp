@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "check/config.h"
 #include "core/layouts.h"
 #include "mpi/runtime.h"
 #include "protocols/gpu_plugin.h"
@@ -155,9 +154,10 @@ TEST(RmaWindow, SeededEpochConflictIsFlaggedByChecker) {
   // the RMA layer previously had no seeded-hazard coverage.
   mpi::RuntimeConfig cfg = world(3);
   cfg.machine.check = 1;
+  obs::Recorder rec;
+  cfg.recorder = &rec;
   mpi::Runtime rt(cfg);
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
-  const std::int64_t hazards0 = check::hazard_count();
   rt.run([](mpi::Process& p) {
     mpi::Comm comm(p);
     const std::int64_t bytes = 64 * 1024;
@@ -178,7 +178,7 @@ TEST(RmaWindow, SeededEpochConflictIsFlaggedByChecker) {
     w.fence();
     if (p.rank() == 0) sg::Free(p.gpu(), win);
   });
-  EXPECT_GE(check::hazard_count() - hazards0, 1);
+  EXPECT_GE(test::counter(rec, "check.hazards"), 1);
 }
 
 TEST(RmaWindow, DeviceAccumulateScratchIsCheckedAndClean) {
@@ -189,9 +189,10 @@ TEST(RmaWindow, DeviceAccumulateScratchIsCheckedAndClean) {
   // and the result must still combine correctly.
   mpi::RuntimeConfig cfg = world(2);
   cfg.machine.check = 1;
+  obs::Recorder rec;
+  cfg.recorder = &rec;
   mpi::Runtime rt(cfg);
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
-  const std::int64_t hazards0 = check::hazard_count();
   rt.run([](mpi::Process& p) {
     mpi::Comm comm(p);
     const std::int64_t n = 1024;
@@ -218,7 +219,7 @@ TEST(RmaWindow, DeviceAccumulateScratchIsCheckedAndClean) {
       sg::Free(p.gpu(), win);
     }
   });
-  EXPECT_EQ(check::hazard_count() - hazards0, 0);
+  EXPECT_EQ(test::counter(rec, "check.hazards"), 0);
 }
 
 TEST(RmaWindow, FenceSeparatedPutsRunClean) {
@@ -226,9 +227,10 @@ TEST(RmaWindow, FenceSeparatedPutsRunClean) {
   // be flagged.
   mpi::RuntimeConfig cfg = world(3);
   cfg.machine.check = 1;
+  obs::Recorder rec;
+  cfg.recorder = &rec;
   mpi::Runtime rt(cfg);
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
-  const std::int64_t hazards0 = check::hazard_count();
   rt.run([](mpi::Process& p) {
     mpi::Comm comm(p);
     const std::int64_t bytes = 64 * 1024;
@@ -254,7 +256,7 @@ TEST(RmaWindow, FenceSeparatedPutsRunClean) {
     w.fence();
     if (p.rank() == 0) sg::Free(p.gpu(), win);
   });
-  EXPECT_EQ(check::hazard_count() - hazards0, 0);
+  EXPECT_EQ(test::counter(rec, "check.hazards"), 0);
 }
 
 TEST(RmaWindow, OutOfRangeAccessThrows) {

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <vector>
 
-#include "check/config.h"
 #include "core/layouts.h"
 #include "mpi/runtime.h"
 #include "shmem/shmem.h"
@@ -194,9 +193,10 @@ TEST(Shmem, SeededConcurrentPutsAreFlaggedByChecker) {
   // two transfer windows stay truly concurrent.
   mpi::RuntimeConfig cfg = pe_world(3);
   cfg.machine.check = 1;
+  obs::Recorder rec;
+  cfg.recorder = &rec;
   mpi::Runtime rt(cfg);
   SymmetricHeap heap(rt, 32u << 20);
-  const std::int64_t hazards0 = check::hazard_count();
   rt.run([&](mpi::Process& p) {
     Pe pe(p, heap);
     const std::size_t bytes = 16u << 20;
@@ -210,7 +210,7 @@ TEST(Shmem, SeededConcurrentPutsAreFlaggedByChecker) {
       pe.quiet();
     }
   });
-  EXPECT_GE(check::hazard_count() - hazards0, 1);
+  EXPECT_GE(test::counter(rec, "check.hazards"), 1);
 }
 
 TEST(Shmem, OrderedPutsRunClean) {
@@ -218,9 +218,10 @@ TEST(Shmem, OrderedPutsRunClean) {
   // virtual time and must NOT be flagged.
   mpi::RuntimeConfig cfg = pe_world(3);
   cfg.machine.check = 1;
+  obs::Recorder rec;
+  cfg.recorder = &rec;
   mpi::Runtime rt(cfg);
   SymmetricHeap heap(rt, 2u << 20);
-  const std::int64_t hazards0 = check::hazard_count();
   rt.run([&](mpi::Process& p) {
     Pe pe(p, heap);
     auto* buf = static_cast<std::byte*>(pe.malloc(1 << 20));
@@ -230,7 +231,7 @@ TEST(Shmem, OrderedPutsRunClean) {
     if (p.rank() == 1) pe.putmem(buf, buf, 1 << 20, 2);
     pe.barrier_all();
   });
-  EXPECT_EQ(check::hazard_count() - hazards0, 0);
+  EXPECT_EQ(test::counter(rec, "check.hazards"), 0);
 }
 
 TEST(Shmem, RejectsNonSymmetricAddress) {

@@ -264,19 +264,32 @@ TEST(VerifyHook, CertifiesGoodInsertAndRejectsCorruptOne) {
   ASSERT_TRUE(verify_switch.enabled());
   sg::Machine m;
   sg::HostContext ctx(m, 0);
+  obs::Recorder rec;
   core::DevCache cache;
+  cache.set_recorder(&rec);
   const DatatypePtr dt = core::lower_triangular_type(16, 16);
   auto good = core::convert_all(dt, 1, 1024);
   cache.insert(ctx, dt, 1, 1024, good);  // certifies, no throw
   EXPECT_NE(cache.find(dt, 1, 1024), nullptr);
+  EXPECT_TRUE(rec.diagnostics().empty());
 
   auto bad = core::convert_all(dt, 2, 1024);
   ASSERT_GE(bad.size(), 2u);
   bad[1].nc_disp += 8;
+  const Report rep = verify_dev(*dt, 2, 1024, bad);
+  ASSERT_NE(rep.first_failed(), nullptr);
+  const std::string obligation = rep.first_failed()->name;
   EXPECT_THROW(cache.insert(ctx, dt, 2, 1024, std::move(bad)),
                CertificationFailure);
   // The uncertified DEV never became reachable.
   EXPECT_EQ(cache.find(dt, 2, 1024), nullptr);
+  // The rejection is one finding in the cache's recorder, naming the
+  // obligation that failed.
+  ASSERT_EQ(rec.diagnostics().size(), 1u);
+  const obs::Diagnostic& d = rec.diagnostics().front();
+  EXPECT_EQ(d.kind, "verify");
+  EXPECT_EQ(d.type, obligation);
+  EXPECT_NE(d.message.find("'" + obligation + "'"), std::string::npos);
 }
 
 TEST(VerifyHook, ForcedOffDisablesCertification) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI driver: default build + tests, GPUDDT_CHECK=ON build + tests (the
 # whole suite must run hazard-clean with the access checker attached to
-# every machine), ASan/UBSan build + tests, a determinism sweep over all
-# benchmark binaries (docs/determinism.md) that also enforces every
-# figure bench's paper claims (EXPERIMENTS.md), the symbolic verifier over
+# every machine; a checked bench exits 1 on any finding), ASan/UBSan
+# build + tests, a determinism sweep over all benchmark binaries
+# (docs/determinism.md) that also enforces every figure bench's paper
+# claims (EXPERIMENTS.md), the symbolic verifier over
 # its corpus and over every DEV the bench suite caches
 # (docs/verification.md), the simulator scale stage (1024-rank smoke +
 # throughput baseline gate; docs/simulator.md), the flow-latency stage
@@ -29,7 +30,9 @@ run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure -j "$JOBS"
 
 # 2. Checking on by default: every machine in the suite gets the hazard
-#    detector + DEV invariant checker attached.
+#    detector + DEV invariant checker attached, and every bench ctest
+#    entry exits 1 on any hazard or DEV violation it records
+#    (docs/checking.md).
 run cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGPUDDT_CHECK=ON
 run cmake --build build-check -j "$JOBS"

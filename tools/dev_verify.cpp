@@ -192,7 +192,7 @@ void mutate_units(Mutate m, std::mt19937& rng,
   }
 }
 
-void write_report(std::string& out, const Report& rep) {
+void append_report(std::string& out, const Report& rep) {
   out += "    {\"subject\": \"" + gpuddt::obs::json::escape(rep.subject) +
          "\",\n     \"certified\": ";
   out += rep.certified() ? "true" : "false";
@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
   for (const Report& r : reports) {
     out += first ? "\n" : ",\n";
     first = false;
-    write_report(out, r);
+    append_report(out, r);
   }
   out += "\n  ]\n}\n";
 
