@@ -167,12 +167,7 @@ std::int64_t pack_once(sg::HostContext& ctx, core::GpuDatatypeEngine& eng,
   std::memset(src, 0, static_cast<std::size_t>(span));
   auto op = eng.start(core::GpuDatatypeEngine::Dir::kPack, dt, count,
                       src - dt->true_lb());
-  while (!op->done()) {
-    const auto r =
-        eng.process_some(*op, packed + op->bytes_done(), 256 << 10);
-    if (r.bytes == 0) break;
-  }
-  eng.finish(*op);
+  eng.drain(*op, packed, 0, 256 << 10);
   sg::Free(ctx, src);
   sg::Free(ctx, packed);
   return total;
@@ -180,7 +175,9 @@ std::int64_t pack_once(sg::HostContext& ctx, core::GpuDatatypeEngine& eng,
 
 void BM_DDTZoo_Capacity(benchmark::State& state) {
   const std::int64_t cap_bytes = state.range(0) * 1024;
+  const obs::Registry& reg = obs::default_recorder().metrics();
   for (auto _ : state) {
+    const std::int64_t dedup0 = reg.value("dev_cache.shape_dedup.hits");
     sg::Machine m{bench_machine()};
     sg::HostContext ctx(m, 0);
     core::EngineConfig cfg;
@@ -199,8 +196,8 @@ void BM_DDTZoo_Capacity(benchmark::State& state) {
         static_cast<double>(cache.hits() + cache.misses());
     state.counters["hit_rate"] = benchmark::Counter(
         lookups > 0 ? static_cast<double>(cache.hits()) / lookups : 0.0);
-    state.counters["dedup_hits"] =
-        benchmark::Counter(static_cast<double>(cache.shape_dedup_hits()));
+    state.counters["dedup_hits"] = benchmark::Counter(static_cast<double>(
+        reg.value("dev_cache.shape_dedup.hits") - dedup0));
     state.counters["evictions"] =
         benchmark::Counter(static_cast<double>(cache.evictions()));
     state.counters["desc_KB"] = benchmark::Counter(

@@ -68,16 +68,7 @@ PackOutcome pack_gpu_kernel(core::GpuDatatypeEngine& eng,
   const vt::Time t0 = ctx.clock.now();
   auto op = eng.start(core::GpuDatatypeEngine::Dir::kPack, dt, count,
                       const_cast<void*>(dev_buf));
-  vt::Time last = t0;
-  while (!op->done()) {
-    const auto res =
-        eng.process_some(*op, dev_packed + op->bytes_done(),
-                         dt->size() * count - op->bytes_done());
-    if (res.bytes == 0) break;
-    last = res.ready;
-  }
-  eng.finish(*op);
-  ctx.clock.wait_until(last);
+  ctx.clock.wait_until(eng.drain(*op, dev_packed).ready);
   return {ctx.clock.now() - t0, dev_packed, false};
 }
 

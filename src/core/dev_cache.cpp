@@ -66,7 +66,6 @@ const DevCache::Entry* DevCache::find(const mpi::DatatypePtr& dt,
   if (it->second.entry->first_type_id != dt->type_id()) {
     // Served to a different instance than the one that compiled it: the
     // shape keying just saved a full conversion + upload.
-    ++shape_dedup_hits_;
     obs::count(rec_, "dev_cache.shape_dedup.hits");
   }
   touch(it->second);
@@ -103,8 +102,6 @@ const DevCache::Entry* DevCache::insert(sg::HostContext& ctx,
       // device uploads). Count the coalesce when another instance of the
       // shape raced the fill.
       if (e.first_type_id != dt->type_id()) {
-        ++shape_dedup_coalesced_;
-        shape_dedup_bytes_saved_ += entry_bytes(e);
         obs::count(rec_, "dev_cache.shape_dedup.inserts_coalesced");
         obs::count(rec_, "dev_cache.shape_dedup.bytes_saved",
                    entry_bytes(e));
@@ -180,7 +177,6 @@ void DevCache::evict_if_needed(sg::HostContext& ctx) {
     }
     const std::int64_t freed = entry_bytes(*it->second.entry);
     bytes_ -= freed;
-    evictions_bytes_ += freed;
     entries_.erase(it);
     ++evictions_;
     obs::count(rec_, "dev_cache.evictions");

@@ -61,8 +61,8 @@ class DevCache {
 
   /// Validate every inserted unit list against the datatype's bounds
   /// (check::validate_dev_list); throws check::InvariantViolation on a
-  /// corrupt list. Off by default; the engine wires it to its own
-  /// validate_devs setting.
+  /// corrupt list. Off by default; the engine turns it on when its
+  /// machine runs under the access checker.
   void set_validation(bool on) { validate_ = on; }
 
   /// Look up a converted array; nullptr on miss.
@@ -88,18 +88,6 @@ class DevCache {
   std::uint64_t evictions() const { return evictions_; }
   /// Current summed descriptor footprint of the resident entries.
   std::int64_t bytes() const { return bytes_; }
-  /// Descriptor bytes released by evictions so far.
-  std::int64_t evictions_bytes() const { return evictions_bytes_; }
-  /// Hits served to a different type instance than the one that filled
-  /// the entry (the shape-keying win; dev_cache.shape_dedup.hits).
-  std::uint64_t shape_dedup_hits() const { return shape_dedup_hits_; }
-  /// Inserts coalesced onto a resident entry of the same shape from a
-  /// different instance (dev_cache.shape_dedup.inserts_coalesced).
-  std::uint64_t shape_dedup_coalesced() const { return shape_dedup_coalesced_; }
-  /// Descriptor bytes those coalesced inserts did not duplicate.
-  std::int64_t shape_dedup_bytes_saved() const {
-    return shape_dedup_bytes_saved_;
-  }
 
   /// Cache keys (shape digests) from most- to least-recently used
   /// (tests, introspection).
@@ -140,10 +128,6 @@ class DevCache {
   std::size_t max_entries_;
   std::int64_t max_bytes_ = 0;  // 0 = no byte bound
   std::int64_t bytes_ = 0;
-  std::int64_t evictions_bytes_ = 0;
-  mutable std::uint64_t shape_dedup_hits_ = 0;
-  std::uint64_t shape_dedup_coalesced_ = 0;
-  std::int64_t shape_dedup_bytes_saved_ = 0;
   std::unordered_map<Key, Node, KeyHash> entries_;
   mutable std::list<Key> lru_;  // front = most recent
   mutable std::uint64_t hits_ = 0;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "check/dev_invariants.h"
+#include "mpi/pml.h"
 #include "obs/recorder.h"
 
 namespace gpuddt::core {
@@ -33,8 +34,9 @@ GpuDatatypeEngine::GpuDatatypeEngine(sg::HostContext& ctx, EngineConfig cfg)
     throw std::invalid_argument("EngineConfig: zero conversion chunk");
   cache_.set_recorder(cfg_.recorder);
   cache_.set_max_bytes(cfg_.cache_max_bytes);
-  validate_ = cfg_.validate_devs >= 0 ? cfg_.validate_devs != 0
-                                      : ctx.machine->observer() != nullptr;
+  // DEV windows and cached lists are validated whenever the machine runs
+  // under the access checker (docs/checking.md).
+  validate_ = ctx.machine->observer() != nullptr;
   cache_.set_validation(validate_);
 }
 
@@ -77,6 +79,28 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_some(
   if (op.done() || max_bytes <= 0) return {0, kernel_stream_.tail()};
   if (op.pattern_) return process_vector(op, contig, max_bytes, dep);
   return process_dev(op, contig, max_bytes, dep);
+}
+
+GpuDatatypeEngine::Result GpuDatatypeEngine::drain(Op& op, void* contig,
+                                                   vt::Time dep,
+                                                   std::int64_t chunk,
+                                                   DrainFlow flow,
+                                                   std::int64_t limit) {
+  const std::int64_t end =
+      limit < 0 ? op.total_ : std::min(op.total_, op.pos_ + limit);
+  Result out{0, dep};
+  for (std::int64_t k = 0; op.pos_ < end; ++k) {
+    if (flow.rank >= 0) op.flow_ = mpi::frag_flow(flow.rank, flow.id, k);
+    const std::int64_t left = end - op.pos_;
+    const Result r =
+        process_some(op, static_cast<std::byte*>(contig) + op.pos_,
+                     chunk > 0 ? std::min(chunk, left) : left, dep);
+    if (r.bytes == 0) break;
+    out.bytes += r.bytes;
+    out.ready = r.ready;
+  }
+  finish(op);
+  return out;
 }
 
 void GpuDatatypeEngine::stage_all(Op& op) {

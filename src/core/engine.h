@@ -1,8 +1,11 @@
 // The GPU datatype engine - the paper's core contribution (Section 3).
 //
 // One engine per MPI rank. It packs / unpacks non-contiguous GPU-resident
-// datatypes incrementally ("a fragment at a time"), which is what the
-// pipelined protocols of Section 4 build on:
+// datatypes incrementally ("a fragment at a time"): the pipelined
+// protocols of Section 4 interleave process_some() calls with their
+// transfers, and every caller that moves one whole message (MPI_Pack, the
+// eager tier, the handshake shortcuts, SHMEM, RMA) goes through drain().
+// Each op takes one of three paths:
 //
 //   * vector fast path: layouts expressible as blocklen/stride go straight
 //     to the specialized kernel, no descriptor conversion at all (S3.1);
@@ -61,10 +64,14 @@ struct EngineConfig {
   /// the Chrome export groups engine stages under the right rank process.
   /// -1 (standalone engines) falls back to the device id.
   std::int32_t trace_pid = -1;
-  /// Validate every DEV window and cached list against the datatype's
-  /// bounds before launch (docs/checking.md). Tri-state: -1 follows the
-  /// machine's access checker (on when an observer is attached), 0/1 force.
-  int validate_devs = -1;
+};
+
+/// Flow stamping for GpuDatatypeEngine::drain(): chunk k of the op runs
+/// under mpi::frag_flow(rank, id, k). A negative rank leaves the op's flow
+/// as it is.
+struct DrainFlow {
+  int rank = -1;
+  std::uint64_t id = 0;
 };
 
 class GpuDatatypeEngine {
@@ -160,6 +167,14 @@ class GpuDatatypeEngine {
   Result process_some(Op& op, void* contig, std::int64_t max_bytes,
                       vt::Time dep = 0);
 
+  /// Process `op` against `contig` (its packed byte 0) until `limit` more
+  /// packed bytes are done (-1: the whole op), in process_some calls of at
+  /// most `chunk` bytes (0: one call), each ordered after `dep`; then
+  /// finish(op). Returns the bytes moved and the last completion (`dep` if
+  /// nothing ran).
+  Result drain(Op& op, void* contig, vt::Time dep = 0, std::int64_t chunk = 0,
+               DrainFlow flow = {}, std::int64_t limit = -1);
+
   /// Batch submission, stage 1 (stream-triggered chains): convert the
   /// op's ENTIRE unit list now - charging the full host conversion cost at
   /// this call, i.e. at chain-enqueue time - and upload it to one device
@@ -235,7 +250,7 @@ class GpuDatatypeEngine {
   sg::Stream upload_stream_;
   sg::Stream residue_stream_;  // used only with residue_separate_stream
   DevCache cache_;
-  bool validate_ = false;  // resolved EngineConfig::validate_devs
+  bool validate_ = false;  // DEV validation: on under the access checker
 };
 
 }  // namespace gpuddt::core

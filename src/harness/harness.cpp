@@ -104,14 +104,7 @@ PackBenchResult run_pack_bench(const PackBenchSpec& spec) {
     auto pack = eng.start(Dir::kPack, spec.dt, spec.count, base);
     std::byte* target = spec.target == PackTarget::kZeroCopy ? host_packed
                                                              : dev_packed;
-    vt::Time last = t0;
-    while (!pack->done()) {
-      const auto r = eng.process_some(*pack, target + pack->bytes_done(),
-                                      total - pack->bytes_done());
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    eng.finish(*pack);
+    vt::Time last = eng.drain(*pack, target).ready;
     if (spec.target == PackTarget::kDeviceHost) {
       last = sg::MemcpyAsync(ctx, host_packed, dev_packed,
                              static_cast<std::size_t>(total),
@@ -127,20 +120,10 @@ PackBenchResult run_pack_bench(const PackBenchSpec& spec) {
                             static_cast<std::size_t>(total),
                             eng.pack_stream());
     }
-    const std::byte* source =
+    std::byte* source =
         spec.target == PackTarget::kZeroCopy ? host_packed : dev_packed;
     auto unpack = eng.start(Dir::kUnpack, spec.dt, spec.count, base);
-    vt::Time ready = dep;
-    while (!unpack->done()) {
-      const auto r = eng.process_some(
-          *unpack,
-          const_cast<std::byte*>(source) + unpack->bytes_done(),
-          total - unpack->bytes_done(), dep);
-      if (r.bytes == 0) break;
-      ready = r.ready;
-    }
-    eng.finish(*unpack);
-    ctx.clock.wait_until(ready);
+    ctx.clock.wait_until(eng.drain(*unpack, source, dep).ready);
   };
 
   for (int w = 0; w < spec.warmup; ++w) run_once(false, nullptr);

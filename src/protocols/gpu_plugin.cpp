@@ -55,6 +55,8 @@ H read_header(const mpi::AmMessage& m) {
 // span for the duration of the handler (simgpu/staging.h).
 using sg::ScopedStagingRegistration;
 
+using Dir = core::GpuDatatypeEngine::Dir;
+
 core::EngineConfig engine_config(const mpi::RuntimeConfig& cfg,
                                  std::int32_t trace_pid) {
   core::EngineConfig e;
@@ -157,10 +159,32 @@ std::int64_t GpuDatatypePlugin::pack(mpi::Process& p, const void* inbuf,
                                      const mpi::DatatypePtr& dt,
                                      std::span<std::byte> outbuf,
                                      std::int64_t* position) {
+  return pack_unpack(p, Dir::kPack, const_cast<void*>(inbuf), count, dt,
+                     outbuf, position);
+}
+
+std::int64_t GpuDatatypePlugin::unpack(mpi::Process& p,
+                                       std::span<const std::byte> inbuf,
+                                       std::int64_t* position, void* outbuf,
+                                       std::int64_t count,
+                                       const mpi::DatatypePtr& dt) {
+  return pack_unpack(
+      p, Dir::kUnpack, outbuf, count, dt,
+      {const_cast<std::byte*>(inbuf.data()), inbuf.size()}, position);
+}
+
+std::int64_t GpuDatatypePlugin::pack_unpack(mpi::Process& p, Dir dir,
+                                            void* user, std::int64_t count,
+                                            const mpi::DatatypePtr& dt,
+                                            std::span<std::byte> packed,
+                                            std::int64_t* position) {
+  const bool is_pack = dir == Dir::kPack;
   const std::int64_t total = dt->size() * count;
-  if (*position + total > static_cast<std::int64_t>(outbuf.size()))
-    throw std::invalid_argument("pack: output buffer too small");
-  std::byte* out = outbuf.data() + *position;
+  if (*position + total > static_cast<std::int64_t>(packed.size())) {
+    throw std::invalid_argument(is_pack ? "pack: output buffer too small"
+                                        : "unpack: input buffer too small");
+  }
+  std::byte* contig = packed.data() + *position;
   // Standalone packs are flows of their own when the latency engine is
   // on: one PML request id per call keys the flow (and stamps the engine
   // spans), so explicit pack/unpack classes are directly comparable to
@@ -169,73 +193,19 @@ std::int64_t GpuDatatypePlugin::pack(mpi::Process& p, const void* inbuf,
   const bool track = rec != nullptr && rec->flowstats().enabled();
   const std::uint64_t id = track ? p.pml().allocate_id() : 0;
   const vt::Time begin = p.clock().now();
-  if (p.runtime().machine().is_device_ptr(inbuf)) {
+  if (p.runtime().machine().is_device_ptr(user)) {
     core::GpuDatatypeEngine& eng = engine(p);
-    auto op = eng.start(core::GpuDatatypeEngine::Dir::kPack, dt, count,
-                        const_cast<void*>(inbuf));
-    vt::Time last = p.clock().now();
-    std::int64_t frag = 0;
-    while (!op->done()) {
-      if (track) op->set_flow(mpi::frag_flow(p.rank(), id, frag++));
-      const auto r =
-          eng.process_some(*op, out + op->bytes_done(), total);
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    eng.finish(*op);
-    p.clock().wait_until(last);
+    auto op = eng.start(dir, dt, count, user);
+    p.clock().wait_until(
+        eng.drain(*op, contig, 0, 0, {track ? p.rank() : -1, id}).ready);
   } else {
-    const mpi::PackStats st = mpi::cpu_pack(
-        dt, count, inbuf,
-        std::span<std::byte>(out, static_cast<std::size_t>(total)));
-    p.pml().charge_cpu_pack(st);
+    const std::span<std::byte> bytes(contig, static_cast<std::size_t>(total));
+    p.pml().charge_cpu_pack(is_pack ? mpi::cpu_pack(dt, count, user, bytes)
+                                    : mpi::cpu_unpack(dt, count, bytes, user));
   }
   if (track) {
-    rec->flowstats().complete({mpi::frag_flow(p.rank(), id, 0), "pack",
-                               dt->shape_digest(), total, begin,
-                               p.clock().now(), 1});
-  }
-  *position += total;
-  return total;
-}
-
-std::int64_t GpuDatatypePlugin::unpack(mpi::Process& p,
-                                       std::span<const std::byte> inbuf,
-                                       std::int64_t* position, void* outbuf,
-                                       std::int64_t count,
-                                       const mpi::DatatypePtr& dt) {
-  const std::int64_t total = dt->size() * count;
-  if (*position + total > static_cast<std::int64_t>(inbuf.size()))
-    throw std::invalid_argument("unpack: input buffer too small");
-  const std::byte* in = inbuf.data() + *position;
-  obs::Recorder* rec = p.config().recorder;
-  const bool track = rec != nullptr && rec->flowstats().enabled();
-  const std::uint64_t id = track ? p.pml().allocate_id() : 0;
-  const vt::Time begin = p.clock().now();
-  if (p.runtime().machine().is_device_ptr(outbuf)) {
-    core::GpuDatatypeEngine& eng = engine(p);
-    auto op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, dt, count,
-                        outbuf);
-    vt::Time last = p.clock().now();
-    std::int64_t frag = 0;
-    while (!op->done()) {
-      if (track) op->set_flow(mpi::frag_flow(p.rank(), id, frag++));
-      const auto r = eng.process_some(
-          *op, const_cast<std::byte*>(in) + op->bytes_done(), total);
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    eng.finish(*op);
-    p.clock().wait_until(last);
-  } else {
-    const mpi::PackStats st = mpi::cpu_unpack(
-        dt, count,
-        std::span<const std::byte>(in, static_cast<std::size_t>(total)),
-        outbuf);
-    p.pml().charge_cpu_pack(st);
-  }
-  if (track) {
-    rec->flowstats().complete({mpi::frag_flow(p.rank(), id, 0), "unpack",
+    rec->flowstats().complete({mpi::frag_flow(p.rank(), id, 0),
+                               is_pack ? "pack" : "unpack",
                                dt->shape_digest(), total, begin,
                                p.clock().now(), 1});
   }
@@ -254,16 +224,9 @@ void GpuDatatypePlugin::send_start(mpi::Process& p, mpi::SendRequest& req) {
     core::GpuDatatypeEngine& eng = engine(p);
     auto* bounce = static_cast<std::byte*>(sg::HostAlloc(
         p.gpu(), static_cast<std::size_t>(req.total_bytes + 1), true));
-    auto op = eng.start(core::GpuDatatypeEngine::Dir::kPack, req.dt,
-                        req.count, const_cast<void*>(req.buf));
-    vt::Time ready = p.clock().now();
-    while (!op->done()) {
-      const auto r = eng.process_some(*op, bounce + op->bytes_done(),
-                                      req.total_bytes);
-      if (r.bytes == 0) break;
-      ready = r.ready;
-    }
-    eng.finish(*op);
+    auto op = eng.start(Dir::kPack, req.dt, req.count,
+                        const_cast<void*>(req.buf));
+    const vt::Time ready = eng.drain(*op, bounce).ready;
     p.pml().send_packed_eager(
         req.env,
         std::span<const std::byte>(bounce,
@@ -352,8 +315,8 @@ void GpuDatatypePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
             static_cast<std::byte*>(sg::HostAlloc(p.gpu(), ring, false));
       }
       st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
-      st->op = eng.start(core::GpuDatatypeEngine::Dir::kPack, req.dt,
-                         req.count, const_cast<void*>(req.buf));
+      st->op = eng.start(Dir::kPack, req.dt, req.count,
+                         const_cast<void*>(req.buf));
       pump_host_send(p, req);
       return;
     }
@@ -365,8 +328,8 @@ void GpuDatatypePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
             static_cast<std::byte*>(open_handle(p, cts.handle));
         st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
       }
-      st->op = eng.start(core::GpuDatatypeEngine::Dir::kPack, req.dt,
-                         req.count, const_cast<void*>(req.buf));
+      st->op = eng.start(Dir::kPack, req.dt, req.count,
+                         const_cast<void*>(req.buf));
       pump_rdma_send(p, req);
       return;
     }
@@ -376,18 +339,11 @@ void GpuDatatypePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
       std::byte* remote_base =
           static_cast<std::byte*>(open_handle(p, cts.handle));
       std::byte* remote = remote_base + cts.remote_disp;
-      st->op = eng.start(core::GpuDatatypeEngine::Dir::kPack, req.dt,
-                         req.count, const_cast<void*>(req.buf));
-      vt::Time last = 0;
-      std::int64_t frag_idx = 0;
-      while (!st->op->done()) {
-        st->op->set_flow(mpi::frag_flow(p.rank(), req.id, frag_idx++));
-        const auto res = eng.process_some(
-            *st->op, remote + st->op->bytes_done(), st->frag_bytes);
-        if (res.bytes == 0) break;
-        last = res.ready;
-      }
-      eng.finish(*st->op);
+      st->op = eng.start(Dir::kPack, req.dt, req.count,
+                         const_cast<void*>(req.buf));
+      const vt::Time last =
+          eng.drain(*st->op, remote, 0, st->frag_bytes, {p.rank(), req.id})
+              .ready;
       FinHeader fin;
       fin.req_id = cts.recv_id;
       fin.to_sender = 0;
@@ -436,7 +392,7 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
   core::GpuDatatypeEngine& reng = engine(rp);
   mpi::Btl& btl = p.runtime().btl_between(p.rank(), req.env.dst);
 
-  st->op = eng.start(core::GpuDatatypeEngine::Dir::kPack, req.dt, req.count,
+  st->op = eng.start(Dir::kPack, req.dt, req.count,
                      const_cast<void*>(req.buf));
   eng.stage_all(*st->op);  // full conversion charged now, at CTS time
 
@@ -691,8 +647,7 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
             static_cast<std::int64_t>(btl.max_am_payload() -
                                       sizeof(FragHeader))),
         cfg.dev_unit_bytes);
-    st->op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, req.dt,
-                       req.count, req.buf);
+    st->op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
     if (!cfg.zero_copy) {
       st->gpu_bounce_bytes = st->frag_bytes;
       st->gpu_bounce = static_cast<std::byte*>(
@@ -745,8 +700,7 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
   // Full pipelined RDMA protocol.
   st->frag_bytes = rts.frag_bytes;
   st->depth = rts.depth;
-  st->op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, req.dt,
-                     req.count, req.buf);
+  st->op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
 
   const bool stream_triggered =
       mpi::stream_triggered_switch.enabled(cfg.stream_triggered);
@@ -842,8 +796,7 @@ void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
   const bool same_device = remote_attr.space == sg::MemorySpace::kDevice &&
                            remote_attr.device == p.gpu().device;
   if (!req.dt->is_contiguous(req.count) && st->op == nullptr) {
-    st->op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, req.dt,
-                       req.count, req.buf);
+    st->op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
   }
   vt::Time last = arrival;
 
@@ -868,17 +821,9 @@ void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
   } else if (same_device || !cfg.recv_local_staging) {
     // Unpack straight out of the exposed source (fast when same device,
     // the slower remote-read option otherwise).
-    std::int64_t idx = 0;
-    while (st->op->bytes_done() < req.total_bytes) {
-      const std::int64_t n = std::min<std::int64_t>(
-          st->frag_bytes, req.total_bytes - st->op->bytes_done());
-      st->op->set_flow(mpi::frag_flow(st->src_rank, st->send_id, idx++));
-      const auto res = eng.process_some(
-          *st->op, st->remote + st->op->bytes_done(), n, arrival);
-      if (res.bytes == 0) break;
-      last = res.ready;
-    }
-    eng.finish(*st->op);
+    last = eng.drain(*st->op, st->remote, arrival, st->frag_bytes,
+                     {st->src_rank, st->send_id}, req.total_bytes)
+               .ready;
   } else {
     // Pipelined: get fragments into a local ring, unpack behind the gets.
     st->local_staging = static_cast<std::byte*>(
@@ -1085,26 +1030,23 @@ void GpuDatatypePlugin::recv_eager(mpi::Process& p, mpi::RecvRequest& req,
                                    std::span<const std::byte> data,
                                    vt::Time arrival) {
   core::GpuDatatypeEngine& eng = engine(p);
-  auto op = eng.start(core::GpuDatatypeEngine::Dir::kUnpack, req.dt,
-                      req.count, req.buf);
+  auto op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
   // Eager messages skip the rendezvous, so there is no RTS-carried
-  // send_id to derive a cross-rank frag_flow from; stamp the unpack
-  // spans flow-less explicitly rather than fabricating a colliding id.
-  op->set_flow(0);
-  vt::Time last = arrival;
-  if (!data.empty()) {
+  // send_id to derive a cross-rank frag_flow from; the unpack spans stay
+  // flow-less rather than fabricating a colliding id. The posted layout
+  // may be larger than the message: only data.size() bytes move.
+  const auto n = static_cast<std::int64_t>(data.size());
+  core::GpuDatatypeEngine::Result res;
+  {
     ScopedStagingRegistration staging(p.runtime().machine(), data.data(),
                                       data.size());
-    const auto res = eng.process_some(
-        *op, const_cast<std::byte*>(data.data()),
-        static_cast<std::int64_t>(data.size()), arrival);
-    if (res.bytes != static_cast<std::int64_t>(data.size()))
-      throw std::runtime_error("gpu plugin: eager unpack size mismatch");
-    last = res.ready;
+    res = eng.drain(*op, const_cast<std::byte*>(data.data()), arrival, 0, {},
+                    n);
   }
-  eng.finish(*op);
-  req.total_bytes = static_cast<std::int64_t>(data.size());
-  p.clock().wait_until(last);
+  if (res.bytes != n)
+    throw std::runtime_error("gpu plugin: eager unpack size mismatch");
+  req.total_bytes = n;
+  p.clock().wait_until(res.ready);
   p.pml().complete_recv(req);
 }
 

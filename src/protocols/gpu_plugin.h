@@ -85,6 +85,13 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
   struct RecvState;
 
   PerRank& per_rank(mpi::Process& p);
+  /// pack() and unpack(): move (dt, count) at `user` to (kPack) or from
+  /// (kUnpack) `packed` at byte *position.
+  std::int64_t pack_unpack(mpi::Process& p, core::GpuDatatypeEngine::Dir dir,
+                           void* user, std::int64_t count,
+                           const mpi::DatatypePtr& dt,
+                           std::span<std::byte> packed,
+                           std::int64_t* position);
   void* open_handle(mpi::Process& p, const sg::IpcMemHandle& h);
 
   /// Pack and publish fragments while the staging window has room

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "obs/recorder.h"
 #include "simgpu/staging.h"
@@ -39,8 +40,6 @@ void record_rma(mpi::Comm& comm, const char* op, vt::Time begin,
       *rec, {"rma", op, begin, end, comm.rank(), bytes, flow, shape, 1});
 }
 }  // namespace
-
-using Dir = core::GpuDatatypeEngine::Dir;
 
 Window::Window(mpi::Comm comm, void* base, std::int64_t bytes)
     : comm_(comm), coll_(comm) {
@@ -91,59 +90,23 @@ std::byte* Window::target_ptr(int target, std::int64_t disp,
   return bases_[static_cast<std::size_t>(target)] + disp;
 }
 
-vt::Time Window::pack_to(const void* buf, std::int64_t count,
-                         const mpi::DatatypePtr& dt, std::byte* out,
-                         vt::Time dep, std::uint64_t flow_id) {
+vt::Time Window::pack_unpack(Dir dir, void* buf, std::int64_t count,
+                             const mpi::DatatypePtr& dt, std::byte* packed,
+                             vt::Time dep, std::uint64_t flow_id) {
   mpi::Process& p = comm_.process();
-  const std::int64_t total = dt->size() * count;
   if (p.runtime().machine().is_device_ptr(buf)) {
-    auto op = engine_->start(Dir::kPack, dt, count, const_cast<void*>(buf));
+    auto op = engine_->start(dir, dt, count, buf);
     // Fragment flow ids (docs/tracing.md): both halves of one one-sided
     // op stamp the op-level request id its caller drew from the PML's
     // counter, so their engine spans join the same flow grammar as
     // point-to-point fragments - and the same logical flow as each other.
-    std::int64_t frag = 0;
-    vt::Time last = dep;
-    while (!op->done()) {
-      op->set_flow(mpi::frag_flow(p.rank(), flow_id, frag++));
-      const auto r =
-          engine_->process_some(*op, out + op->bytes_done(), total, dep);
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    engine_->finish(*op);
-    return last;
+    return engine_->drain(*op, packed, dep, 0, {p.rank(), flow_id}).ready;
   }
-  const mpi::PackStats st = mpi::cpu_pack(
-      dt, count, buf,
-      std::span<std::byte>(out, static_cast<std::size_t>(total)));
-  p.pml().charge_cpu_pack(st);
-  return std::max(dep, p.clock().now());
-}
-
-vt::Time Window::unpack_from(const std::byte* in, void* buf,
-                             std::int64_t count, const mpi::DatatypePtr& dt,
-                             vt::Time dep, std::uint64_t flow_id) {
-  mpi::Process& p = comm_.process();
-  const std::int64_t total = dt->size() * count;
-  if (p.runtime().machine().is_device_ptr(buf)) {
-    auto op = engine_->start(Dir::kUnpack, dt, count, buf);
-    std::int64_t frag = 0;
-    vt::Time last = dep;
-    while (!op->done()) {
-      op->set_flow(mpi::frag_flow(p.rank(), flow_id, frag++));
-      const auto r = engine_->process_some(
-          *op, const_cast<std::byte*>(in) + op->bytes_done(), total, dep);
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    engine_->finish(*op);
-    return last;
-  }
-  const mpi::PackStats st = mpi::cpu_unpack(
-      dt, count,
-      std::span<const std::byte>(in, static_cast<std::size_t>(total)), buf);
-  p.pml().charge_cpu_pack(st);
+  const std::span<std::byte> bytes(
+      packed, static_cast<std::size_t>(dt->size() * count));
+  p.pml().charge_cpu_pack(dir == Dir::kPack
+                              ? mpi::cpu_pack(dt, count, buf, bytes)
+                              : mpi::cpu_unpack(dt, count, bytes, buf));
   return std::max(dep, p.clock().now());
 }
 
@@ -151,60 +114,41 @@ void Window::put(const void* origin, std::int64_t origin_count,
                  const mpi::DatatypePtr& origin_dt, int target,
                  std::int64_t target_disp, std::int64_t target_count,
                  const mpi::DatatypePtr& target_dt) {
-  const std::int64_t total = origin_dt->size() * origin_count;
-  if (total != target_dt->size() * target_count)
-    throw std::invalid_argument("Window::put: size mismatch");
-  if (total == 0) return;
-  std::byte* tptr = target_ptr(
-      target, target_disp,
-      target_dt->true_lb() + target_dt->true_extent() +
-          (target_count - 1) * target_dt->extent());
-  mpi::Process& p = comm_.process();
-  const vt::Time t_begin = p.clock().now();
-  // Stage through a contiguous buffer on the origin's device (or host if
-  // neither side is device-resident): pack, then scatter into the target
-  // layout - both halves driven by the origin.
-  const bool any_device = p.runtime().machine().is_device_ptr(origin) ||
-                          p.runtime().machine().is_device_ptr(tptr);
-  std::byte* staging;
-  std::vector<std::byte> host_staging;
-  if (any_device) {
-    staging = static_cast<std::byte*>(
-        sg::Malloc(p.gpu(), static_cast<std::size_t>(total)));
-  } else {
-    host_staging.resize(static_cast<std::size_t>(total));
-    staging = host_staging.data();
-  }
-  const std::uint64_t op_id = p.pml().allocate_id();
-  const vt::Time packed = pack_to(origin, origin_count, origin_dt, staging,
-                                  p.clock().now(), op_id);
-  const vt::Time done =
-      unpack_from(staging, tptr, target_count, target_dt, packed, op_id);
-  epoch_horizon_ = std::max(epoch_horizon_, done);
-  record_rma(comm_, "put", t_begin, done, total,
-             origin_dt->is_contiguous(origin_count) &&
-                 target_dt->is_contiguous(target_count),
-             any_device, mpi::frag_flow(p.rank(), op_id, 0),
-             target_dt->shape_digest());
-  if (any_device) sg::Free(p.gpu(), staging);
+  transfer(/*is_get=*/false,
+           {const_cast<void*>(origin), origin_count, origin_dt}, target,
+           target_disp, target_count, target_dt);
 }
 
 void Window::get(void* origin, std::int64_t origin_count,
                  const mpi::DatatypePtr& origin_dt, int target,
                  std::int64_t target_disp, std::int64_t target_count,
                  const mpi::DatatypePtr& target_dt) {
-  const std::int64_t total = origin_dt->size() * origin_count;
-  if (total != target_dt->size() * target_count)
-    throw std::invalid_argument("Window::get: size mismatch");
+  transfer(/*is_get=*/true, {origin, origin_count, origin_dt}, target,
+           target_disp, target_count, target_dt);
+}
+
+void Window::transfer(bool is_get, Layout origin, int target,
+                      std::int64_t target_disp, std::int64_t target_count,
+                      const mpi::DatatypePtr& target_dt) {
+  const char* name = is_get ? "get" : "put";
+  const std::int64_t total = origin.dt->size() * origin.count;
+  if (total != target_dt->size() * target_count) {
+    throw std::invalid_argument(std::string("Window::") + name +
+                                ": size mismatch");
+  }
   if (total == 0) return;
-  std::byte* tptr = target_ptr(
-      target, target_disp,
-      target_dt->true_lb() + target_dt->true_extent() +
-          (target_count - 1) * target_dt->extent());
+  const Layout tgt{target_ptr(target, target_disp,
+                              target_dt->true_lb() + target_dt->true_extent() +
+                                  (target_count - 1) * target_dt->extent()),
+                   target_count, target_dt};
   mpi::Process& p = comm_.process();
   const vt::Time t_begin = p.clock().now();
-  const bool any_device = p.runtime().machine().is_device_ptr(origin) ||
-                          p.runtime().machine().is_device_ptr(tptr);
+  // Stage through a contiguous buffer on the origin's device (or host if
+  // neither side is device-resident): pack, then scatter into the other
+  // layout - both halves driven by the origin. A put packs the origin, a
+  // get packs the target.
+  const bool any_device = p.runtime().machine().is_device_ptr(origin.buf) ||
+                          p.runtime().machine().is_device_ptr(tgt.buf);
   std::byte* staging;
   std::vector<std::byte> host_staging;
   if (any_device) {
@@ -214,15 +158,18 @@ void Window::get(void* origin, std::int64_t origin_count,
     host_staging.resize(static_cast<std::size_t>(total));
     staging = host_staging.data();
   }
+  const Layout& from = is_get ? tgt : origin;
+  const Layout& to = is_get ? origin : tgt;
   const std::uint64_t op_id = p.pml().allocate_id();
-  const vt::Time fetched = pack_to(tptr, target_count, target_dt, staging,
-                                   p.clock().now(), op_id);
-  const vt::Time done =
-      unpack_from(staging, origin, origin_count, origin_dt, fetched, op_id);
+  const vt::Time packed = pack_unpack(Dir::kPack, from.buf, from.count, from.dt,
+                                      staging, p.clock().now(), op_id);
+  const vt::Time done = pack_unpack(Dir::kUnpack, to.buf, to.count, to.dt,
+                                    staging, packed, op_id);
   epoch_horizon_ = std::max(epoch_horizon_, done);
-  p.clock().wait_until(done);  // a get is locally complete when it returns
-  record_rma(comm_, "get", t_begin, done, total,
-             origin_dt->is_contiguous(origin_count) &&
+  // A get is locally complete when it returns.
+  if (is_get) p.clock().wait_until(done);
+  record_rma(comm_, name, t_begin, done, total,
+             origin.dt->is_contiguous(origin.count) &&
                  target_dt->is_contiguous(target_count),
              any_device, mpi::frag_flow(p.rank(), op_id, 0),
              target_dt->shape_digest());
@@ -260,10 +207,12 @@ void Window::accumulate(const void* origin, std::int64_t origin_count,
   sg::ScopedStagingRegistration reg_theirs(
       p.runtime().machine(), theirs.data(), theirs.size());
   const std::uint64_t op_id = p.pml().allocate_id();
-  const vt::Time t1 = pack_to(origin, origin_count, origin_dt, ours.data(),
-                              p.clock().now(), op_id);
-  const vt::Time t2 = pack_to(tptr, target_count, target_dt, theirs.data(),
-                              std::max(t1, p.clock().now()), op_id);
+  const vt::Time t1 =
+      pack_unpack(Dir::kPack, const_cast<void*>(origin), origin_count,
+                  origin_dt, ours.data(), p.clock().now(), op_id);
+  const vt::Time t2 =
+      pack_unpack(Dir::kPack, tptr, target_count, target_dt, theirs.data(),
+                  std::max(t1, p.clock().now()), op_id);
   // Element-wise combine (host ALU; ~4 GB/s like the collectives). Ranks
   // run one at a time and nothing here suspends, so the read-modify-write
   // is as atomic as MPI requires.
@@ -301,7 +250,7 @@ void Window::accumulate(const void* origin, std::int64_t origin_count,
   }
   p.clock().advance(vt::transfer_time(total, 4.0));
   const vt::Time done =
-      unpack_from(theirs.data(), tptr, target_count, target_dt,
+      pack_unpack(Dir::kUnpack, tptr, target_count, target_dt, theirs.data(),
                   std::max(t2, p.clock().now()), op_id);
   epoch_horizon_ = std::max(epoch_horizon_, done);
   record_rma(comm_, "accumulate", t_begin, done, total,

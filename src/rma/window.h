@@ -63,17 +63,28 @@ class Window {
                   const mpi::DatatypePtr& target_dt, mpi::ReduceOp op);
 
  private:
-  /// Pack `count` elements of `dt` at `buf` into `out` (GPU engine for
-  /// device memory, CPU engine otherwise). Returns data-ready time.
-  /// `flow_id` is the op-level PML request id both halves stamp their
-  /// engine spans with (frag_flow; the fragment index restarts per half,
-  /// so one put/get/accumulate reads as one logical flow).
-  vt::Time pack_to(const void* buf, std::int64_t count,
-                   const mpi::DatatypePtr& dt, std::byte* out, vt::Time dep,
-                   std::uint64_t flow_id);
-  vt::Time unpack_from(const std::byte* in, void* buf, std::int64_t count,
-                       const mpi::DatatypePtr& dt, vt::Time dep,
-                       std::uint64_t flow_id);
+  using Dir = core::GpuDatatypeEngine::Dir;
+  /// One side of a transfer: `count` elements of `dt` at `buf`.
+  struct Layout {
+    void* buf;
+    std::int64_t count;
+    const mpi::DatatypePtr& dt;
+  };
+
+  /// Pack (dt, count) at `buf` into `packed` (kPack) or scatter `packed`
+  /// into it (kUnpack), with the GPU engine for device memory and the CPU
+  /// engine otherwise. Returns the data-ready time. `flow_id` is the
+  /// op-level PML request id both halves stamp their engine spans with
+  /// (frag_flow; the fragment index restarts per half, so one
+  /// put/get/accumulate reads as one logical flow).
+  vt::Time pack_unpack(Dir dir, void* buf, std::int64_t count,
+                       const mpi::DatatypePtr& dt, std::byte* packed,
+                       vt::Time dep, std::uint64_t flow_id);
+  /// put and get: pack one side into a staging buffer and unpack it into
+  /// the other (a put packs the origin, a get the target).
+  void transfer(bool is_get, Layout origin, int target,
+                std::int64_t target_disp, std::int64_t target_count,
+                const mpi::DatatypePtr& target_dt);
   std::byte* target_ptr(int target, std::int64_t disp,
                         std::int64_t bytes) const;
 

@@ -141,87 +141,42 @@ void Pe::iget(void* dest, const void* src, std::int64_t dst, std::int64_t sst,
 
 void Pe::put_datatype(void* dest, const void* src, const mpi::DatatypePtr& dt,
                       std::int64_t count, int pe) {
+  move_datatype(dest, src, dt, count, pe, /*is_get=*/false);
+}
+
+void Pe::get_datatype(void* dest, const void* src, const mpi::DatatypePtr& dt,
+                      std::int64_t count, int pe) {
+  move_datatype(dest, src, dt, count, pe, /*is_get=*/true);
+}
+
+void Pe::move_datatype(void* dest, const void* src,
+                       const mpi::DatatypePtr& dt, std::int64_t count, int pe,
+                       bool is_get) {
   using Dir = core::GpuDatatypeEngine::Dir;
   const std::int64_t total = dt->size() * count;
   if (total == 0) return;
   const vt::Time begin = proc_.clock().now();
   // Pack locally with the GPU engine, ship the packed stream one-sided,
-  // and unpack into the peer's symmetric memory (also with OUR engine:
-  // one-sided means the target does not participate - the paper's "ideas
-  // are generic" port; kernels run on the initiator's device, remote
-  // accesses priced as peer traffic).
+  // and unpack on the other side (also with OUR engine: one-sided means
+  // the target does not participate - the paper's "ideas are generic"
+  // port; kernels run on the initiator's device, remote accesses priced
+  // as peer traffic).
+  void* from = is_get ? translate(src, pe) : const_cast<void*>(src);
+  void* to = is_get ? dest : translate(dest, pe);
   auto* staging =
       static_cast<std::byte*>(sg::Malloc(proc_.gpu(), total));
-  auto pack = engine_.start(Dir::kPack, dt, count,
-                            const_cast<void*>(src));
-  // One flow id for the whole put: fragment k's pack and unpack spans
+  auto pack = engine_.start(Dir::kPack, dt, count, from);
+  // One flow id for the whole op: fragment k's pack and unpack spans
   // chain together in the trace (docs/tracing.md flow grammar).
   const std::uint64_t id = proc_.pml().allocate_id();
-  std::int64_t frag = 0;
-  vt::Time ready = 0;
-  while (!pack->done()) {
-    pack->set_flow(mpi::frag_flow(proc_.rank(), id, frag++));
-    const auto r = engine_.process_some(
-        *pack, staging + pack->bytes_done(), total - pack->bytes_done());
-    if (r.bytes == 0) break;
-    ready = r.ready;
-  }
-  engine_.finish(*pack);
-  std::byte* remote = translate(dest, pe);
-  auto unpack = engine_.start(Dir::kUnpack, dt, count, remote);
-  frag = 0;
-  while (!unpack->done()) {
-    unpack->set_flow(mpi::frag_flow(proc_.rank(), id, frag++));
-    const auto r = engine_.process_some(
-        *unpack, staging + unpack->bytes_done(),
-        total - unpack->bytes_done(), ready);
-    if (r.bytes == 0) break;
-    ready = r.ready;
-  }
-  engine_.finish(*unpack);
+  const core::DrainFlow flow{proc_.rank(), id};
+  const vt::Time packed = engine_.drain(*pack, staging, 0, 0, flow).ready;
+  auto unpack = engine_.start(Dir::kUnpack, dt, count, to);
+  const vt::Time ready = engine_.drain(*unpack, staging, packed, 0, flow).ready;
   last_nbi_ = std::max(last_nbi_, ready);
-  record_shmem(proc_, "put_datatype", begin, ready, total, /*staged=*/true,
-               mpi::frag_flow(proc_.rank(), id, 0), dt->shape_digest());
-  sg::Free(proc_.gpu(), staging);
-  quiet();
-}
-
-void Pe::get_datatype(void* dest, const void* src, const mpi::DatatypePtr& dt,
-                      std::int64_t count, int pe) {
-  using Dir = core::GpuDatatypeEngine::Dir;
-  const std::int64_t total = dt->size() * count;
-  if (total == 0) return;
-  const vt::Time begin = proc_.clock().now();
-  auto* staging =
-      static_cast<std::byte*>(sg::Malloc(proc_.gpu(), total));
-  const std::byte* remote = translate(src, pe);
-  auto pack = engine_.start(Dir::kPack, dt, count,
-                            const_cast<std::byte*>(remote));
-  const std::uint64_t id = proc_.pml().allocate_id();
-  std::int64_t frag = 0;
-  vt::Time ready = 0;
-  while (!pack->done()) {
-    pack->set_flow(mpi::frag_flow(proc_.rank(), id, frag++));
-    const auto r = engine_.process_some(
-        *pack, staging + pack->bytes_done(), total - pack->bytes_done());
-    if (r.bytes == 0) break;
-    ready = r.ready;
-  }
-  engine_.finish(*pack);
-  auto unpack = engine_.start(Dir::kUnpack, dt, count, dest);
-  frag = 0;
-  while (!unpack->done()) {
-    unpack->set_flow(mpi::frag_flow(proc_.rank(), id, frag++));
-    const auto r = engine_.process_some(
-        *unpack, staging + unpack->bytes_done(),
-        total - unpack->bytes_done(), ready);
-    if (r.bytes == 0) break;
-    ready = r.ready;
-  }
-  engine_.finish(*unpack);
-  last_nbi_ = std::max(last_nbi_, ready);
-  record_shmem(proc_, "get_datatype", begin, ready, total, /*staged=*/true,
-               mpi::frag_flow(proc_.rank(), id, 0), dt->shape_digest());
+  record_shmem(proc_, is_get ? "get_datatype" : "put_datatype", begin, ready,
+               total, /*staged=*/true, mpi::frag_flow(proc_.rank(), id, 0),
+               dt->shape_digest());
   sg::Free(proc_.gpu(), staging);
   quiet();
 }

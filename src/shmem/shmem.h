@@ -72,6 +72,10 @@ class Pe {
   mpi::Process& process() { return proc_; }
 
  private:
+  /// put_datatype / get_datatype: pack (dt, count) at `src` and unpack it
+  /// at `dest`. A put's `dest` and a get's `src` are on PE `pe`.
+  void move_datatype(void* dest, const void* src, const mpi::DatatypePtr& dt,
+                     std::int64_t count, int pe, bool is_get);
   /// Translate a local symmetric address to the peer's address space.
   std::byte* translate(const void* local_sym, int pe) const;
   mpi::Btl& btl_to(int pe);

@@ -340,19 +340,9 @@ void roundtrip(sg::HostContext& ctx, core::GpuDatatypeEngine& eng,
   std::byte* back_base = back - dt->true_lb();
 
   auto pack = eng.start(Dir::kPack, dt, count, src_base);
-  while (!pack->done()) {
-    if (eng.process_some(*pack, packed + pack->bytes_done(), frag_bytes)
-            .bytes == 0)
-      break;
-  }
-  eng.finish(*pack);
+  eng.drain(*pack, packed, 0, frag_bytes);
   auto unpack = eng.start(Dir::kUnpack, dt, count, back_base);
-  while (!unpack->done()) {
-    if (eng.process_some(*unpack, packed + unpack->bytes_done(), frag_bytes)
-            .bytes == 0)
-      break;
-  }
-  eng.finish(*unpack);
+  eng.drain(*unpack, packed, 0, frag_bytes);
   eng.synchronize();
   EXPECT_EQ(test::reference_pack(dt, count, back_base),
             test::reference_pack(dt, count, src_base));
@@ -424,11 +414,7 @@ TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {
   auto* packed = static_cast<std::byte*>(sg::Malloc(ctx, total));
   auto op = eng.start(Dir::kPack, dt, 1, src - dt->true_lb());
   ASSERT_TRUE(op->used_cache());
-  while (!op->done()) {
-    if (eng.process_some(*op, packed + op->bytes_done(), 512).bytes == 0)
-      break;
-  }
-  eng.finish(*op);
+  eng.drain(*op, packed, 0, 512);
   eng.synchronize();
 
   const std::int64_t from_cache =

@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "core/kernels.h"
 #include "core/layouts.h"
+#include "mpi/pml.h"
 #include "obs/recorder.h"
 #include "test_helpers.h"
 
@@ -172,8 +173,10 @@ TEST(DevCache, ByteBoundEvictsUnderEntryBudget) {
   // max_entries would have kept both.
   sg::Machine m;
   sg::HostContext ctx(m, 0);
+  obs::Recorder rec;
   const std::int64_t d = sizeof(CudaDevDist);
   DevCache cache(64, 6 * d);
+  cache.set_recorder(&rec);
   auto a = mpi::Datatype::contiguous(512, mpi::kDouble());  // 4096 B -> 4 units
   auto b = mpi::Datatype::contiguous(513, mpi::kDouble());  // 4104 B -> 5 units
   cache.insert(ctx, a, 1, 1024, convert_all(a, 1, 1024));
@@ -183,7 +186,7 @@ TEST(DevCache, ByteBoundEvictsUnderEntryBudget) {
   EXPECT_EQ(cache.find(a, 1, 1024), nullptr);  // a was the byte-bound victim
   EXPECT_NE(cache.find(b, 1, 1024), nullptr);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.evictions_bytes(), 4 * d);
+  EXPECT_EQ(rec.metrics().value("dev_cache.evictions_bytes"), 4 * d);
   EXPECT_EQ(cache.bytes(), 5 * d);
 }
 
@@ -289,17 +292,15 @@ TEST(DevCache, ShapeDedupAcrossInstances) {
   auto b = core::lower_triangular_type(16, 16);  // fresh instance
   ASSERT_NE(a->type_id(), b->type_id());
   ASSERT_EQ(a->shape_digest(), b->shape_digest());
+  const obs::Registry& reg = rec.metrics();
   cache.insert(ctx, a, 1, 1024, convert_all(a, 1, 1024));
   EXPECT_NE(cache.find(b, 1, 1024), nullptr);  // hit, not a second entry
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.shape_dedup_hits(), 1u);
+  EXPECT_EQ(reg.value("dev_cache.shape_dedup.hits"), 1);
   cache.insert(ctx, b, 1, 1024, convert_all(b, 1, 1024));  // coalesced
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.shape_dedup_coalesced(), 1u);
-  EXPECT_GT(cache.shape_dedup_bytes_saved(), 0);
-  const auto counters = rec.metrics().counters_snapshot();
-  EXPECT_EQ(counters.at("dev_cache.shape_dedup.hits"), 1);
-  EXPECT_EQ(counters.at("dev_cache.shape_dedup.inserts_coalesced"), 1);
+  EXPECT_EQ(reg.value("dev_cache.shape_dedup.inserts_coalesced"), 1);
+  EXPECT_GT(reg.value("dev_cache.shape_dedup.bytes_saved"), 0);
 }
 
 // --- Kernels: functional + profile shape -----------------------------------------------
@@ -469,12 +470,7 @@ void run_roundtrip(sg::HostContext& ctx, GpuDatatypeEngine& eng,
       << dt->describe();
 
   auto unpack = eng.start(Dir::kUnpack, dt, count, back_base);
-  while (!unpack->done()) {
-    const auto r =
-        eng.process_some(*unpack, packed + unpack->bytes_done(), frag_bytes);
-    if (r.bytes == 0) break;
-  }
-  eng.finish(*unpack);
+  eng.drain(*unpack, packed, 0, frag_bytes);
   EXPECT_EQ(test::reference_pack(dt, count, back_base), ref)
       << dt->describe();
   sg::Free(ctx, src);
@@ -573,11 +569,7 @@ TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
   const std::int64_t before = test::counter(rec, "engine.units.from_cache");
   auto op = eng.start(Dir::kPack, dt, 1, src);
   ASSERT_TRUE(op->used_cache());
-  while (!op->done()) {
-    const auto r = eng.process_some(*op, packed + op->bytes_done(), frag);
-    if (r.bytes == 0) break;
-  }
-  eng.finish(*op);
+  eng.drain(*op, packed, 0, frag);
   EXPECT_EQ(test::counter(rec, "engine.units.from_cache") - before,
             expected);
 }
@@ -601,14 +593,7 @@ TEST_F(EngineTest, CachedPackIsFasterThanFirstPack) {
   auto time_pack = [&]() {
     const vt::Time t0 = ctx.clock.now();
     auto op = eng.start(Dir::kPack, dt, 1, src);
-    vt::Time last = t0;
-    while (!op->done()) {
-      const auto r = eng.process_some(*op, packed + op->bytes_done(), total);
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    eng.finish(*op);
-    ctx.clock.wait_until(last);
+    ctx.clock.wait_until(eng.drain(*op, packed).ready);
     return ctx.clock.now() - t0;
   };
   const vt::Time first = time_pack();
@@ -629,15 +614,7 @@ TEST_F(EngineTest, PipelinedConversionBeatsSequential) {
     GpuDatatypeEngine eng(local, cfg);
     const vt::Time t0 = local.clock.now();
     auto op = eng.start(Dir::kPack, dt, 1, src);
-    vt::Time last = t0;
-    while (!op->done()) {
-      const auto r =
-          eng.process_some(*op, packed + op->bytes_done(), dt->size());
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    eng.finish(*op);
-    local.clock.wait_until(last);
+    local.clock.wait_until(eng.drain(*op, packed).ready);
     return local.clock.now() - t0;
   };
   const vt::Time sequential = run_with(false);
@@ -683,11 +660,7 @@ TEST_F(EngineTest, ResidueSplitMatchesSingleStreamByteForByte) {
                        std::int64_t frag) {
     std::memset(out, 0, static_cast<std::size_t>(dt->size()));
     auto op = eng.start(Dir::kPack, dt, 1, base);
-    while (!op->done()) {
-      const auto r = eng.process_some(*op, out + op->bytes_done(), frag);
-      if (r.bytes == 0) break;
-    }
-    eng.finish(*op);
+    eng.drain(*op, out, 0, frag);
   };
 
   EngineConfig plain_cfg;
@@ -730,11 +703,7 @@ TEST_F(EngineTest, ResidueSplitUploadsSplitOrderedDescriptors) {
       rec.metrics().counter("engine.desc_uploads").value();
   auto op = eng.start(Dir::kPack, dt, 1, src);
   ASSERT_TRUE(op->used_cache());
-  while (!op->done()) {
-    const auto r = eng.process_some(*op, packed + op->bytes_done(), 4096);
-    if (r.bytes == 0) break;
-  }
-  eng.finish(*op);
+  eng.drain(*op, packed, 0, 4096);
   EXPECT_GT(rec.metrics().counter("engine.desc_uploads").value(),
             uploads_before);
 }
@@ -754,21 +723,59 @@ TEST_F(EngineTest, ResidueStreamCostsExtraLaunches) {
     GpuDatatypeEngine eng(local, cfg);
     const vt::Time t0 = local.clock.now();
     auto op = eng.start(Dir::kPack, dt, 1, src);
-    vt::Time last = t0;
-    while (!op->done()) {
-      const auto r =
-          eng.process_some(*op, packed + op->bytes_done(), dt->size());
-      if (r.bytes == 0) break;
-      last = r.ready;
-    }
-    eng.finish(*op);
-    local.clock.wait_until(last);
+    local.clock.wait_until(eng.drain(*op, packed).ready);
     return local.clock.now() - t0;
   };
   const vt::Time equal_treatment = time_with(false);
   m.reset_timing();
   const vt::Time separate = time_with(true);
   EXPECT_GT(separate, equal_treatment);
+}
+
+TEST_F(EngineTest, DrainStampsChunkFlowsAndStopsAtLimit) {
+  // drain(): chunk k of a chunked drain carries frag_flow(rank, id, k), a
+  // limit stops the op exactly there, and an empty op launches nothing and
+  // returns its dependency.
+  obs::Recorder rec;
+  rec.enable_tracing(true);
+  EngineConfig cfg;
+  cfg.recorder = &rec;
+  GpuDatatypeEngine eng(ctx, cfg);
+  auto dt = core::submatrix_type(64, 32, 100);  // vector path, 16 KiB
+  auto* src = static_cast<std::byte*>(sg::Malloc(ctx, 64 * 100 * 8));
+  auto* packed = static_cast<std::byte*>(sg::Malloc(ctx, dt->size()));
+  test::fill_pattern(src, 64 * 100 * 8, 3);
+  const std::int64_t chunk = 4096;
+  const std::int64_t limit = 3 * chunk + 1000;
+  auto op = eng.start(Dir::kPack, dt, 1, src);
+  ASSERT_TRUE(op->on_vector_path());
+  const auto r = eng.drain(*op, packed, 0, chunk, {3, 7}, limit);
+  EXPECT_EQ(r.bytes, limit);
+  EXPECT_EQ(op->bytes_done(), limit);
+  const auto ref = test::reference_pack(dt, 1, src);
+  EXPECT_EQ(std::memcmp(packed, ref.data(), static_cast<std::size_t>(limit)),
+            0);
+  std::vector<std::uint64_t> flows;
+  vt::Time last_end = 0;
+  for (const auto& ev : rec.trace().snapshot()) {
+    if (ev.name != "vector_kernel") continue;
+    flows.push_back(ev.flow);
+    last_end = ev.end;
+  }
+  EXPECT_EQ(flows, (std::vector<std::uint64_t>{
+                       mpi::frag_flow(3, 7, 0), mpi::frag_flow(3, 7, 1),
+                       mpi::frag_flow(3, 7, 2), mpi::frag_flow(3, 7, 3)}));
+  EXPECT_EQ(r.ready, last_end);
+
+  auto empty =
+      eng.start(Dir::kPack, mpi::Datatype::contiguous(0, mpi::kDouble()), 4,
+                nullptr);
+  const std::size_t events = rec.trace().snapshot().size();
+  const vt::Time dep = ctx.clock.now() + vt::msec(1);
+  const auto e = eng.drain(*empty, nullptr, dep, chunk, {3, 8});
+  EXPECT_EQ(e.bytes, 0);
+  EXPECT_EQ(e.ready, dep);
+  EXPECT_EQ(rec.trace().snapshot().size(), events);
 }
 
 TEST_F(EngineTest, ZeroSizeOpCompletesImmediately) {

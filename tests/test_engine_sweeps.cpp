@@ -122,12 +122,7 @@ TEST_P(EngineSweep, RoundTripsExactly) {
 
   // Unpack with a different (also odd) budget.
   auto unpack = eng.start(Dir::kUnpack, dt, count, back_base);
-  while (!unpack->done()) {
-    const auto r = eng.process_some(*unpack, packed + unpack->bytes_done(),
-                                    frag_bytes + 129);
-    if (r.bytes == 0) break;
-  }
-  eng.finish(*unpack);
+  eng.drain(*unpack, packed, 0, frag_bytes + 129);
   EXPECT_EQ(test::reference_pack(dt, count, back_base), ref)
       << layout_name(layout) << " S=" << unit_bytes;
 }
@@ -164,11 +159,7 @@ TEST_P(CachedSweep, CachedPathMatchesLivePath) {
 
   auto run_pack = [&](std::byte* out) {
     auto op = eng.start(Dir::kPack, dt, 1, base);
-    while (!op->done()) {
-      const auto r = eng.process_some(*op, out + op->bytes_done(), 3000);
-      if (r.bytes == 0) break;
-    }
-    eng.finish(*op);
+    eng.drain(*op, out, 0, 3000);
     return op->used_cache();
   };
   const bool first_cached = run_pack(p1);   // live conversion, fills cache

@@ -4,6 +4,7 @@
 // Every transfer is verified bit-exact against the CPU datatype engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -88,6 +89,98 @@ void run_transfer(RuntimeConfig cfg, const DatatypePtr& send_dt,
                              << " recv=" << recv_dt->describe();
     }
   });
+}
+
+// --- Short device receives ------------------------------------------------------------
+// MPI lets a message be shorter than the posted receive. Rank 0 sends
+// `send_dt` from its GPU into a larger device layout on rank 1, which must
+// hold the sent stream in the first packed bytes of its layout and leave
+// every other byte of its buffer untouched. `path` is the counter that
+// proves the intended protocol ran.
+
+void run_short_device_recv(RuntimeConfig cfg, const DatatypePtr& send_dt,
+                           const DatatypePtr& recv_dt, const char* path) {
+  obs::Recorder rec;
+  cfg.recorder = &rec;
+  const std::int64_t sent = send_dt->size();
+  ASSERT_LT(sent, recv_dt->size());
+  const std::int64_t sspan = test::span_bytes(send_dt, 1);
+  const std::int64_t rspan = test::span_bytes(recv_dt, 1);
+  Runtime rt(cfg);
+  rt.set_gpu_plugin(std::make_shared<GpuDatatypePlugin>());
+  rt.run([&](Process& p) {
+    Comm comm(p);
+    if (p.rank() == 0) {
+      auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), sspan));
+      test::fill_pattern(buf, static_cast<std::size_t>(sspan), 77);
+      comm.send(buf - send_dt->true_lb(), 1, send_dt, 1, 42);
+      return;
+    }
+    auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), rspan));
+    test::fill_pattern(buf, static_cast<std::size_t>(rspan), 5);
+    std::vector<std::byte> expect(buf, buf + rspan);
+    std::byte* base = buf - recv_dt->true_lb();
+    const mpi::Status st = comm.recv(base, 1, recv_dt, 0, 42);
+    EXPECT_EQ(st.bytes, sent);
+
+    std::vector<std::byte> src(static_cast<std::size_t>(sspan));
+    test::fill_pattern(src.data(), src.size(), 77);
+    const auto stream =
+        test::reference_pack(send_dt, 1, src.data() - send_dt->true_lb());
+    const auto got = test::reference_pack(recv_dt, 1, base);
+    EXPECT_TRUE(std::equal(stream.begin(), stream.end(), got.begin()));
+    // Everything past the message keeps its fill.
+    mpi::BlockCursor cur(recv_dt, 1);
+    mpi::Block b;
+    std::byte* ebase = expect.data() - recv_dt->true_lb();
+    for (std::int64_t pk = 0; pk < sent && cur.next(&b); pk += b.len) {
+      std::memcpy(ebase + b.offset, stream.data() + pk,
+                  static_cast<std::size_t>(std::min(b.len, sent - pk)));
+    }
+    EXPECT_EQ(std::memcmp(buf, expect.data(), expect.size()), 0);
+  });
+  EXPECT_EQ(test::counter(rec, path), 1) << path;
+}
+
+TEST(ShortDeviceRecv, EagerTier) {
+  run_short_device_recv(gpu_world(), core::lower_triangular_type(32, 32),
+                        core::lower_triangular_type(40, 40),
+                        "gpu.sends.eager");
+}
+
+TEST(ShortDeviceRecv, RecvDrivenSameDevice) {
+  RuntimeConfig cfg = gpu_world();
+  cfg.device_of = [](int) { return 0; };
+  cfg.gpu_frag_bytes = 8192;
+  run_short_device_recv(cfg, mpi::Datatype::contiguous(4096, mpi::kDouble()),
+                        core::lower_triangular_type(128, 128),
+                        "gpu.mode.rdma_recv_driven");
+}
+
+TEST(ShortDeviceRecv, RecvDrivenRemoteRead) {
+  RuntimeConfig cfg = gpu_world();
+  cfg.recv_local_staging = false;
+  cfg.gpu_frag_bytes = 8192;
+  run_short_device_recv(cfg, mpi::Datatype::contiguous(4096, mpi::kDouble()),
+                        core::lower_triangular_type(128, 128),
+                        "gpu.mode.rdma_recv_driven");
+}
+
+TEST(ShortDeviceRecv, PipelinedRdma) {
+  RuntimeConfig cfg = gpu_world();
+  cfg.gpu_frag_bytes = 16 * 1024;
+  run_short_device_recv(cfg, core::lower_triangular_type(128, 128),
+                        core::lower_triangular_type(160, 160),
+                        "gpu.mode.ipc_rdma");
+}
+
+TEST(ShortDeviceRecv, CopyInOut) {
+  RuntimeConfig cfg = gpu_world();
+  cfg.ranks_per_node = 1;  // IB between the ranks: copy-in/out
+  cfg.gpu_frag_bytes = 16 * 1024;
+  run_short_device_recv(cfg, core::lower_triangular_type(128, 128),
+                        core::lower_triangular_type(160, 160),
+                        "gpu.mode.host_frags");
 }
 
 // --- Pipelined RDMA over IPC (Section 4.1) -------------------------------------------

@@ -29,11 +29,6 @@
 //       exact-rank percentiles, a full per-stage work/wait breakdown,
 //       and a tail block naming a valid dominant stage; per-class
 //       counts must sum to flowstats.flows. Exits 1 on any failure.
-//   metrics_diff --gate A.json B.json KEY<=PCT...
-//       Regression gate: for each KEY (counter or histogram mean), require
-//       the candidate B not to exceed the baseline A by more than PCT
-//       percent. A missing key in either dump fails. Exits 1 on any
-//       breached threshold (wired as the bench_metrics_gate CTest entry).
 //   metrics_diff --gate --baseline BASELINE.json CANDIDATE.json
 //       Exact gate: canonicalize both dumps (obs/canon.h - counters and
 //       histograms only, trace dropped) and require them to match
@@ -42,17 +37,17 @@
 //       that must be reviewed (and the baseline regenerated with
 //       tools/regen_baselines.sh). Prints the per-key differences and
 //       exits 1 on mismatch.
-//
-// Exit codes (both --gate forms distinguish the failure kinds so CI
-// logs are diagnosable at a glance):
-//   0 - ok
-//   1 - gate breached / baseline mismatch / validation failure
-//   2 - usage error
-//   3 - baseline file missing or unreadable (first gate operand)
-//   4 - candidate file missing or unreadable (second gate operand)
 //   metrics_diff --canon FILE
 //       Print FILE's canonical form on stdout (how baselines are
 //       regenerated).
+//
+// Exit codes (the gate distinguishes the failure kinds so CI logs are
+// diagnosable at a glance):
+//   0 - ok
+//   1 - baseline mismatch / validation failure
+//   2 - usage error
+//   3 - baseline file missing or unreadable (first gate operand)
+//   4 - candidate file missing or unreadable (second gate operand)
 
 #include <cstdio>
 #include <cstdlib>
@@ -459,22 +454,6 @@ int diff(const std::string& pa, const std::string& pb) {
   return 0;
 }
 
-/// Value of `key` in a dump: counter value, or histogram mean. Returns
-/// false when the key exists in neither section.
-bool lookup(const Value& doc, const std::string& key, double* out) {
-  const auto& counters = doc.at("counters").as_object();
-  if (const auto it = counters.find(key); it != counters.end()) {
-    *out = it->second.as_double();
-    return true;
-  }
-  const auto& histos = doc.at("histograms").as_object();
-  if (const auto it = histos.find(key); it != histos.end()) {
-    *out = it->second.at("mean").as_double();
-    return true;
-  }
-  return false;
-}
-
 /// Canonical text of one section entry, for exact per-key comparison.
 std::string entry_text(const std::string& name, const Value& v,
                        bool histogram) {
@@ -549,62 +528,6 @@ int canon(const std::string& path) {
   return 0;
 }
 
-int gate(const std::string& pa, const std::string& pb, int nspecs,
-         char** specs) {
-  const Value a = load_gate_operand(pa, "baseline", kExitBaselineMissing);
-  const Value b = load_gate_operand(pb, "candidate", kExitCandidateMissing);
-  check_schema(a, pa);
-  check_schema(b, pb);
-  int failures = 0;
-  for (int i = 0; i < nspecs; ++i) {
-    const std::string spec = specs[i];
-    const std::size_t sep = spec.find("<=");
-    if (sep == std::string::npos || sep == 0) {
-      std::cerr << "bad gate spec (want KEY<=PCT): " << spec << "\n";
-      ++failures;
-      continue;
-    }
-    const std::string key = spec.substr(0, sep);
-    char* end = nullptr;
-    const double pct = std::strtod(spec.c_str() + sep + 2, &end);
-    if (end == spec.c_str() + sep + 2 || *end != '\0') {
-      std::cerr << "bad gate threshold in: " << spec << "\n";
-      ++failures;
-      continue;
-    }
-    double va = 0.0;
-    double vb = 0.0;
-    if (!lookup(a, key, &va)) {
-      std::cerr << "FAIL " << key << ": missing from baseline " << pa << "\n";
-      ++failures;
-      continue;
-    }
-    if (!lookup(b, key, &vb)) {
-      std::cerr << "FAIL " << key << ": missing from candidate " << pb
-                << "\n";
-      ++failures;
-      continue;
-    }
-    // Directional: only growth beyond the allowance fails (a drop in a
-    // cost-like metric is an improvement, not a regression).
-    const double limit = va * (1.0 + pct / 100.0);
-    const double rel = va != 0.0 ? (vb - va) / va * 100.0 : 0.0;
-    if (vb > limit) {
-      std::printf("FAIL %-42s %14.0f -> %-14.0f (%+.1f%% > +%g%%)\n",
-                  key.c_str(), va, vb, rel, pct);
-      ++failures;
-    } else {
-      std::printf("ok   %-42s %14.0f -> %-14.0f (%+.1f%% <= +%g%%)\n",
-                  key.c_str(), va, vb, rel, pct);
-    }
-  }
-  if (failures > 0) {
-    std::cerr << failures << " gate(s) breached\n";
-    return kExitMismatch;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -622,9 +545,6 @@ int main(int argc, char** argv) {
         std::strcmp(argv[2], "--baseline") == 0) {
       return gate_baseline(argv[3], argv[4]);
     }
-    if (argc >= 5 && std::strcmp(argv[1], "--gate") == 0) {
-      return gate(argv[2], argv[3], argc - 4, argv + 4);
-    }
     if (argc == 3 && std::strcmp(argv[1], "--canon") == 0) {
       return canon(argv[2]);
     }
@@ -637,7 +557,6 @@ int main(int argc, char** argv) {
                "       metrics_diff --validate FILE KEY...\n"
                "       metrics_diff --validate-chrome FILE\n"
                "       metrics_diff --validate-latency FILE\n"
-               "       metrics_diff --gate A.json B.json KEY<=PCT...\n"
                "       metrics_diff --gate --baseline BASE.json CAND.json\n"
                "       metrics_diff --canon FILE\n";
   return kExitUsage;
