@@ -9,6 +9,7 @@
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cmath>
@@ -196,6 +197,12 @@ inline bool check_claims(std::span<const Claim> claims, const Results& r,
 /// gated this way).
 inline int bench_main(int argc, char** argv,
                       std::span<const Claim> claims = {}) {
+  // Pin glibc's allocation thresholds, as perfbench/main.cpp does. By
+  // default they adapt to the process's own history (freeing an mmapped
+  // block raises the mmap threshold), so host vectors would be mapped and
+  // unmapped, and faulted in again, on some cases and not on others.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
   std::string metrics_out;
   std::string latency_out;
   std::string trace_format;

@@ -185,13 +185,18 @@ void DevCache::evict_if_needed(sg::HostContext& ctx) {
   }
 }
 
-void DevCache::clear(sg::HostContext& ctx) {
+void DevCache::free_device_copies(sg::HostContext& ctx) {
   // Each copy goes back to the arena's free list, which is address-ordered
   // and coalescing.
   // det-lint: allow(unordered_iter) - the free order does not matter
   for (auto& [k, n] : entries_) {
     for (auto& [dev, ptr] : n.entry->device_copies) sg::Free(ctx, ptr);
+    n.entry->device_copies.clear();
   }
+}
+
+void DevCache::clear(sg::HostContext& ctx) {
+  free_device_copies(ctx);
   entries_.clear();
   lru_.clear();
   obs::count(rec_, "dev_cache.bytes", -bytes_);

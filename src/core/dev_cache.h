@@ -79,7 +79,12 @@ class DevCache {
   /// (costs one H2D transfer on `ctx`'s clock).
   const CudaDevDist* device_units(sg::HostContext& ctx, const Entry& entry);
 
-  /// Release device copies (e.g. before tearing down the machine).
+  /// Free every entry's device copies; the entries stay, and re-upload
+  /// on their next use. Call it while the machine is alive, before the
+  /// cache's owner goes away.
+  void free_device_copies(sg::HostContext& ctx);
+
+  /// Free the device copies and drop every entry.
   void clear(sg::HostContext& ctx);
 
   std::size_t size() const { return entries_.size(); }

@@ -68,6 +68,13 @@ Window::Window(mpi::Comm comm, void* base, std::int64_t bytes)
   }
 }
 
+Window::~Window() {
+  // Here and not in the engine's destructor: the window lives inside its
+  // rank's run, so its machine is alive, while an engine may outlive its
+  // machine (a test can keep a plugin past its Runtime).
+  engine_->cache().free_device_copies(comm_.process().gpu());
+}
+
 void Window::fence() {
   // Remote completion: every rank's epoch horizon must have passed for
   // everyone before the epoch may close.

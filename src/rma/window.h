@@ -31,6 +31,11 @@ class Window {
   /// Collective over all ranks of `comm`: every rank exposes
   /// [base, base + bytes). Buffers may be host or device memory.
   Window(mpi::Comm comm, void* base, std::int64_t bytes);
+  /// Frees the device copies of the DEVs this window's engine cached.
+  ~Window();
+
+  Window(const Window&) = delete;
+  Window& operator=(const Window&) = delete;
 
   std::int64_t size_at(int rank) const { return sizes_.at(rank); }
 

@@ -46,11 +46,13 @@ SymmetricHeap::SymmetricHeap(mpi::Runtime& rt, std::size_t bytes_per_pe)
   for (int r = 0; r < rt.config().world_size; ++r) {
     // Carve each PE's heap out of its device's arena directly (setup-time
     // action, no virtual cost: mirrors the symmetric heap created at
-    // shmem_init).
+    // shmem_init). Like any fresh allocation it is poison under the
+    // checker.
     bases_[r] = rt.machine()
                     .device(rt.device_of(r))
                     .arena()
                     .allocate(bytes_per_pe);
+    rt.machine().poison_fresh(bases_[r], bytes_per_pe);
   }
 }
 

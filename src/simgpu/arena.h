@@ -3,7 +3,10 @@
 // Each simulated device owns one arena backed by a single host allocation;
 // "device pointers" are real host pointers into that block, which lets the
 // simulated kernels and copy engines move bytes with plain memcpy while the
-// pointer registry still distinguishes address spaces.
+// pointer registry still distinguishes address spaces. A destroyed arena
+// gives its storage to a process-wide pool, and the next arena of the same
+// capacity takes it back with fresh free lists, so a machine built after
+// another of its shape reuses pages the kernel has already faulted in.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace gpuddt::sg {
 
@@ -21,16 +25,17 @@ class Arena {
   /// keeps every fresh device buffer transaction-aligned.
   static constexpr std::size_t kAlign = 512;
 
+  /// Contents of the storage are unspecified, as after cudaMalloc: it is
+  /// either fresh or what an earlier arena of this capacity left behind.
   explicit Arena(std::size_t capacity)
       : capacity_(round_up(capacity)),
-        // Default-initialized (not zeroed): device memory is large and a
-        // fresh cudaMalloc'd buffer has unspecified contents anyway.
-        storage_(std::make_unique_for_overwrite<std::byte[]>(capacity_ +
-                                                             kAlign)) {
+        storage_(Pool::instance().take(capacity_ + kAlign)) {
     const auto raw = reinterpret_cast<std::uintptr_t>(storage_.get());
     base_ = storage_.get() + (kAlign - raw % kAlign) % kAlign;
     free_[base()] = capacity_;
   }
+
+  ~Arena() { Pool::instance().give(capacity_ + kAlign, std::move(storage_)); }
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -109,12 +114,51 @@ class Arena {
   }
 
  private:
+  using Storage = std::unique_ptr<std::byte[]>;
+
+  /// The process-wide store of released arena storage. It holds blocks of
+  /// one size only: a request for another size frees everything held, so
+  /// it never keeps more than one machine shape. The first Arena
+  /// constructor creates it, so it outlives every Arena. It takes no lock:
+  /// the simulator runs on one thread (docs/determinism.md).
+  class Pool {
+   public:
+    static Pool& instance() {
+      static Pool pool;
+      return pool;
+    }
+
+    /// A block of `bytes`, oldest released first, so device d of the next
+    /// machine gets device d's storage back; uninitialized when fresh.
+    Storage take(std::size_t bytes) {
+      if (bytes != bytes_) {
+        held_.clear();
+        bytes_ = bytes;
+      }
+      if (held_.empty())
+        return std::make_unique_for_overwrite<std::byte[]>(bytes);
+      Storage s = std::move(held_.front());
+      held_.erase(held_.begin());
+      return s;
+    }
+
+    /// Keep a released block for the next take of its size; a block of
+    /// another size than the one held is freed.
+    void give(std::size_t bytes, Storage s) {
+      if (bytes == bytes_) held_.push_back(std::move(s));
+    }
+
+   private:
+    std::size_t bytes_ = 0;
+    std::vector<Storage> held_;
+  };
+
   static std::size_t round_up(std::size_t n) {
     return (n + kAlign - 1) / kAlign * kAlign;
   }
 
   std::size_t capacity_;
-  std::unique_ptr<std::byte[]> storage_;
+  Storage storage_;
   std::byte* base_ = nullptr;
   // Interval maps over this arena's own buffer: relative key order equals
   // offset order within storage_, and the order is never emitted.

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -26,6 +27,10 @@ enum class MemorySpace {
   kMappedHost,        // page-locked and mapped into device space (zero-copy)
   kDevice,            // GPU memory
 };
+
+/// What a fresh allocation holds on a machine with the access checker
+/// attached (Machine::poison_fresh, docs/checking.md).
+inline constexpr std::byte kPoisonByte{0xA5};
 
 struct PtrAttributes {
   MemorySpace space = MemorySpace::kUnregisteredHost;
@@ -151,13 +156,24 @@ class Machine {
 
   // --- Host allocations -----------------------------------------------------
 
-  /// Page-locked host memory, optionally mapped into device space.
+  /// Page-locked host memory, optionally mapped into device space. Its
+  /// contents are unspecified (poison under the checker).
   void* host_alloc(std::size_t bytes, bool mapped) {
     auto block =
         std::make_unique_for_overwrite<std::byte[]>(bytes == 0 ? 1 : bytes);
     std::byte* p = block.get();
     host_blocks_[p] = HostBlock{std::move(block), bytes, mapped};
+    poison_fresh(p, bytes);
     return p;
+  }
+
+  /// Fill a fresh allocation with kPoisonByte when the access checker is
+  /// attached. Arena storage is reused across machines, so without the
+  /// fill a read of never-written bytes would see whatever an earlier
+  /// buffer left there; with it, such a read fails a bit-exact check.
+  void poison_fresh(void* p, std::size_t bytes) const {
+    if (observer_)
+      std::memset(p, std::to_integer<int>(kPoisonByte), bytes);
   }
 
   void host_free(void* p) { release_host_block(p, "Machine::host_free"); }

@@ -161,7 +161,9 @@ void NoteAccess(HostContext& ctx, const char* label, vt::Time start,
 
 void* Malloc(HostContext& ctx, std::size_t bytes) {
   ctx.clock.advance(vt::usec(2.0));
-  return ctx.dev().arena().allocate(bytes);
+  std::byte* p = ctx.dev().arena().allocate(bytes);
+  ctx.machine->poison_fresh(p, bytes);
+  return p;
 }
 
 void Free(HostContext& ctx, void* ptr) {

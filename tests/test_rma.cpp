@@ -79,6 +79,42 @@ TEST(RmaWindow, PutWithTargetDatatypeOnDevice) {
   });
 }
 
+TEST(RmaWindow, TeardownFreesCachedDevs) {
+  // Rank 0's second put of one target type hits its window engine's DEV
+  // cache, which uploads a device copy of the DEV to device 0. Destroying
+  // the window must free it: device 0 returns to its usage before the
+  // first window after every window.
+  mpi::Runtime rt(world(2));
+  rt.run([](mpi::Process& p) {
+    mpi::Comm comm(p);
+    const std::int64_t n = 256;
+    auto tri = core::lower_triangular_type(n, n);
+    const sg::Arena& dev0 = p.runtime().machine().device(0).arena();
+    const std::size_t before = dev0.bytes_in_use();
+    const std::vector<double> dense(
+        static_cast<std::size_t>(core::lower_triangle_elems(n)), 1.5);
+    void* win = p.rank() == 1
+                    ? sg::Malloc(p.gpu(), static_cast<std::size_t>(n * n * 8))
+                    : nullptr;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      {
+        Window w(comm, win, p.rank() == 1 ? n * n * 8 : 0);
+        w.fence();
+        if (p.rank() == 0) {
+          for (int k = 0; k < 2; ++k)
+            w.put(dense.data(), core::lower_triangle_elems(n), mpi::kDouble(),
+                  1, 0, 1, tri);
+        }
+        w.fence();
+      }
+      if (p.rank() == 0) {
+        EXPECT_EQ(dev0.bytes_in_use(), before) << "after window " << epoch;
+      }
+    }
+    if (win != nullptr) sg::Free(p.gpu(), win);
+  });
+}
+
 TEST(RmaWindow, GetWithOriginDatatype) {
   mpi::Runtime rt(world(2));
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());

@@ -3,6 +3,7 @@
 // ordering in virtual time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -33,6 +34,21 @@ TEST(Shmem, SymmetricAddressesTranslate) {
     EXPECT_EQ(reinterpret_cast<std::byte*>(a) - heap.base(p.rank()), 0);
     EXPECT_EQ(reinterpret_cast<std::byte*>(b) - heap.base(p.rank()), 1024);
   });
+}
+
+TEST(Shmem, SymmetricHeapIsPoisonUnderTheChecker) {
+  // The heap is carved out of the arena directly, not through sg::Malloc,
+  // so it needs its own fill.
+  mpi::RuntimeConfig cfg = pe_world(2);
+  cfg.machine.check = 1;
+  mpi::Runtime rt(cfg);
+  SymmetricHeap heap(rt, 4096);
+  for (int pe = 0; pe < 2; ++pe) {
+    const std::byte* b = heap.base(pe);
+    EXPECT_TRUE(std::all_of(b, b + 4096, [](std::byte x) {
+      return x == sg::kPoisonByte;
+    })) << "PE " << pe;
+  }
 }
 
 TEST(Shmem, PutDeliversBytes) {

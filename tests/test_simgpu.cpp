@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -103,6 +104,91 @@ TEST(Machine, FreeRejectsNonDevicePointer) {
   HostContext c(m, 0);
   int x;
   EXPECT_THROW(Free(c, &x), std::invalid_argument);
+}
+
+// --- Arena storage reuse and the poison fill -------------------------------------
+
+/// A machine shape no other test in this binary builds.
+MachineConfig pooled_config(int check = -1) {
+  MachineConfig cfg = test::machine_config(2, std::size_t{5} << 20);
+  cfg.check = check;
+  return cfg;
+}
+
+bool all_poison(const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const std::byte*>(p);
+  return std::all_of(b, b + bytes,
+                     [](std::byte x) { return x == kPoisonByte; });
+}
+
+TEST(ArenaPool, NextMachineOfOneShapeReusesStorage) {
+  // Checker off on both machines, so no poison hides the reused bytes.
+  std::vector<std::byte*> bases;
+  {
+    Machine m(pooled_config(/*check=*/0));
+    for (int d = 0; d < 2; ++d) {
+      bases.push_back(m.device(d).arena().base());
+      HostContext c(m, d);
+      // Still allocated when the machine goes away.
+      std::memset(Malloc(c, 4096), 0x11 + d, 4096);
+    }
+  }
+  Machine m(pooled_config(/*check=*/0));
+  for (int d = 0; d < 2; ++d) {
+    Arena& a = m.device(d).arena();
+    EXPECT_EQ(a.base(), bases[static_cast<std::size_t>(d)]);
+    EXPECT_EQ(a.bytes_in_use(), 0u);
+    HostContext c(m, d);
+    const auto* p = static_cast<const std::byte*>(Malloc(c, 100));
+    EXPECT_EQ(p, a.base());
+    // The same pages, not a new mapping at the same address.
+    EXPECT_EQ(p[0], std::byte(0x11 + d));
+  }
+}
+
+TEST(ArenaPool, MachineOfAnotherCapacityAllocatesAndFrees) {
+  { Machine pooled(pooled_config()); }
+  const std::size_t cap = std::size_t{3} << 20;
+  Machine m(test::machine_config(2, cap));
+  HostContext c(m, 1);
+  Arena& a = m.device(1).arena();
+  ASSERT_EQ(a.capacity(), cap);
+  void* p = Malloc(c, 1 << 20);
+  void* q = Malloc(c, 2 << 20);
+  std::memset(p, 1, 1 << 20);
+  std::memset(q, 2, 2 << 20);
+  EXPECT_THROW(Malloc(c, 1), std::bad_alloc);
+  Free(c, p);
+  Free(c, q);
+  EXPECT_EQ(a.bytes_in_use(), 0u);
+  EXPECT_EQ(Malloc(c, cap), a.base());
+}
+
+TEST(ArenaPool, FreshAllocationsArePoisonUnderTheChecker) {
+  constexpr std::size_t kBytes = 8192;
+  void* written = nullptr;
+  {
+    Machine m(pooled_config(/*check=*/1));
+    HostContext c(m, 0);
+    written = Malloc(c, kBytes);
+    std::memset(written, 0x11, kBytes);
+    void* h = HostAlloc(c, kBytes);
+    std::memset(h, 0x11, kBytes);
+    HostFree(c, h);
+  }
+  Machine m(pooled_config(/*check=*/1));
+  HostContext c(m, 0);
+  void* d = Malloc(c, kBytes);
+  ASSERT_EQ(d, written);  // the storage the first machine wrote
+  EXPECT_TRUE(all_poison(d, kBytes));
+  void* h = HostAlloc(c, kBytes);
+  EXPECT_TRUE(all_poison(h, kBytes));
+  std::memset(d, 0x11, kBytes);
+  Free(c, d);
+  void* again = Malloc(c, kBytes);
+  ASSERT_EQ(again, d);
+  EXPECT_TRUE(all_poison(again, kBytes));
+  HostFree(c, h);
 }
 
 // --- Copies: functional + timing --------------------------------------------------

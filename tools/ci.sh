@@ -5,8 +5,8 @@
 #      simulator scale suite, the flow-latency gates and determinism
 #      double-runs);
 #   2. the same suite in the GPUDDT_CHECK=ON build (every machine runs
-#      hazard-clean with the access checker attached; a checked bench
-#      exits 1 on any finding);
+#      hazard-clean with the access checker attached, and fresh
+#      allocations hold poison; a checked bench exits 1 on any finding);
 #   3. the same suite under ASan + UBSan;
 #   5. a determinism sweep over all benchmark binaries
 #      (docs/determinism.md) that also enforces every figure bench's paper
@@ -37,7 +37,10 @@ run ctest --test-dir build --output-on-failure -j "$JOBS"
 
 # 2. Checking on by default: every machine in the suite gets the hazard
 #    detector + DEV invariant checker attached, and every bench ctest
-#    entry exits 1 on any hazard or DEV violation it records
+#    entry exits 1 on any hazard or DEV violation it records. The
+#    checker also turns the poison fill on: every fresh device, pinned
+#    host and symmetric-heap allocation holds kPoisonByte, so a path or
+#    test that reads bytes nothing wrote fails its bit-exact check
 #    (docs/checking.md).
 run cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGPUDDT_CHECK=ON
