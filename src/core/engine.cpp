@@ -454,8 +454,8 @@ void GpuDatatypeEngine::prefetch(const mpi::DatatypePtr& dt,
   if (dt->regular_pattern(count)) return;  // vector fast path: no DEVs
   if (cache_.find(dt, count, cfg_.unit_bytes) != nullptr) return;
   // Drive the conversion through a cursor so the walk cost is charged per
-  // datatype piece actually visited - a long contiguous row is one walked
-  // piece but many emitted units, while tiny blocks are the reverse.
+  // contiguous run actually walked - a long run is one walk charge but
+  // many emitted units.
   DevCursor cur(dt, count, cfg_.unit_bytes);
   std::vector<CudaDevDist> units;
   units.reserve(

@@ -9,13 +9,15 @@
 //
 // Cursor state is a small copyable value: protocols snapshot it freely.
 //
-// A cursor yields exactly the pieces the cost model charges, so a faster
+// A cursor yields exactly the pieces the CPU paths charge, so a faster
 // walk must keep the (offset, len) sequence. cpu_pack/cpu_unpack copy one
 // piece per memcpy and count it in PackStats::pieces, which the PML and
-// the baselines charge one host walk step each; DevCursor emits one DEV
-// unit per piece but charges the walk once per contiguous run. Merging
-// abutting pieces is therefore a cost-model change: fewer walk charges
-// and copies on the CPU paths, fewer DEV units on the GPU path.
+// the baselines charge one host walk step each; a dense count is still
+// one piece per element. DevCursor (core/dev.h) merges abutting pieces
+// itself: it emits one DEV unit per S-byte cut of a contiguous run and
+// charges the walk once per run. Merging abutting pieces here would
+// therefore change the cost model of the CPU paths only: fewer walk
+// charges and copies.
 // Programs that are a single kBlock (primitives, contiguous(n, t),
 // single-block resized types) take a one-block path: element e's piece
 // starts at e * extent + disp + in_block, split at the budget as usual,

@@ -69,21 +69,6 @@ void write_value(std::string& out, const json::Value& v) {
 
 /// One "name": value line per metric keeps mismatch reports (and text
 /// diffs of checked-in baselines) readable.
-/// Metrics produced by the optional access checker, not by the simulated
-/// program. GPUDDT_CHECK builds (ci.sh stage 2) attach the checker to
-/// every machine, so keeping these would make the canonical text depend
-/// on the build configuration instead of on program behavior.
-bool instrumentation_metric(const std::string& key) {
-  // verify.prover_ns is wall-clock prover time (src/verify/hook.cpp) -
-  // real host nanoseconds, never deterministic across runs. The other
-  // verify.* counters are pure counts and stay canonical. sim.wall_ns
-  // and sim.vns_per_wall_s (bench_sim_throughput) are likewise real
-  // host time; the rest of the sim.* family (dispatches, wakeups,
-  // yields, virtual_ns) is deterministic and stays canonical.
-  return key.rfind("check.", 0) == 0 || key == "verify.prover_ns" ||
-         key == "sim.wall_ns" || key == "sim.vns_per_wall_s";
-}
-
 void write_section(std::string& out, const char* name,
                    const json::Object& section) {
   out += "  \"";
@@ -101,6 +86,21 @@ void write_section(std::string& out, const char* name,
 }
 
 }  // namespace
+
+bool instrumentation_metric(const std::string& key) {
+  // check.* metrics come from the optional access checker, not from the
+  // simulated program: GPUDDT_CHECK builds (ci.sh stage 2) attach it to
+  // every machine, so keeping them would make the canonical text depend
+  // on the build configuration instead of on program behavior.
+  // verify.prover_ns is wall-clock prover time (src/verify/hook.cpp) -
+  // real host nanoseconds, never deterministic across runs. The other
+  // verify.* counters are pure counts and stay canonical. sim.wall_ns
+  // and sim.vns_per_wall_s (bench_sim_throughput) are likewise real
+  // host time; the rest of the sim.* family (dispatches, wakeups,
+  // yields, virtual_ns) is deterministic and stays canonical.
+  return key.rfind("check.", 0) == 0 || key == "verify.prover_ns" ||
+         key == "sim.wall_ns" || key == "sim.vns_per_wall_s";
+}
 
 std::string canonical_metrics(const json::Value& doc) {
   if (!doc.is_object() || !doc.contains("schema") ||

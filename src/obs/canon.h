@@ -11,7 +11,8 @@
 //     are diagnostic payload, not gated metrics, and are dropped;
 //   - `check.*` metrics are dropped: they come from the optional access
 //     checker (GPUDDT_CHECK / --check), so keeping them would make the
-//     canonical text depend on the build configuration;
+//     canonical text depend on the build configuration; so are the
+//     wall-clock metrics (instrumentation_metric below);
 //   - object keys are sorted (json::Object is a std::map, so parsing
 //     alone establishes this);
 //   - numbers print as integers whenever they are exactly representable
@@ -27,6 +28,12 @@
 #include "obs/json.h"
 
 namespace gpuddt::obs {
+
+/// True for a metric the canonical text drops: `check.*`, and the
+/// wall-clock `verify.prover_ns`, `sim.wall_ns` and `sim.vns_per_wall_s`.
+/// metrics_diff's per-key gate report skips the same keys, so it lists
+/// only the differences the canonical comparison counts.
+bool instrumentation_metric(const std::string& key);
 
 /// Canonical text of a parsed gpuddt-metrics-v1 dump. Throws
 /// std::runtime_error when `doc` lacks the schema marker or either

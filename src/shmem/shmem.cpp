@@ -59,6 +59,12 @@ SymmetricHeap::SymmetricHeap(mpi::Runtime& rt, std::size_t bytes_per_pe)
 Pe::Pe(mpi::Process& p, SymmetricHeap& heap)
     : proc_(p), heap_(heap), engine_(p.gpu(), pe_engine_cfg(p)) {}
 
+Pe::~Pe() {
+  // Here and not in the engine's destructor, as in rma::Window: the PE
+  // lives inside its rank's run, so its device is still alive.
+  engine_.cache().free_device_copies(proc_.gpu());
+}
+
 void* Pe::malloc(std::size_t bytes) {
   const std::size_t aligned = (bytes + 511) / 512 * 512;
   if (alloc_cursor_ + aligned > heap_.bytes_per_pe())

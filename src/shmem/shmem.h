@@ -31,6 +31,11 @@ class SymmetricHeap;
 class Pe {
  public:
   Pe(mpi::Process& p, SymmetricHeap& heap);
+  /// Frees the device copies of the DEVs this PE's engine cached.
+  ~Pe();
+
+  Pe(const Pe&) = delete;
+  Pe& operator=(const Pe&) = delete;
 
   int my_pe() const { return proc_.rank(); }
   int n_pes() const { return proc_.size(); }

@@ -13,44 +13,6 @@ void prove(Report& rep, const char* name, bool ok, std::string detail) {
   rep.obligations.push_back({name, ok, ok ? std::string() : std::move(detail)});
 }
 
-/// The unmerged block sequence of one element: one entry per kBlock
-/// *emission* in visit order. This is the granularity the DEV
-/// conversion splits at (a cursor yields per-block pieces; it never
-/// merges blocks that happen to abut), so the unit expectation is
-/// derived from this list, not from the merged ByteMap.
-void block_list(std::span<const mpi::Instr> prog, std::size_t i0,
-                std::size_t i1, std::int64_t base, std::vector<Run>& out,
-                int depth) {
-  if (depth > 64) {
-    throw std::invalid_argument("verify: program nests deeper than 64");
-  }
-  std::size_t i = i0;
-  while (i < i1) {
-    const mpi::Instr& in = prog[i];
-    switch (in.op) {
-      case mpi::Instr::Op::kBlock:
-        if (in.len > 0) out.push_back({base + in.disp, in.len});
-        ++i;
-        break;
-      case mpi::Instr::Op::kLoop: {
-        const auto end = static_cast<std::size_t>(in.body_end);
-        if (end <= i || end >= i1 ||
-            prog[end].op != mpi::Instr::Op::kEndLoop) {
-          throw std::invalid_argument("verify: bad loop body_end link");
-        }
-        for (std::int64_t it = 0; it < in.count; ++it) {
-          block_list(prog, i + 1, end, base + in.disp + it * in.step, out,
-                     depth + 1);
-        }
-        i = end + 1;
-        break;
-      }
-      case mpi::Instr::Op::kEndLoop:
-        throw std::invalid_argument("verify: stray end_loop");
-    }
-  }
-}
-
 std::string map_diff(const ByteMap& a, const ByteMap& b) {
   const std::vector<Run>& ra = a.runs();
   const std::vector<Run>& rb = b.runs();
@@ -151,19 +113,22 @@ Report verify_type(const mpi::Datatype& dt) {
 std::vector<core::CudaDevDist> expected_units(const mpi::Datatype& dt,
                                               std::int64_t count,
                                               std::int64_t unit_bytes) {
-  std::vector<Run> blocks;
-  const std::vector<mpi::Instr>& canon = dt.canonical_program();
-  block_list(canon, 0, canon.size(), 0, blocks, 0);
+  // Element 0's maximal runs, shifted to each element in turn; push()
+  // merges a run into the previous one where element e's last run ends
+  // at element e + 1's first, so `runs` holds the maximal runs of the
+  // whole message in visit order.
+  const ByteMap elem = program_byte_map(dt.canonical_program());
+  ByteMap runs;
+  for (std::int64_t e = 0; e < count; ++e) {
+    for (const Run& r : elem.runs()) runs.push(e * dt.extent() + r.off, r.len);
+  }
   std::vector<core::CudaDevDist> units;
   std::int64_t pk = 0;
-  for (std::int64_t e = 0; e < count; ++e) {
-    const std::int64_t elem_base = e * dt.extent();
-    for (const Run& b : blocks) {
-      for (std::int64_t off = 0; off < b.len; off += unit_bytes) {
-        const std::int64_t len = std::min(unit_bytes, b.len - off);
-        units.push_back({elem_base + b.off + off, pk, len});
-        pk += len;
-      }
+  for (const Run& r : runs.runs()) {
+    for (std::int64_t off = 0; off < r.len; off += unit_bytes) {
+      const std::int64_t len = std::min(unit_bytes, r.len - off);
+      units.push_back({r.off + off, pk, len});
+      pk += len;
     }
   }
   return units;

@@ -6,9 +6,10 @@
 // exactly the same byte-visit sequence, with exact bounds/size/extent
 // and no intra- or cross-element overlap. verify_dev() then proves a
 // converted CUDA DEV unit list is exactly the closed-form unit split of
-// the canonical program: right unit count, every non-contiguous
-// displacement exact, pack destinations exactly contiguous over
-// [0, size*count). verify_pipeline() proves the engine's fragment
+// the canonical program's maximal contiguous runs, merged across element
+// seams: right unit count, every non-contiguous displacement exact, pack
+// destinations exactly contiguous over [0, size*count).
+// verify_pipeline() proves the engine's fragment
 // pipeline hazard-free over all legal interleavings (pipeline.h).
 //
 // Each check is an *obligation* with a stable name (the catalogue in
@@ -85,10 +86,13 @@ Report verify_dev(const mpi::Datatype& dt, std::int64_t count,
 /// accesses over all legal interleavings.
 Report verify_pipeline(const EnginePipelineParams& params);
 
-/// The closed-form unit split the DEV conversion must produce: every
-/// canonical-program block of element 0, in visit order, cut into
-/// <= unit_bytes pieces; element e's units are element 0's shifted by
-/// (e * extent, e * size). Exposed for tests and tools.
+/// The closed-form unit split the DEV conversion must produce, derived
+/// from the canonical program's ByteMap rather than from DevCursor:
+/// element 0's maximal runs, shifted by e * extent for element e, with
+/// a run merged into the previous one where element e's last run ends
+/// at element e + 1's first; each merged run is cut into unit_bytes
+/// pieces counted from its start, the last one shorter. Exposed for
+/// tests and tools.
 std::vector<core::CudaDevDist> expected_units(const mpi::Datatype& dt,
                                               std::int64_t count,
                                               std::int64_t unit_bytes);

@@ -254,9 +254,10 @@ TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
   }
 }
 
-// Today's charged counts: a dense count costs one piece (and one DEV
-// unit) per element, a dense element one piece. Merging abutting runs
-// changes these numbers, and must change them here on purpose.
+// Today's charged counts: on the CPU paths a dense count costs one piece
+// per element, a dense element one piece; the DEV conversion merges the
+// dense count into one run cut at S. Merging abutting pieces in the
+// cursor changes the CPU numbers, and must change them here on purpose.
 TEST(BlockCursor, ChargedPieceCountsArePinned) {
   std::vector<std::byte> src(4096), out(4096);
   EXPECT_EQ(cpu_pack(kByte(), 4096, src.data(), out).pieces, 4096);
@@ -264,10 +265,10 @@ TEST(BlockCursor, ChargedPieceCountsArePinned) {
       cpu_pack(Datatype::contiguous(4096, kByte()), 1, src.data(), out).pieces,
       1);
   const auto units = core::convert_all(kDouble(), 512, 1024);
-  ASSERT_EQ(units.size(), 512u);
+  ASSERT_EQ(units.size(), 4u);
   for (std::size_t i = 0; i < units.size(); ++i) {
-    const auto at = static_cast<std::int64_t>(i) * 8;
-    EXPECT_EQ(units[i], (core::CudaDevDist{at, at, 8})) << "unit " << i;
+    const auto at = static_cast<std::int64_t>(i) * 1024;
+    EXPECT_EQ(units[i], (core::CudaDevDist{at, at, 1024})) << "unit " << i;
   }
 }
 

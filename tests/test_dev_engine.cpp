@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <set>
@@ -54,22 +55,45 @@ TEST(DevCursor, RejectsSubMinimumUnit) {
 }
 
 TEST(DevCursor, IncrementalMatchesOneShot) {
-  auto t = core::lower_triangular_type(40, 48);
-  auto whole = convert_all(t, 1, 512);
-  DevCursor cur(t, 1, 512);
-  std::vector<CudaDevDist> inc;
-  CudaDevDist buf[7];
-  for (;;) {
-    const std::size_t n = cur.next_units(buf);
-    if (n == 0) break;
-    inc.insert(inc.end(), buf, buf + n);
+  // The vector's second block [1200, 2000) abuts the next element's first
+  // [2000, 2800): a 1600 B run across every seam, longer than S, so the
+  // 7-unit buffer leaves a partly emitted run held between calls.
+  const std::pair<mpi::DatatypePtr, std::int64_t> cases[] = {
+      {core::lower_triangular_type(40, 48), 1},
+      {mpi::Datatype::vector(2, 100, 150, mpi::kDouble()), 5}};
+  for (const auto& [t, count] : cases) {
+    auto whole = convert_all(t, count, 512);
+    DevCursor cur(t, count, 512);
+    std::vector<CudaDevDist> inc;
+    CudaDevDist buf[7];
+    for (;;) {
+      const std::size_t n = cur.next_units(buf);
+      if (n == 0) break;
+      inc.insert(inc.end(), buf, buf + n);
+      // done() counts the held run, not just the walk.
+      EXPECT_EQ(cur.done(), inc.size() == whole.size()) << t->describe_tree();
+    }
+    ASSERT_EQ(inc.size(), whole.size()) << t->describe_tree();
+    for (std::size_t i = 0; i < inc.size(); ++i) {
+      EXPECT_EQ(inc[i], whole[i]) << t->describe_tree() << " unit " << i;
+    }
+    EXPECT_EQ(cur.bytes_emitted(), t->size() * count);
+    if (count > 1) {
+      // Some unit straddles an element seam.
+      const std::int64_t ext = t->extent();
+      EXPECT_TRUE(std::any_of(whole.begin(), whole.end(), [&](const auto& u) {
+        return u.nc_disp / ext != (u.nc_disp + u.length - 1) / ext;
+      })) << t->describe_tree();
+    }
   }
-  ASSERT_EQ(inc.size(), whole.size());
-  for (std::size_t i = 0; i < inc.size(); ++i) {
-    EXPECT_EQ(inc[i].nc_disp, whole[i].nc_disp);
-    EXPECT_EQ(inc[i].pk_disp, whole[i].pk_disp);
-    EXPECT_EQ(inc[i].length, whole[i].length);
-  }
+}
+
+TEST(DevCursor, MergesAbuttingPiecesAcrossElements) {
+  // Element e's [32, 56) run and element e+1's [0, 28) form one 52 B run.
+  const auto units = convert_all(test::particle_type(), 3, 1024);
+  const std::vector<CudaDevDist> want = {
+      {0, 0, 28}, {32, 28, 52}, {88, 80, 52}, {144, 132, 24}};
+  EXPECT_EQ(units, want);
 }
 
 // --- DevCache ---------------------------------------------------------------------

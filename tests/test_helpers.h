@@ -75,6 +75,17 @@ inline std::vector<std::byte> reference_pack(const mpi::DatatypePtr& dt,
   return out;
 }
 
+/// A particle: 3 doubles, an int32, a 4-byte hole, 3 doubles (extent 56).
+/// Each element's [32, 56) run abuts the next element's [0, 28), so a
+/// count > 1 carries a contiguous run across every element seam.
+inline mpi::DatatypePtr particle_type() {
+  const std::int64_t lens[] = {3, 1, 3};
+  const std::int64_t displs[] = {0, 24, 32};
+  const mpi::DatatypePtr types[] = {mpi::kDouble(), mpi::kInt32(),
+                                    mpi::kDouble()};
+  return mpi::Datatype::struct_type(lens, displs, types);
+}
+
 /// A random "interesting" datatype for property tests: nested mixes of
 /// vector / indexed / contiguous / struct over the primitive set.
 inline mpi::DatatypePtr random_datatype(std::mt19937& rng, int depth = 0) {

@@ -148,6 +148,33 @@ TEST(Shmem, DatatypePutMovesTriangle) {
   });
 }
 
+TEST(Shmem, TeardownFreesCachedDevs) {
+  // The unpack half of a datatype put hits the PE engine's DEV cache,
+  // which uploads a device copy of the DEV to device 0. Destroying the PE
+  // must free it: device 0 returns to its usage before the first PE after
+  // every PE.
+  mpi::Runtime rt(pe_world(2));
+  SymmetricHeap heap(rt, 1u << 20);
+  rt.run([&](mpi::Process& p) {
+    const std::int64_t n = 256;
+    auto tri = core::lower_triangular_type(n, n);
+    const sg::Arena& dev0 = p.runtime().machine().device(0).arena();
+    const std::size_t before = dev0.bytes_in_use();
+    for (int round = 0; round < 3; ++round) {
+      {
+        Pe pe(p, heap);
+        auto* mat = pe.malloc(static_cast<std::size_t>(n * n * 8));
+        pe.barrier_all();
+        if (p.rank() == 0) pe.put_datatype(mat, mat, tri, 1, 1);
+        pe.barrier_all();
+      }
+      if (p.rank() == 0) {
+        EXPECT_EQ(dev0.bytes_in_use(), before) << "after PE " << round;
+      }
+    }
+  });
+}
+
 TEST(Shmem, DatatypeGetPullsVector) {
   mpi::Runtime rt(pe_world(2));
   SymmetricHeap heap(rt, 8u << 20);

@@ -183,6 +183,21 @@ TEST(VerifyMutation, OverlappingPackDestinationFailsPkExact) {
   EXPECT_EQ(failed_names(rep), std::vector<std::string>{kDevPkExact});
 }
 
+TEST(VerifyMutation, UnmergedSeamFailsUnitCount) {
+  // One unit per piece, the particle's [32, 56) and the next element's
+  // [56, 84) left apart: six units where the merged split has four.
+  const DatatypePtr dt = test::particle_type();
+  const std::vector<core::CudaDevDist> unmerged = {
+      {0, 0, 28},    {32, 28, 24},   {56, 52, 28},
+      {88, 80, 24},  {112, 104, 28}, {144, 132, 24}};
+  expect_certified(verify_dev(*dt, 3, 1024, core::convert_all(dt, 3, 1024)));
+  const Report rep = verify_dev(*dt, 3, 1024, unmerged);
+  EXPECT_FALSE(rep.certified());
+  const auto names = failed_names(rep);
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ(names.front(), kDevUnitCount);
+}
+
 TEST(VerifyMutation, ReorderedPipelineEdgeFailsHazardFree) {
   core::GpuDatatypeEngine::PipelineShape shape;
   EnginePipelineParams p = params_from_engine(shape, /*windows=*/6);

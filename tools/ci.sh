@@ -87,7 +87,7 @@ run env GPUDDT_VERIFY=1 build/bench/bench_ddt_zoo \
 #    A change that moves virtual time on purpose updates these pins in the
 #    same change as its regenerated baselines (tools/regen_baselines.sh).
 PERFBENCH_VT_DIGESTS=(
-  "engine_pack 4a7bc3651205bf31"
+  "engine_pack ea5142b1a59eb3a3"
   "host_ring 71baf603765bb4ce"
   "gpu_mix dcd17cfdeaa77dc4"
 )

@@ -465,11 +465,14 @@ std::string entry_text(const std::string& name, const Value& v,
   return gpuddt::obs::canonical_metrics(Value(std::move(doc)));
 }
 
-/// Exact per-key comparison of a section; prints every divergence.
+/// Exact per-key comparison of a section; prints every divergence the
+/// canonical comparison counts (keys it drops are skipped).
 int diff_exact(const char* title, const gpuddt::obs::json::Object& a,
                const gpuddt::obs::json::Object& b, bool histogram) {
+  using gpuddt::obs::instrumentation_metric;
   int diffs = 0;
   for (const auto& [name, av] : a) {
+    if (instrumentation_metric(name)) continue;
     const auto it = b.find(name);
     if (it == b.end()) {
       std::printf("FAIL %s %-42s only in baseline\n", title, name.c_str());
@@ -486,7 +489,7 @@ int diff_exact(const char* title, const gpuddt::obs::json::Object& a,
     }
   }
   for (const auto& [name, bv] : b) {
-    if (a.find(name) == a.end()) {
+    if (!instrumentation_metric(name) && a.find(name) == a.end()) {
       std::printf("FAIL %s %-42s only in candidate\n", title, name.c_str());
       ++diffs;
     }
