@@ -24,7 +24,7 @@ PackOutcome pack_stage_whole(sg::HostContext& ctx, const mpi::DatatypePtr& dt,
   const sg::CostModel& cm = ctx.cost();
   ctx.clock.advance(cm.cpu_copy_ns(st.bytes) +
                     static_cast<vt::Time>(cm.cpu_block_walk_ns *
-                                          static_cast<double>(st.pieces)));
+                                          static_cast<double>(st.runs)));
   return {ctx.clock.now() - t0, host_packed, true};
 }
 

@@ -1,5 +1,6 @@
 #include "core/dev.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gpuddt::core {
@@ -18,31 +19,19 @@ DevCursor::DevCursor(mpi::DatatypePtr dt, std::int64_t count,
 
 std::size_t DevCursor::next_units(std::span<CudaDevDist> out) {
   std::size_t n = 0;
-  const auto emit = [&](std::int64_t len) {
-    if (run_cut_ == 0) ++pieces_;  // a run's first unit carries its walk
+  while (n < out.size()) {
+    if (run_cut_ == run_len_) {
+      mpi::Block run;
+      if (!cursor_.next_run(INT64_MAX, &run)) break;
+      run_nc_ = run.offset;
+      run_len_ = run.len;
+      run_cut_ = 0;
+      ++pieces_;  // one walk step per run, booked with its first unit
+    }
+    const std::int64_t len = std::min(unit_bytes_, run_len_ - run_cut_);
     out[n++] = {run_nc_ + run_cut_, packed_off_, len};
     run_cut_ += len;
     packed_off_ += len;
-  };
-  mpi::Block b;
-  while (n < out.size()) {
-    const std::int64_t held = run_len_ - run_cut_;
-    if (held >= unit_bytes_) {
-      emit(unit_bytes_);
-    } else if (cursor_.next(&b)) {
-      if (b.offset == run_nc_ + run_len_) {
-        run_len_ += b.len;  // abuts: the run goes on
-        continue;
-      }
-      if (held > 0) emit(held);  // the run ends short of a full unit
-      run_nc_ = b.offset;
-      run_len_ = b.len;
-      run_cut_ = 0;
-    } else if (held > 0) {
-      emit(held);  // the walk is over: the last run's tail
-    } else {
-      break;
-    }
   }
   return n;
 }

@@ -2,13 +2,14 @@
 //
 // The host walks the stack-based datatype representation and re-encodes it
 // as a flat array of <non-contiguous displacement, packed displacement,
-// length> tuples. Pieces of the walk that start where the previous one
-// ended - across blocks, loop iterations and elements - form one
-// contiguous run, and each run is split into work units of at most S bytes
-// (`unit_bytes`, the paper's 1KB/2KB/4KB knob), counted from the run's
-// start, so each unit maps onto one CUDA warp; because the tuples hold
-// only *relative* displacements, a converted array is reusable and
-// cacheable (dev_cache.h).
+// length> tuples. The walk yields maximal contiguous runs
+// (mpi::BlockCursor::next_run, the one merge rule the CPU paths share:
+// pieces that start where the previous one ended, across blocks, loop
+// iterations and elements), and each run is split into work units of at
+// most S bytes (`unit_bytes`, the paper's 1KB/2KB/4KB knob), counted from
+// the run's start, so each unit maps onto one CUDA warp; because the
+// tuples hold only *relative* displacements, a converted array is
+// reusable and cacheable (dev_cache.h).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,8 @@ class DevCursor {
   DevCursor() = default;
   DevCursor(mpi::DatatypePtr dt, std::int64_t count, std::int64_t unit_bytes);
 
-  /// Produce up to out.size() units; returns how many were written. A
-  /// run that may still grow, or that did not fit, is held for the next
-  /// call.
+  /// Produce up to out.size() units; returns how many were written. The
+  /// units of a run that did not fit are held for the next call.
   std::size_t next_units(std::span<CudaDevDist> out);
 
   bool done() const { return cursor_.done() && run_cut_ == run_len_; }
@@ -49,9 +49,9 @@ class DevCursor {
   std::int64_t total_bytes() const { return cursor_.total_bytes(); }
 
   /// Contiguous runs walked so far (host traversal cost accounting). A
-  /// run counts once, when its first unit is emitted, however many
-  /// blocks it merged and units it was cut into; emission cost is charged
-  /// per unit separately.
+  /// run counts once, with its first unit, however many pieces it merged
+  /// and units it was cut into; emission cost is charged per unit
+  /// separately.
   std::int64_t pieces_visited() const { return pieces_; }
 
  private:
@@ -59,8 +59,8 @@ class DevCursor {
   std::int64_t unit_bytes_ = 1024;
   std::int64_t packed_off_ = 0;
   std::int64_t pieces_ = 0;
-  // The open run: source bytes [run_nc_, run_nc_ + run_len_), of which
-  // the first run_cut_ are already emitted.
+  // The current run: source bytes [run_nc_, run_nc_ + run_len_), of
+  // which the first run_cut_ are already emitted.
   std::int64_t run_nc_ = 0;
   std::int64_t run_len_ = 0;
   std::int64_t run_cut_ = 0;

@@ -11,12 +11,12 @@ PackStats cpu_pack_some(BlockCursor& cursor, const void* src,
   const auto* base = static_cast<const std::byte*>(src);
   std::int64_t room = static_cast<std::int64_t>(out.size());
   Block b;
-  while (room > 0 && cursor.next(room, &b)) {
+  while (room > 0 && cursor.next_run(room, &b)) {
     std::memcpy(out.data() + st.bytes, base + b.offset,
                 static_cast<std::size_t>(b.len));
     st.bytes += b.len;
     room -= b.len;
-    ++st.pieces;
+    ++st.runs;
   }
   return st;
 }
@@ -27,12 +27,12 @@ PackStats cpu_unpack_some(BlockCursor& cursor, std::span<const std::byte> in,
   auto* base = static_cast<std::byte*>(dst);
   std::int64_t avail = static_cast<std::int64_t>(in.size());
   Block b;
-  while (avail > 0 && cursor.next(avail, &b)) {
+  while (avail > 0 && cursor.next_run(avail, &b)) {
     std::memcpy(base + b.offset, in.data() + st.bytes,
                 static_cast<std::size_t>(b.len));
     st.bytes += b.len;
     avail -= b.len;
-    ++st.pieces;
+    ++st.runs;
   }
   return st;
 }

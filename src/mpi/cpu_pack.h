@@ -19,11 +19,15 @@ namespace gpuddt::mpi {
 
 struct PackStats {
   std::int64_t bytes = 0;
-  std::int64_t pieces = 0;  // contiguous pieces visited (host walk cost)
+  // Contiguous runs copied, one memcpy and one host walk step each
+  // (BlockCursor::next_run). A run that the byte budget cuts counts in
+  // each call that copies part of it.
+  std::int64_t runs = 0;
 };
 
 /// Gather at most `out.size()` bytes from `src` (laid out as `cursor`'s
-/// datatype) into `out`, advancing the cursor. Returns what was moved.
+/// datatype) into `out`, advancing the cursor one run per memcpy.
+/// Returns what was moved.
 PackStats cpu_pack_some(BlockCursor& cursor, const void* src,
                         std::span<std::byte> out);
 

@@ -18,13 +18,16 @@ BlockCursor::BlockCursor(DatatypePtr dt, std::int64_t count,
     blk_disp_ = prog_->front().disp;
     blk_len_ = prog_->front().len;
     extent_ = dt_->extent();
+  } else if (remaining_ > 0) {
+    ip_ = -1;  // advance_instr pre-increments onto the first block
+    advance_instr();
   }
 }
 
 /// Move the instruction pointer past the just-finished instruction,
 /// unwinding loop frames and element boundaries as needed. On return,
 /// either remaining_ == 0 or ip_ points at a kBlock ready to emit, with
-/// the correct frame base on top of the stack.
+/// the correct frame base on top of the stack and blk_start_ set.
 void BlockCursor::advance_instr() {
   const auto& prog = *prog_;
   ++ip_;
@@ -43,6 +46,7 @@ void BlockCursor::advance_instr() {
     }
     const Instr& in = prog[ip_];
     if (in.op == Instr::Op::kBlock) {
+      blk_start_ = (stack_.empty() ? elem_base_ : stack_.back().base) + in.disp;
       return;
     }
     if (in.op == Instr::Op::kLoop) {
@@ -75,7 +79,7 @@ void BlockCursor::advance_instr() {
 
 bool BlockCursor::next(std::int64_t max_bytes, Block* out) {
   if (remaining_ == 0 || max_bytes <= 0) return false;
-  if (!one_block_) return next_in_program(max_bytes, out);
+  if (!one_block_) return next_in_program(max_bytes, /*merge=*/false, out);
   const std::int64_t take = std::min(blk_len_ - in_block_, max_bytes);
   out->offset = elem_base_ + blk_disp_ + in_block_;
   out->len = take;
@@ -89,32 +93,44 @@ bool BlockCursor::next(std::int64_t max_bytes, Block* out) {
   return true;
 }
 
-bool BlockCursor::next_in_program(std::int64_t max_bytes, Block* out) {
+bool BlockCursor::next_run(std::int64_t max_bytes, Block* out) {
+  if (!one_block_) {
+    return remaining_ > 0 && max_bytes > 0 &&
+           next_in_program(max_bytes, /*merge=*/true, out);
+  }
+  Block run;
+  if (!next(max_bytes, &run)) return false;
+  // Unless the budget cut it, the element's block is done and the cursor
+  // sits at the next element's.
+  Block b;
+  while (run.len < max_bytes && remaining_ > 0 &&
+         elem_base_ + blk_disp_ == run.offset + run.len &&
+         next(max_bytes - run.len, &b))
+    run.len += b.len;
+  *out = run;
+  return true;
+}
+
+bool BlockCursor::next_in_program(std::int64_t max_bytes, bool merge,
+                                  Block* out) {
   const auto& prog = *prog_;
-  // Position on a block: at construction ip_ == 0 which may not be a block.
-  if (in_block_ == 0) {
-    // If ip_ doesn't currently point at a block (fresh cursor or after
-    // finishing one), find the next block.
-    if (ip_ >= static_cast<std::int32_t>(prog.size()) ||
-        prog[ip_].op != Instr::Op::kBlock) {
-      --ip_;  // advance_instr pre-increments
-      advance_instr();
-      if (remaining_ == 0 || elem_ >= count_) return false;
-    }
-  }
-  const Instr& blk = prog[ip_];
-  const std::int64_t base = stack_.empty() ? elem_base_ : stack_.back().base;
-  const std::int64_t avail = blk.len - in_block_;
-  const std::int64_t take = std::min(avail, max_bytes);
-  out->offset = base + blk.disp + in_block_;
-  out->len = take;
-  in_block_ += take;
-  remaining_ -= take;
-  ++pieces_;
-  if (in_block_ == blk.len) {
+  const std::int64_t offset = blk_start_ + in_block_;
+  std::int64_t len = 0;
+  for (;;) {
+    const std::int64_t blk_len = prog[ip_].len;
+    const std::int64_t take = std::min(blk_len - in_block_, max_bytes - len);
+    len += take;
+    in_block_ += take;
+    remaining_ -= take;
+    ++pieces_;
+    if (in_block_ < blk_len) break;
     in_block_ = 0;
-    if (remaining_ > 0) advance_instr();
+    if (remaining_ == 0) break;
+    advance_instr();
+    if (!merge || len == max_bytes || blk_start_ != offset + len) break;
   }
+  out->offset = offset;
+  out->len = len;
   return true;
 }
 

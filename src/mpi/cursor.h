@@ -9,15 +9,24 @@
 //
 // Cursor state is a small copyable value: protocols snapshot it freely.
 //
-// A cursor yields exactly the pieces the CPU paths charge, so a faster
-// walk must keep the (offset, len) sequence. cpu_pack/cpu_unpack copy one
-// piece per memcpy and count it in PackStats::pieces, which the PML and
-// the baselines charge one host walk step each; a dense count is still
-// one piece per element. DevCursor (core/dev.h) merges abutting pieces
-// itself: it emits one DEV unit per S-byte cut of a contiguous run and
-// charges the walk once per run. Merging abutting pieces here would
-// therefore change the cost model of the CPU paths only: fewer walk
-// charges and copies.
+// Two granularities. next() yields pieces: one per block of each element,
+// split at the budget. next_run() yields runs: consecutive pieces merged
+// while each starts where the previous one ended - across blocks, loop
+// iterations and element seams - cut at the budget. cpu_pack/cpu_unpack
+// copy one run per memcpy and count it in PackStats::runs, which the PML,
+// the collectives and the baselines charge one host walk step each, so a
+// dense count costs what contiguous(n, t) costs. DevCursor (core/dev.h)
+// cuts each unbudgeted run into DEV units of at most S bytes and charges
+// the walk once per run. next() stays per piece for the callers that
+// model one copy per block (baselines/vectorize.cpp, the per-block
+// cudaMemcpy baselines) and for pieces_produced().
+//
+// next_run() reads no piece ahead: once a piece is out, the cursor
+// already sits on the next one, so the run is extended only after its
+// start is seen to abut. bytes_consumed() and done() therefore count
+// exactly the bytes handed out, and next() and next_run() mix freely.
+// A run is still walked piece by piece; there is no dense-count shortcut.
+//
 // Programs that are a single kBlock (primitives, contiguous(n, t),
 // single-block resized types) take a one-block path: element e's piece
 // starts at e * extent + disp + in_block, split at the budget as usual,
@@ -59,13 +68,19 @@ class BlockCursor {
   /// Convenience: full blocks.
   bool next(Block* out) { return next(INT64_MAX, out); }
 
+  /// Produce the next contiguous run, at most `max_bytes` long: pieces
+  /// are merged while each starts where the previous one ended. Returns
+  /// false when the traversal is complete. A run cut at `max_bytes`
+  /// resumes at the next call, as a run of its own.
+  bool next_run(std::int64_t max_bytes, Block* out);
+
   bool done() const { return remaining_ == 0; }
   std::int64_t bytes_remaining() const { return remaining_; }
   std::int64_t bytes_consumed() const { return total_ - remaining_; }
   std::int64_t total_bytes() const { return total_; }
 
-  /// Number of blocks (including partial pieces) produced so far; the cost
-  /// model charges host traversal per piece.
+  /// Pieces walked so far by next() and next_run() alike: one per block
+  /// of each element, a block split at a budget counting once per part.
   std::int64_t pieces_produced() const { return pieces_; }
 
  private:
@@ -76,7 +91,10 @@ class BlockCursor {
     std::int64_t origin = 0;  // parent base + loop disp
   };
 
-  bool next_in_program(std::int64_t max_bytes, Block* out);
+  /// The program walk of next() (merge false) and next_run() (merge
+  /// true): take pieces up to `max_bytes`, going on while merge is set
+  /// and the next block starts where the taken bytes end.
+  bool next_in_program(std::int64_t max_bytes, bool merge, Block* out);
   void advance_instr();
 
   DatatypePtr dt_;
@@ -85,6 +103,7 @@ class BlockCursor {
   std::int64_t elem_ = 0;      // current element index
   std::int64_t elem_base_ = 0; // elem_ * extent
   std::int32_t ip_ = 0;        // instruction pointer within program
+  std::int64_t blk_start_ = 0; // offset of ip_'s block (advance_instr)
   std::vector<Frame> stack_;
   std::int64_t in_block_ = 0;  // bytes consumed of the current block
   std::int64_t remaining_ = 0;

@@ -70,7 +70,7 @@ void Pml::charge_cpu_pack(const PackStats& st) {
   proc_.clock().advance(
       cm.cpu_copy_ns(st.bytes) +
       static_cast<vt::Time>(cm.cpu_block_walk_ns *
-                            static_cast<double>(st.pieces)));
+                            static_cast<double>(st.runs)));
 }
 
 SendRequest* Pml::find_send(std::uint64_t id) {

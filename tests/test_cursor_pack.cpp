@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "core/dev.h"
 #include "core/layouts.h"
@@ -9,6 +12,7 @@
 #include "mpi/cursor.h"
 #include "mpi/datatype.h"
 #include "test_helpers.h"
+#include "verify/verifier.h"
 
 namespace gpuddt::mpi {
 namespace {
@@ -19,6 +23,30 @@ std::vector<Block> all_blocks(const DatatypePtr& dt, std::int64_t count) {
   Block b;
   while (cur.next(&b)) out.push_back(b);
   return out;
+}
+
+/// `pieces` with each piece that starts where the previous one ended
+/// merged into it.
+std::vector<Block> merge_abutting(const std::vector<Block>& pieces) {
+  std::vector<Block> out;
+  for (const Block& p : pieces) {
+    if (!out.empty() && out.back().offset + out.back().len == p.offset) {
+      out.back().len += p.len;
+    } else {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+void expect_same_blocks(const std::vector<Block>& got,
+                        const std::vector<Block>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].offset, want[i].offset) << where << " block " << i;
+    EXPECT_EQ(got[i].len, want[i].len) << where << " block " << i;
+  }
 }
 
 TEST(BlockCursor, PrimitiveYieldsOneBlock) {
@@ -118,33 +146,15 @@ TEST(BlockCursor, PartialTraversalMatchesFullTraversal) {
     auto dt = test::random_datatype(rng);
     const std::int64_t count = 1 + trial % 3;
     auto full = all_blocks(dt, count);
-    // Re-walk with random small budgets and merge the pieces.
+    // Re-walk with random small budgets and merge the pieces; merge the
+    // reference the same way (adjacent full blocks may abut).
     BlockCursor cur(dt, count);
-    std::vector<Block> merged;
+    std::vector<Block> pieces;
     std::uniform_int_distribution<int> budget(1, 17);
     Block b;
-    while (cur.next(budget(rng), &b)) {
-      if (!merged.empty() &&
-          merged.back().offset + merged.back().len == b.offset) {
-        merged.back().len += b.len;
-      } else {
-        merged.push_back(b);
-      }
-    }
-    // Merge the reference the same way (adjacent full blocks may abut).
-    std::vector<Block> ref;
-    for (const Block& f : full) {
-      if (!ref.empty() && ref.back().offset + ref.back().len == f.offset) {
-        ref.back().len += f.len;
-      } else {
-        ref.push_back(f);
-      }
-    }
-    ASSERT_EQ(merged.size(), ref.size()) << dt->describe();
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(merged[i].offset, ref[i].offset);
-      EXPECT_EQ(merged[i].len, ref[i].len);
-    }
+    while (cur.next(budget(rng), &b)) pieces.push_back(b);
+    expect_same_blocks(merge_abutting(pieces), merge_abutting(full),
+                       dt->describe());
   }
 }
 
@@ -153,7 +163,7 @@ TEST(BlockCursor, PartialTraversalMatchesFullTraversal) {
 // Primitives, contiguous(n, t), single-block resized and hindexed types
 // compile to one kBlock, which the cursor walks without its frame stack.
 // Their pieces must still be element e's block at e * extent + disp, split
-// by the budget: the pieces the cost model charges.
+// by the budget; cpu_pack charges those pieces merged into runs.
 
 struct OneBlockCase {
   const char* name;
@@ -206,7 +216,8 @@ TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
     for (const std::int64_t count : {0, 1, 37}) {
       const std::string what = std::string(c.name) + " count " +
                                std::to_string(count);
-      // cpu_pack copies the unbounded reference pieces, one memcpy each.
+      // cpu_pack copies the unbounded reference pieces merged into runs,
+      // one memcpy each.
       const auto whole = reference_pieces(c, count, {});
       std::vector<std::byte> src(
           static_cast<std::size_t>(test::span_bytes(c.dt, count)));
@@ -217,7 +228,9 @@ TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
         ref.insert(ref.end(), base + p.offset, base + p.offset + p.len);
       const PackStats st = cpu_pack(c.dt, count, base, out);
       EXPECT_EQ(out, ref) << what;
-      EXPECT_EQ(st.pieces, static_cast<std::int64_t>(whole.size())) << what;
+      EXPECT_EQ(st.runs,
+                static_cast<std::int64_t>(merge_abutting(whole).size()))
+          << what;
 
       for (const View view : {View::kCompiled, View::kCanonical}) {
         const auto& prog = view == View::kCompiled ? c.dt->program()
@@ -239,11 +252,7 @@ TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
             got.push_back(b);
           const std::string where =
               what + (bounded ? " bounded" : " unbounded");
-          ASSERT_EQ(got.size(), want.size()) << where;
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(got[i].offset, want[i].offset) << where << " piece " << i;
-            EXPECT_EQ(got[i].len, want[i].len) << where << " piece " << i;
-          }
+          expect_same_blocks(got, want, where);
           EXPECT_EQ(cur.pieces_produced(),
                     static_cast<std::int64_t>(want.size()))
               << where;
@@ -254,21 +263,150 @@ TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
   }
 }
 
-// Today's charged counts: on the CPU paths a dense count costs one piece
-// per element, a dense element one piece; the DEV conversion merges the
-// dense count into one run cut at S. Merging abutting pieces in the
-// cursor changes the CPU numbers, and must change them here on purpose.
+// The charged counts: on the CPU paths a dense count is one run, as a
+// dense element is; the DEV conversion cuts the same run at S.
 TEST(BlockCursor, ChargedPieceCountsArePinned) {
   std::vector<std::byte> src(4096), out(4096);
-  EXPECT_EQ(cpu_pack(kByte(), 4096, src.data(), out).pieces, 4096);
+  EXPECT_EQ(cpu_pack(kByte(), 4096, src.data(), out).runs, 1);
   EXPECT_EQ(
-      cpu_pack(Datatype::contiguous(4096, kByte()), 1, src.data(), out).pieces,
+      cpu_pack(Datatype::contiguous(4096, kByte()), 1, src.data(), out).runs,
       1);
   const auto units = core::convert_all(kDouble(), 512, 1024);
   ASSERT_EQ(units.size(), 4u);
   for (std::size_t i = 0; i < units.size(); ++i) {
     const auto at = static_cast<std::int64_t>(i) * 1024;
     EXPECT_EQ(units[i], (core::CudaDevDist{at, at, 1024})) << "unit " << i;
+  }
+}
+
+// --- Runs -------------------------------------------------------------------
+//
+// next_run merges consecutive pieces while each starts where the previous
+// one ended. verify::expected_units derives the runs from the canonical
+// ByteMap without a cursor: each of its units is a maximal run cut every
+// `cut` bytes from the run's start, which is what next_run(cut) yields
+// call after call, and one maximal run when `cut` is the message size.
+
+std::vector<Block> expected_runs(const DatatypePtr& dt, std::int64_t count,
+                                 std::int64_t cut) {
+  std::vector<Block> out;
+  for (const auto& u : verify::expected_units(*dt, count, cut))
+    out.push_back({u.nc_disp, u.length});
+  return out;
+}
+
+/// The rest of `cur`'s walk as runs of at most `budget` bytes. After
+/// every call the cursor has consumed exactly the bytes handed out.
+std::vector<Block> walk_runs(BlockCursor& cur, std::int64_t budget,
+                             const std::string& where) {
+  std::vector<Block> out;
+  std::int64_t seen = cur.bytes_consumed();
+  Block b;
+  while (cur.next_run(budget, &b)) {
+    out.push_back(b);
+    EXPECT_GT(b.len, 0) << where;
+    EXPECT_LE(b.len, budget) << where;
+    seen += b.len;
+    EXPECT_EQ(cur.bytes_consumed(), seen) << where << " run " << out.size();
+    EXPECT_EQ(cur.bytes_remaining(), cur.total_bytes() - seen) << where;
+    EXPECT_EQ(cur.done(), seen == cur.total_bytes()) << where;
+  }
+  EXPECT_TRUE(cur.done()) << where;
+  return out;
+}
+
+/// Every byte offset of `blocks`, in order.
+std::vector<std::int64_t> byte_offsets(const std::vector<Block>& blocks) {
+  std::vector<std::int64_t> out;
+  for (const Block& b : blocks)
+    for (std::int64_t i = 0; i < b.len; ++i) out.push_back(b.offset + i);
+  return out;
+}
+
+TEST(BlockCursor, UnbudgetedRunsAreTheMaximalRuns) {
+  using View = BlockCursor::ProgramView;
+  std::vector<std::pair<DatatypePtr, std::int64_t>> cases;
+  // The reshape property's layouts of n doubles...
+  std::mt19937 reshape_rng(104729);
+  std::uniform_int_distribution<std::int64_t> n_dist(1, 300);
+  for (int i = 0; i < 60; ++i) {
+    const std::int64_t n = n_dist(reshape_rng);
+    cases.emplace_back(test::random_layout_of_n_doubles(reshape_rng, n),
+                       1 + i % 3);
+  }
+  // ...and the canonical-form corpus.
+  std::mt19937 corpus_rng(20160531);
+  for (int i = 0; i < 200; ++i) {
+    auto dt = test::random_datatype(corpus_rng);
+    cases.emplace_back(dt, 1);
+    cases.emplace_back(dt, 3);
+  }
+  for (const auto& [dt, count] : cases) {
+    const std::int64_t total = dt->size() * count;
+    const auto want =
+        expected_runs(dt, count, std::max<std::int64_t>(total, 1));
+    for (const View view : {View::kCompiled, View::kCanonical}) {
+      const std::string where = dt->describe() + " count " +
+                                std::to_string(count) +
+                                (view == View::kCompiled ? " compiled"
+                                                         : " canonical");
+      BlockCursor cur(dt, count, view);
+      expect_same_blocks(walk_runs(cur, INT64_MAX, where), want, where);
+      // pieces_produced() still counts the pieces next() would yield.
+      BlockCursor by_piece(dt, count, view);
+      Block p;
+      while (by_piece.next(&p)) {
+      }
+      EXPECT_EQ(cur.pieces_produced(), by_piece.pieces_produced()) << where;
+    }
+  }
+}
+
+/// Two types whose runs cross element seams: particle (a 52 B run
+/// across each seam) and a vector whose second 800 B block ends where
+/// the next element's first begins (a 1600 B run across each seam).
+std::vector<std::pair<DatatypePtr, std::int64_t>> seam_cases() {
+  return {{test::particle_type(), 3},
+          {Datatype::vector(2, 100, 150, kDouble()), 5}};
+}
+
+TEST(BlockCursor, RunsAtEveryBudgetReproduceThePieces) {
+  for (const auto& [dt, count] : seam_cases()) {
+    const std::int64_t total = dt->size() * count;
+    const auto pieces = byte_offsets(all_blocks(dt, count));
+    for (std::int64_t budget = 1; budget <= total; ++budget) {
+      const std::string where =
+          dt->describe() + " budget " + std::to_string(budget);
+      BlockCursor cur(dt, count);
+      const auto runs = walk_runs(cur, budget, where);
+      EXPECT_EQ(byte_offsets(runs), pieces) << where;
+      expect_same_blocks(runs, expected_runs(dt, count, budget), where);
+    }
+  }
+}
+
+TEST(BlockCursor, CursorCopiedMidWalkContinuesAsTheOriginal) {
+  for (const auto& [dt, count] : seam_cases()) {
+    for (const std::int64_t budget : {std::int64_t{5}, std::int64_t{52},
+                                      std::int64_t{333}, INT64_MAX}) {
+      const std::string where =
+          dt->describe() + " budget " + std::to_string(budget);
+      const auto want = expected_runs(dt, count, std::min(
+          budget, dt->size() * count));
+      BlockCursor cur(dt, count);
+      Block b;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        BlockCursor copy = cur;
+        const auto rest = walk_runs(copy, budget, where);
+        expect_same_blocks(
+            rest,
+            std::vector<Block>(want.begin() + static_cast<std::ptrdiff_t>(k),
+                               want.end()),
+            where + " copy at run " + std::to_string(k));
+        ASSERT_TRUE(cur.next_run(budget, &b)) << where;
+      }
+      EXPECT_FALSE(cur.next_run(budget, &b)) << where;
+    }
   }
 }
 
@@ -362,7 +500,7 @@ TEST(CpuPack, StatsCountPieces) {
   std::vector<std::byte> out(32);
   const auto st = cpu_pack(t, 1, src, out);
   EXPECT_EQ(st.bytes, 32);
-  EXPECT_EQ(st.pieces, 4);
+  EXPECT_EQ(st.runs, 4);
 }
 
 }  // namespace

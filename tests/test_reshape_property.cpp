@@ -23,56 +23,14 @@
 namespace gpuddt {
 namespace {
 
-/// A random layout holding exactly `n` doubles.
-mpi::DatatypePtr random_layout_of_n_doubles(std::mt19937& rng,
-                                            std::int64_t n) {
-  using mpi::Datatype;
-  std::uniform_int_distribution<int> kind(0, 3);
-  switch (kind(rng)) {
-    case 0:
-      return Datatype::contiguous(n, mpi::kDouble());
-    case 1: {  // vector factorization n = count * blocklen
-      std::vector<std::int64_t> divisors;
-      for (std::int64_t d = 1; d * d <= n; ++d)
-        if (n % d == 0) {
-          divisors.push_back(d);
-          divisors.push_back(n / d);
-        }
-      std::uniform_int_distribution<std::size_t> pick(0, divisors.size() - 1);
-      const std::int64_t bl = divisors[pick(rng)];
-      const std::int64_t count = n / bl;
-      std::uniform_int_distribution<std::int64_t> gap(0, 7);
-      return Datatype::vector(count, bl, bl + gap(rng), mpi::kDouble());
-    }
-    case 2: {  // random partition with random gaps -> indexed
-      std::vector<std::int64_t> lens, displs;
-      std::int64_t left = n, at = 0;
-      std::uniform_int_distribution<std::int64_t> blk(1, 37);
-      std::uniform_int_distribution<std::int64_t> gap(0, 11);
-      while (left > 0) {
-        const std::int64_t l = std::min(blk(rng), left);
-        lens.push_back(l);
-        displs.push_back(at);
-        at += l + gap(rng);
-        left -= l;
-      }
-      return Datatype::indexed(lens, displs, mpi::kDouble());
-    }
-    default: {  // transpose-like: n single-element columns, strided
-      std::uniform_int_distribution<std::int64_t> stride(2, 5);
-      return Datatype::vector(n, 1, stride(rng), mpi::kDouble());
-    }
-  }
-}
-
 class ReshapeProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReshapeProperty, PackedStreamSurvivesAnyLayoutPair) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 104729 + 7);
   std::uniform_int_distribution<std::int64_t> n_dist(64, 4096);
   const std::int64_t n = n_dist(rng);
-  auto send_dt = random_layout_of_n_doubles(rng, n);
-  auto recv_dt = random_layout_of_n_doubles(rng, n);
+  auto send_dt = test::random_layout_of_n_doubles(rng, n);
+  auto recv_dt = test::random_layout_of_n_doubles(rng, n);
   ASSERT_EQ(send_dt->signature().hash(), recv_dt->signature().hash());
 
   mpi::RuntimeConfig cfg;

@@ -6,12 +6,15 @@
 // RDMA path AND the stream-triggered fragment chain (docs/protocols.md),
 // which is also required to be at least as fast as the host-driven path
 // on this multi-fragment shape (the ISSUE 8 overlap criterion).
+// A dense count of n elements must cost what contiguous(n, t) costs, on
+// the host and on the device.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "mpi/datatype.h"
 #include "mpi/pml.h"
@@ -272,6 +275,82 @@ TEST(TraffSelfConsistency, DdtSendNeverSlowerThanExplicitPack) {
   // overlap relative to the host-driven pipeline on this shape.
   EXPECT_LE(stream, host_driven)
       << "stream-triggered chain slower than the host-driven pipeline";
+}
+
+// Traff's guideline for dense counts: n elements of t cost what one
+// contiguous(n, t) costs, on the host (one run, one memcpy, one walk
+// charge per fragment) and on the device (both take the vector path).
+
+/// Host-to-host send of (dt, count) from rank 0 to rank 1; returns the
+/// receiver's completion time on the virtual clock.
+vt::Time host_transfer_time(const DatatypePtr& dt, std::int64_t count) {
+  RuntimeConfig cfg;
+  cfg.world_size = 2;
+  vt::Time done = 0;
+  Runtime rt(cfg);
+  rt.run([&](Process& p) {
+    Comm comm(p);
+    std::vector<std::byte> buf(static_cast<std::size_t>(dt->size() * count));
+    if (p.rank() == 0) {
+      test::fill_pattern(buf.data(), buf.size(), 9);
+      comm.send(buf.data(), count, dt, 1, 7);
+    } else {
+      comm.recv(buf.data(), count, dt, 0, 7);
+      done = p.clock().now();
+    }
+  });
+  return done;
+}
+
+TEST(TraffSelfConsistency, HostDenseCountCostsWhatContiguousCosts) {
+  // 4 KiB goes eager; 1 MiB is a rendezvous of two fragments.
+  const RuntimeConfig cfg;
+  ASSERT_LE(std::size_t{4096}, cfg.eager_limit);
+  ASSERT_GT(std::size_t{1} << 20, cfg.frag_bytes);
+  for (const std::int64_t bytes : {std::int64_t{4096}, std::int64_t{1} << 20}) {
+    const std::int64_t n = bytes / 8;
+    const vt::Time dense = host_transfer_time(mpi::kDouble(), n);
+    const vt::Time contig =
+        host_transfer_time(Datatype::contiguous(n, mpi::kDouble()), 1);
+    ASSERT_GT(contig, 0);
+    EXPECT_EQ(dense, contig) << bytes << " B: kDouble x " << n
+                             << " vs contiguous(" << n << ", kDouble) x 1";
+  }
+}
+
+/// Virtual time of one MPI_Pack of (dt, count) from a device buffer into
+/// a contiguous device buffer on rank 0.
+vt::Time device_pack_time(const DatatypePtr& dt, std::int64_t count) {
+  const std::int64_t bytes = dt->size() * count;
+  auto plugin = std::make_shared<GpuDatatypePlugin>();
+  vt::Time took = 0;
+  Runtime rt(gpu_world());
+  rt.set_gpu_plugin(plugin);
+  rt.run([&](Process& p) {
+    if (p.rank() != 0) return;
+    auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), bytes));
+    auto* packed = static_cast<std::byte*>(sg::Malloc(p.gpu(), bytes));
+    test::fill_pattern(buf, static_cast<std::size_t>(bytes), 9);
+    std::int64_t pos = 0;
+    const vt::Time t0 = p.clock().now();
+    plugin->pack(p, buf, count, dt,
+                 std::span<std::byte>(packed, static_cast<std::size_t>(bytes)),
+                 &pos);
+    took = p.clock().now() - t0;
+    EXPECT_EQ(pos, bytes);
+    sg::Free(p.gpu(), packed);
+    sg::Free(p.gpu(), buf);
+  });
+  return took;
+}
+
+TEST(TraffSelfConsistency, DeviceDenseCountPacksLikeContiguous) {
+  const std::int64_t n = 4096;
+  const vt::Time dense = device_pack_time(mpi::kByte(), n);
+  const vt::Time contig =
+      device_pack_time(Datatype::contiguous(n, mpi::kByte()), 1);
+  ASSERT_GT(contig, 0);
+  EXPECT_EQ(dense, contig);
 }
 
 }  // namespace

@@ -88,8 +88,8 @@ run env GPUDDT_VERIFY=1 build/bench/bench_ddt_zoo \
 #    same change as its regenerated baselines (tools/regen_baselines.sh).
 PERFBENCH_VT_DIGESTS=(
   "engine_pack ea5142b1a59eb3a3"
-  "host_ring 71baf603765bb4ce"
-  "gpu_mix dcd17cfdeaa77dc4"
+  "host_ring ac8458619b28207b"
+  "gpu_mix 777bc40386006b52"
 )
 for pin in "${PERFBENCH_VT_DIGESTS[@]}"; do
   read -r workload want <<<"$pin"
