@@ -448,16 +448,14 @@ void Pml::on_frag(AmMessage& m) {
                                                m.arrival);
     return;
   }
-  if (h.offset != req->bytes_received)
+  if (h.offset != req->cursor.bytes_consumed())
     throw std::runtime_error("PML: out-of-order fragment");
   const PackStats st = cpu_unpack_some(req->cursor, data, req->buf);
   charge_cpu_pack(st);
-  req->bytes_received += st.bytes;
   if (h.last) {
-    if (req->bytes_received != req->total_bytes &&
-        req->bytes_received != req->cursor.bytes_consumed())
+    // total_bytes is the RTS size: a stream ending short of it is an error.
+    if (req->cursor.bytes_consumed() != req->total_bytes)
       throw std::runtime_error("PML: fragment stream size mismatch");
-    req->total_bytes = req->bytes_received;
     if (req->cts_sent > 0)
       obs::observe(proc_.config().recorder, "pml.cts_to_last_frag_ns",
                    m.arrival - req->cts_sent);

@@ -175,7 +175,6 @@ struct SendRequest {
 
   // Host-path state.
   BlockCursor cursor;
-  std::uint64_t peer_recv_id = 0;
 
   // Rendezvous latency bookkeeping (virtual time; 0 = not applicable).
   vt::Time rts_sent = 0;
@@ -199,9 +198,9 @@ struct RecvRequest {
   bool matched = false;
   Envelope matched_env;
 
-  // Host-path state.
+  // Host-path state: the cursor's consumed bytes are the fragment
+  // stream's progress.
   BlockCursor cursor;
-  std::int64_t bytes_received = 0;
 
   // Fragment-flow bookkeeping (frag_flow; trace-only, never on the wire).
   std::uint64_t peer_send_id = 0;  // RTS-carried sender request id

@@ -98,15 +98,6 @@ struct RuntimeConfig {
   /// FragReady/FragFree host round-trips. Tri-state: -1 follows
   /// stream_triggered_switch, 0/1 force off/on.
   int stream_triggered = -1;
-  /// Work-unit size S of the GPU datatype engine (Section 3.2).
-  std::int64_t dev_unit_bytes = 1024;
-  bool dev_cache_enabled = true;
-  /// Byte bound on each rank's DEV cache descriptor footprint (0 = entry
-  /// budget only).
-  std::int64_t dev_cache_max_bytes = 0;
-  /// Pipeline host-side DEV conversion with kernel execution (Section 3.2;
-  /// off reproduces the Figure 7 non-pipelined baseline).
-  bool dev_pipeline_conversion = true;
   /// CUDA blocks per pack/unpack kernel (Section 5.3 resource sweep).
   int gpu_kernel_blocks = 64;
   /// Force the copy-in/out protocol even when IPC would be available.

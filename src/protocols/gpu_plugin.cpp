@@ -1,6 +1,8 @@
 #include "protocols/gpu_plugin.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -60,15 +62,116 @@ using Dir = core::GpuDatatypeEngine::Dir;
 core::EngineConfig engine_config(const mpi::RuntimeConfig& cfg,
                                  std::int32_t trace_pid) {
   core::EngineConfig e;
-  e.unit_bytes = cfg.dev_unit_bytes;
-  e.cache_enabled = cfg.dev_cache_enabled;
-  e.cache_max_bytes = cfg.dev_cache_max_bytes;
   e.kernel_blocks = cfg.gpu_kernel_blocks;
-  e.pipeline_conversion = cfg.dev_pipeline_conversion;
   e.recorder = cfg.recorder;
   e.trace_pid = trace_pid;
   return e;
 }
+
+std::int64_t ring_depth(const mpi::RuntimeConfig& cfg) {
+  return std::max(1, cfg.gpu_pipeline_depth);
+}
+
+/// The counter that records a receive's transfer mode, by TransferMode.
+constexpr const char* kModeCounter[] = {
+    "gpu.mode.host_frags", "gpu.mode.ipc_rdma", "gpu.mode.rdma_pack_remote",
+    "gpu.mode.rdma_recv_driven", "gpu.mode.stream_triggered"};
+static_assert(std::size(kModeCounter) ==
+              static_cast<std::size_t>(TransferMode::kStreamTriggered) + 1);
+
+/// Answer `rts` with `cts` and count the receive's mode.
+void reply_cts(mpi::Process& p, mpi::RecvRequest& req, const RtsHeader& rts,
+               CtsHeader cts) {
+  cts.send_id = rts.send_id;
+  cts.recv_id = req.id;
+  p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
+  req.cts_sent = p.clock().now();
+  obs::count(p.config().recorder,
+             kModeCounter[static_cast<int>(cts.mode)]);
+}
+
+/// A staging ring: `depth` slots of `slot_bytes`, fragment k in slot
+/// k mod depth, and the virtual time from which each slot may be
+/// overwritten. An allocated ring owns device, mapped-host or pinned-host
+/// memory of its rank and frees it when released or destroyed, so a
+/// request's rings go with its protocol state. A view describes memory a
+/// peer exposed (its ring, or a contiguous source whose slots never wrap)
+/// and owns nothing.
+class StagingRing {
+ public:
+  enum class Memory { kDevice, kMappedHost, kPinnedHost };
+
+  StagingRing() = default;
+  StagingRing(const StagingRing&) = delete;
+  StagingRing& operator=(const StagingRing&) = delete;
+  ~StagingRing() { release(); }
+
+  /// Release what the ring held, then allocate `depth` slots of
+  /// `slot_bytes` in `mem`, every slot free from time 0.
+  void allocate(sg::HostContext& ctx, Memory mem, std::int64_t slot_bytes,
+                std::int64_t depth) {
+    release();
+    const auto bytes = static_cast<std::size_t>(slot_bytes * depth);
+    base_ = static_cast<std::byte*>(
+        mem == Memory::kDevice
+            ? sg::Malloc(ctx, bytes)
+            : sg::HostAlloc(ctx, bytes, mem == Memory::kMappedHost));
+    owner_ = &ctx;
+    mem_ = mem;
+    slot_bytes_ = slot_bytes;
+    depth_ = depth;
+    free_.assign(static_cast<std::size_t>(depth), 0);
+  }
+
+  /// Describe `depth` slots of `slot_bytes` at `base`, owned elsewhere.
+  void view(void* base, std::int64_t slot_bytes, std::int64_t depth) {
+    release();
+    base_ = static_cast<std::byte*>(base);
+    slot_bytes_ = slot_bytes;
+    depth_ = depth;
+  }
+
+  void release() {
+    if (owner_ != nullptr) {
+      if (mem_ == Memory::kDevice) {
+        sg::Free(*owner_, base_);
+      } else {
+        sg::HostFree(*owner_, base_);
+      }
+    }
+    owner_ = nullptr;
+    base_ = nullptr;
+    free_.clear();
+  }
+
+  explicit operator bool() const { return base_ != nullptr; }
+  std::byte* base() const { return base_; }
+  std::int64_t slot_bytes() const { return slot_bytes_; }
+  std::int64_t depth() const { return depth_; }
+  std::byte* slot(std::int64_t k) const {
+    return base_ + k % depth_ * slot_bytes_;
+  }
+  /// When fragment k's slot may be overwritten (allocated rings only).
+  vt::Time& free_at(std::int64_t k) {
+    return free_[static_cast<std::size_t>(k % depth_)];
+  }
+  /// When every slot is free again.
+  vt::Time drained() const {
+    vt::Time t = 0;
+    for (const vt::Time f : free_) t = std::max(t, f);
+    return t;
+  }
+
+ private:
+  sg::HostContext* owner_ = nullptr;  // null: empty, or a view
+  Memory mem_ = Memory::kDevice;
+  std::byte* base_ = nullptr;
+  std::int64_t slot_bytes_ = 0;
+  std::int64_t depth_ = 1;
+  std::vector<vt::Time> free_;
+};
+
+using Memory = StagingRing::Memory;
 
 }  // namespace
 
@@ -76,46 +179,56 @@ core::EngineConfig engine_config(const mpi::RuntimeConfig& cfg,
 
 struct GpuDatatypePlugin::SendState : mpi::PluginState {
   std::unique_ptr<core::GpuDatatypeEngine::Op> op;
-  TransferMode mode = TransferMode::kHostFrags;
   std::uint64_t recv_id = 0;
-  std::int64_t frag_bytes = 0;
-  int depth = 0;
-
-  // kIpcRdma: device staging ring exposed to the receiver (GET mode) or
-  // kept local with fragments pushed to `remote_ring` (PUT mode).
-  std::byte* staging = nullptr;
-  std::byte* remote_ring = nullptr;
-  std::int64_t next_frag = 0;
-  std::int64_t frags_sent = 0;
-  std::int64_t acks = 0;
-  bool all_packed = false;
-
-  // kHostFrags: host bounce (zero-copy mapped) and optional GPU bounce.
-  std::byte* host_bounce = nullptr;
-  std::byte* gpu_bounce = nullptr;
-  std::vector<vt::Time> slot_free;  // per-slot wire-read completion
+  /// Fragment k is packed into slot k mod depth: the device ring the RTS
+  /// exposes (GET) or that PUTs push out of, or the copy-in/out bounce -
+  /// mapped host memory under zero-copy, device memory otherwise.
+  StagingRing ring;
+  /// Copy-in/out without zero-copy: the pinned host ring each packed
+  /// fragment is copied into before it ships.
+  StagingRing host;
+  /// PUT mode: the receiver's exposed ring.
+  StagingRing remote;
+  std::int64_t next_frag = 0;  // fragments packed
+  std::int64_t acks = 0;       // kIpcRdma fragment-free acks
 };
 
 struct GpuDatatypePlugin::RecvState : mpi::PluginState {
+  /// How the receive step lands a fragment before unpacking it.
+  enum class Land {
+    kInPlace,  // unpack it where it sits
+    kGet,      // RDMA GET it into `ring` first
+    kCopyIn,   // copy it H2D into `ring`, the one-slot bounce, first
+  };
+
   std::unique_ptr<core::GpuDatatypeEngine::Op> op;
   TransferMode mode = TransferMode::kHostFrags;
   std::uint64_t send_id = 0;
   int src_rank = -1;
+  /// RDMA modes: where fragment k sits when the receive step takes it -
+  /// the sender's ring, its contiguous source, or under PUT this rank's
+  /// own `ring`.
+  StagingRing src;
+  /// This rank's ring: GETs and H2D copies land in it, or PUTs do.
+  StagingRing ring;
+  Land land = Land::kInPlace;
+  vt::Time last_ready = 0;  // the latest unpack's completion
+};
 
-  // RDMA family.
-  std::byte* remote = nullptr;  // sender staging ring or contiguous source
-  bool put_mode = false;        // fragments arrive in MY local ring
-  std::int64_t frag_bytes = 0;
-  int depth = 0;
-  std::byte* local_staging = nullptr;  // device-local bounce ring
-  std::vector<vt::Time> slot_free;
+/// A fragment the send step packed.
+struct GpuDatatypePlugin::Packed {
+  std::int64_t k = 0;
+  std::int64_t bytes = 0;
+  vt::Time ready = 0;
+};
 
-  // kHostFrags.
-  std::byte* gpu_bounce = nullptr;
-  std::int64_t gpu_bounce_bytes = 0;
-
-  std::int64_t bytes_done = 0;
-  vt::Time last_ready = 0;
+/// A fragment the receive step unpacked.
+struct GpuDatatypePlugin::Landed {
+  /// When the sender's copy of the fragment may be overwritten: the GET's
+  /// end when it was copied into the local ring, else the unpack's end.
+  vt::Time drained = 0;
+  vt::Time ready = 0;  // the unpack's completion
+  std::uint64_t flow = 0;
 };
 
 // --- Plumbing ---------------------------------------------------------------------
@@ -150,6 +263,16 @@ void* GpuDatatypePlugin::open_handle(mpi::Process& p,
   void* ptr = sg::IpcOpenMemHandle(p.gpu(), h);
   pr.ipc_cache.emplace(key, ptr);
   return ptr;
+}
+
+std::int64_t GpuDatatypePlugin::frag_size(mpi::Process& p, std::int64_t want,
+                                          mpi::Btl* am) {
+  if (am != nullptr) {
+    want = std::min<std::int64_t>(
+        want,
+        static_cast<std::int64_t>(am->max_am_payload() - sizeof(FragHeader)));
+  }
+  return std::max(want, engine(p).config().unit_bytes);
 }
 
 // --- Explicit MPI_Pack-style API --------------------------------------------------------
@@ -213,6 +336,81 @@ std::int64_t GpuDatatypePlugin::pack_unpack(mpi::Process& p, Dir dir,
   return total;
 }
 
+// --- The fragment steps ------------------------------------------------------------
+
+GpuDatatypePlugin::Packed GpuDatatypePlugin::pack_frag(mpi::Process& p,
+                                                       mpi::SendRequest& req) {
+  auto& st = *static_cast<SendState*>(req.plugin.get());
+  const std::int64_t k = st.next_frag++;
+  st.op->set_flow(mpi::frag_flow(p.rank(), req.id, k));
+  const auto res = engine(p).process_some(
+      *st.op, st.ring.slot(k), st.ring.slot_bytes(), st.ring.free_at(k));
+  if (res.bytes == 0)
+    throw std::logic_error("gpu plugin: send step packed nothing");
+  return {k, res.bytes, res.ready};
+}
+
+GpuDatatypePlugin::Landed GpuDatatypePlugin::unpack_frag(
+    mpi::Process& p, mpi::RecvRequest& req, std::int64_t k,
+    const std::byte* src, std::int64_t bytes, vt::Time avail) {
+  auto& st = *static_cast<RecvState*>(req.plugin.get());
+  core::GpuDatatypeEngine& eng = engine(p);
+  // The pure function of (src rank, send id, frag idx) the sender used, so
+  // this fragment's unpack spans join its cross-rank flow chain.
+  const std::uint64_t flow = mpi::frag_flow(st.src_rank, st.send_id, k);
+  if (st.ring && bytes > st.ring.slot_bytes())
+    throw std::runtime_error("gpu plugin: fragment exceeds its staging slot");
+  auto* from = const_cast<std::byte*>(src);
+  vt::Time dep = avail;
+  if (st.land == RecvState::Land::kGet) {
+    const vt::Time t_start = std::max(avail, st.ring.free_at(k));
+    from = st.ring.slot(k);
+    dep = p.runtime().btl_between(p.rank(), st.src_rank).rdma_get(
+        p, st.src_rank, from, src, static_cast<std::size_t>(bytes), t_start);
+    // The GET spans the fragment, except under host-driven RDMA, where
+    // on_frag_ready spans it from its announce to its unpack.
+    if (st.mode != TransferMode::kIpcRdma) {
+      obs::trace(p.config().recorder, {"rdma_frag", "gpu", t_start, dep,
+                                       p.rank(), bytes, p.rank(), flow});
+    }
+  } else if (st.land == RecvState::Land::kCopyIn) {
+    // Explicit copy-in: H2D staging, then unpack from device memory.
+    from = st.ring.slot(k);
+    dep = sg::MemcpyAsync(p.gpu(), from, src, static_cast<std::size_t>(bytes),
+                          eng.pack_stream());
+  }
+  core::GpuDatatypeEngine::Result res;
+  if (st.mode == TransferMode::kStreamTriggered) {
+    res = eng.process_triggered(*st.op, from, bytes, dep, flow);
+  } else {
+    st.op->set_flow(flow);
+    res = eng.process_some(*st.op, from, bytes, dep);
+  }
+  if (res.bytes != bytes)
+    throw std::runtime_error("gpu plugin: fragment size mismatch");
+  if (st.ring) st.ring.free_at(k) = res.ready;
+  st.last_ready = res.ready;
+  return {st.land == RecvState::Land::kGet ? dep : res.ready, res.ready, flow};
+}
+
+void GpuDatatypePlugin::finish_send(mpi::Process& p, mpi::SendRequest& req,
+                                    vt::Time until) {
+  engine(p).finish(*static_cast<SendState*>(req.plugin.get())->op);
+  p.clock().wait_until(until);
+  p.pml().complete_send(req);
+}
+
+void GpuDatatypePlugin::finish_recv(mpi::Process& p, mpi::RecvRequest& req,
+                                    vt::Time until) {
+  auto* st = static_cast<RecvState*>(req.plugin.get());
+  if (st->op != nullptr) {
+    if (st->op->bytes_done() != req.total_bytes)
+      throw std::runtime_error("gpu plugin: fragment stream size mismatch");
+    engine(p).finish(*st->op);
+  }
+  p.clock().wait_until(std::max(until, st->last_ready));
+}
+
 // --- Sender side ---------------------------------------------------------------------
 
 void GpuDatatypePlugin::send_start(mpi::Process& p, mpi::SendRequest& req) {
@@ -222,27 +420,25 @@ void GpuDatatypePlugin::send_start(mpi::Process& p, mpi::SendRequest& req) {
   // eager AM - no handshake, no staging ring, no acks.
   if (req.total_bytes <= static_cast<std::int64_t>(cfg.gpu_eager_limit)) {
     core::GpuDatatypeEngine& eng = engine(p);
-    auto* bounce = static_cast<std::byte*>(sg::HostAlloc(
-        p.gpu(), static_cast<std::size_t>(req.total_bytes + 1), true));
+    StagingRing bounce;
+    bounce.allocate(p.gpu(), Memory::kMappedHost, req.total_bytes + 1, 1);
     auto op = eng.start(Dir::kPack, req.dt, req.count,
                         const_cast<void*>(req.buf));
-    const vt::Time ready = eng.drain(*op, bounce).ready;
+    const vt::Time ready = eng.drain(*op, bounce.base()).ready;
     p.pml().send_packed_eager(
         req.env,
-        std::span<const std::byte>(bounce,
+        std::span<const std::byte>(bounce.base(),
                                    static_cast<std::size_t>(req.total_bytes)),
         ready);
-    sg::HostFree(p.gpu(), bounce);
     obs::count(cfg.recorder, "gpu.sends.eager");
     p.pml().complete_send(req);
     return;
   }
 
   auto st = std::make_unique<SendState>();
-  st->frag_bytes =
-      std::max<std::int64_t>(static_cast<std::int64_t>(cfg.gpu_frag_bytes),
-                             cfg.dev_unit_bytes);
-  st->depth = std::max(1, cfg.gpu_pipeline_depth);
+  const std::int64_t frag =
+      frag_size(p, static_cast<std::int64_t>(cfg.gpu_frag_bytes));
+  const std::int64_t depth = ring_depth(cfg);
 
   RtsHeader rts;
   rts.env = req.env;
@@ -252,26 +448,23 @@ void GpuDatatypePlugin::send_start(mpi::Process& p, mpi::SendRequest& req) {
   rts.src_contiguous = req.dt->is_contiguous(req.count) ? 1 : 0;
   rts.src_device = req.space.device;
   rts.src_node = p.node();
-  rts.frag_bytes = st->frag_bytes;
-  rts.depth = st->depth;
+  rts.frag_bytes = frag;
+  rts.depth = static_cast<std::int32_t>(depth);
   rts.sig_hash = req.dt->signature().hash();
 
   mpi::Btl& btl = p.runtime().btl_between(p.rank(), req.env.dst);
   if (btl.supports_gpu_rdma(p, req.env.dst) && req.total_bytes > 0 &&
       req.total_bytes <= btl.gpu_rdma_limit(p)) {
+    rts.has_handle = 1;
     if (rts.src_contiguous) {
       // Shortcut: expose the source buffer itself; the receiver drives
       // the whole transfer and fins us.
-      rts.has_handle = 1;
       rts.handle =
           sg::IpcGetMemHandle(p.gpu(), const_cast<void*>(req.buf));
       rts.src_disp = req.dt->true_lb();
     } else {
-      st->staging = static_cast<std::byte*>(
-          sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes) *
-                                  static_cast<std::size_t>(st->depth)));
-      rts.has_handle = 1;
-      rts.handle = sg::IpcGetMemHandle(p.gpu(), st->staging);
+      st->ring.allocate(p.gpu(), Memory::kDevice, frag, depth);
+      rts.handle = sg::IpcGetMemHandle(p.gpu(), st->ring.base());
     }
   }
   req.plugin = std::move(st);
@@ -286,35 +479,26 @@ void GpuDatatypePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
   if (st == nullptr)
     throw std::runtime_error("gpu plugin: CTS without send state");
   st->recv_id = cts.recv_id;
-  st->mode = cts.mode;
   core::GpuDatatypeEngine& eng = engine(p);
 
   switch (cts.mode) {
     case TransferMode::kHostFrags: {
-      // Receiver declined (or cannot do) RDMA: copy-in/out protocol.
-      if (st->staging != nullptr) {
-        sg::Free(p.gpu(), st->staging);
-        st->staging = nullptr;
-      }
+      // Receiver declined (or cannot do) RDMA: copy-in/out protocol. The
+      // GET ring goes; fragments stage through a mapped host ring
+      // (zero-copy) or a device ring plus a pinned host copy.
       const mpi::RuntimeConfig& cfg = p.config();
-      mpi::Btl& btl = p.runtime().btl_between(p.rank(), req.env.dst);
-      std::int64_t frag = cts.frag_bytes > 0 ? cts.frag_bytes : st->frag_bytes;
-      frag = std::min<std::int64_t>(
-          frag, static_cast<std::int64_t>(btl.max_am_payload() -
-                                          sizeof(FragHeader)));
-      frag = std::max<std::int64_t>(frag, cfg.dev_unit_bytes);
-      st->frag_bytes = frag;
-      const std::size_t ring =
-          static_cast<std::size_t>(frag) * static_cast<std::size_t>(st->depth);
+      const std::int64_t frag = frag_size(
+          p,
+          cts.frag_bytes > 0 ? cts.frag_bytes
+                             : static_cast<std::int64_t>(cfg.gpu_frag_bytes),
+          &p.runtime().btl_between(p.rank(), req.env.dst));
+      const std::int64_t depth = ring_depth(cfg);
       if (cfg.zero_copy) {
-        st->host_bounce =
-            static_cast<std::byte*>(sg::HostAlloc(p.gpu(), ring, true));
+        st->ring.allocate(p.gpu(), Memory::kMappedHost, frag, depth);
       } else {
-        st->gpu_bounce = static_cast<std::byte*>(sg::Malloc(p.gpu(), ring));
-        st->host_bounce =
-            static_cast<std::byte*>(sg::HostAlloc(p.gpu(), ring, false));
+        st->ring.allocate(p.gpu(), Memory::kDevice, frag, depth);
+        st->host.allocate(p.gpu(), Memory::kPinnedHost, frag, depth);
       }
-      st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
       st->op = eng.start(Dir::kPack, req.dt, req.count,
                          const_cast<void*>(req.buf));
       pump_host_send(p, req);
@@ -324,9 +508,8 @@ void GpuDatatypePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
       if (cts.has_handle) {
         // PUT mode: the receiver exposed its staging ring; we keep our
         // ring local and push each packed fragment across.
-        st->remote_ring =
-            static_cast<std::byte*>(open_handle(p, cts.handle));
-        st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
+        st->remote.view(open_handle(p, cts.handle), st->ring.slot_bytes(),
+                        st->ring.depth());
       }
       st->op = eng.start(Dir::kPack, req.dt, req.count,
                          const_cast<void*>(req.buf));
@@ -335,15 +518,17 @@ void GpuDatatypePlugin::send_on_cts(mpi::Process& p, mpi::SendRequest& req,
     }
     case TransferMode::kRdmaPackToRemote: {
       // Contiguous receiver exposed its destination: pack straight into
-      // remote device memory, then fin the receiver.
-      std::byte* remote_base =
-          static_cast<std::byte*>(open_handle(p, cts.handle));
-      std::byte* remote = remote_base + cts.remote_disp;
+      // remote device memory, then fin the receiver. The GET ring goes
+      // unused, and with this request's state.
+      std::byte* remote =
+          static_cast<std::byte*>(open_handle(p, cts.handle)) +
+          cts.remote_disp;
       st->op = eng.start(Dir::kPack, req.dt, req.count,
                          const_cast<void*>(req.buf));
-      const vt::Time last =
-          eng.drain(*st->op, remote, 0, st->frag_bytes, {p.rank(), req.id})
-              .ready;
+      const vt::Time last = eng.drain(*st->op, remote, 0,
+                                      st->ring.slot_bytes(),
+                                      {p.rank(), req.id})
+                                .ready;
       FinHeader fin;
       fin.req_id = cts.recv_id;
       fin.to_sender = 0;
@@ -366,7 +551,7 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
                                            mpi::SendRequest& req,
                                            const CtsHeader& cts) {
   auto* st = static_cast<SendState*>(req.plugin.get());
-  if (st == nullptr || st->staging == nullptr)
+  if (st == nullptr || !st->ring)
     throw std::runtime_error("gpu plugin: stream chain without staging");
   core::GpuDatatypeEngine& eng = engine(p);
   obs::Recorder* rec = p.config().recorder;
@@ -389,8 +574,6 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
   auto* rst = static_cast<RecvState*>(rreq->plugin.get());
   if (rst == nullptr || rst->mode != TransferMode::kStreamTriggered)
     throw std::runtime_error("gpu plugin: stream chain mode mismatch");
-  core::GpuDatatypeEngine& reng = engine(rp);
-  mpi::Btl& btl = p.runtime().btl_between(p.rank(), req.env.dst);
 
   st->op = eng.start(Dir::kPack, req.dt, req.count,
                      const_cast<void*>(req.buf));
@@ -398,75 +581,27 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
 
   const int sdev = p.gpu().device;
   const int rdev = rp.gpu().device;
-  const bool staged = rst->local_staging != nullptr;
-  const int depth = std::max(1, st->depth);
-  const int rdepth = std::max(1, rst->depth);
   const vt::Time chain_begin = p.clock().now();
-
-  // Per-slot credits, resolved forward. scredit[s]: earliest the sender
-  // may overwrite staging slot s (the consuming GET's - or, without local
-  // staging, the unpack's - completion event crossed back to the sender's
-  // timeline). rcredit[s]: earliest receiver ring slot s may be
-  // overwritten (its previous unpack, same-device so free).
-  std::vector<vt::Time> scredit(static_cast<std::size_t>(depth), 0);
-  std::vector<vt::Time> rcredit(static_cast<std::size_t>(rdepth), 0);
-  std::int64_t frag = 0;
+  // The rings' slot free times are the credits, resolved forward: a
+  // sender slot is free once the receiver drained it (its GET, or without
+  // local staging its unpack, crossed back to the sender's device), a
+  // receiver slot once its unpack finished.
   vt::Time last_pack = 0;
-
   while (!st->op->done()) {
-    const std::int64_t slot = frag % depth;
-    const std::int64_t rslot = frag % rdepth;
-    const std::uint64_t flow = mpi::frag_flow(p.rank(), req.id, frag);
-    st->op->set_flow(flow);
-    const auto res = eng.process_some(
-        *st->op, st->staging + slot * st->frag_bytes, st->frag_bytes,
-        scredit[static_cast<std::size_t>(slot)]);
-    if (res.bytes == 0) break;
-    last_pack = res.ready;
+    const Packed f = pack_frag(p, req);
+    last_pack = f.ready;
     // Pack-ready event, observed across the PCI-E switch by the
     // receiver's triggered queue.
     const vt::Time pack_ready =
-        sg::EventReadyOn(p.gpu(), sg::Event{res.ready}, sdev, rdev);
-    std::byte* unpack_src;
-    vt::Time unpack_dep;
-    if (staged) {
-      std::byte* local = rst->local_staging + rslot * st->frag_bytes;
-      const vt::Time t_start =
-          std::max(pack_ready, rcredit[static_cast<std::size_t>(rslot)]);
-      const vt::Time t_get = btl.rdma_get(
-          rp, p.rank(), local, rst->remote + slot * st->frag_bytes,
-          static_cast<std::size_t>(res.bytes), t_start);
-      obs::trace(rec, {"rdma_frag", "gpu", t_start, t_get, rp.rank(),
-                       res.bytes, rp.rank(), flow});
-      unpack_src = local;
-      unpack_dep = t_get;  // local DMA completion: same-device event
-      // The GET drained the sender slot; its completion event is the
-      // credit (crossed back to the sender's device).
-      scredit[static_cast<std::size_t>(slot)] =
-          sg::EventReadyOn(p.gpu(), sg::Event{t_get}, rdev, sdev);
-    } else {
-      // Unpack straight out of the sender's ring (same device, or the
-      // remote-read option): the slot stays busy until the unpack read
-      // its last byte.
-      unpack_src = rst->remote + slot * st->frag_bytes;
-      unpack_dep = pack_ready;
-    }
-    const auto rres = reng.process_triggered(*rst->op, unpack_src, res.bytes,
-                                            unpack_dep, flow);
-    if (rres.bytes != res.bytes)
-      throw std::runtime_error("gpu plugin: stream chain size mismatch");
-    rcredit[static_cast<std::size_t>(rslot)] = rres.ready;
-    if (!staged) {
-      scredit[static_cast<std::size_t>(slot)] =
-          sg::EventReadyOn(p.gpu(), sg::Event{rres.ready}, rdev, sdev);
-    }
-    rst->bytes_done += res.bytes;
-    rst->last_ready = rres.ready;
+        sg::EventReadyOn(p.gpu(), sg::Event{f.ready}, sdev, rdev);
+    const Landed l =
+        unpack_frag(rp, *rreq, f.k, rst->src.slot(f.k), f.bytes, pack_ready);
+    st->ring.free_at(f.k) =
+        sg::EventReadyOn(p.gpu(), sg::Event{l.drained}, rdev, sdev);
     obs::count(rec, "pml.stream_triggered.frags");
-    obs::count(rec, "pml.stream_triggered.frag.bytes", res.bytes);
-    ++frag;
+    obs::count(rec, "pml.stream_triggered.frag.bytes", f.bytes);
   }
-  if (!st->op->done() || rst->bytes_done != rreq->total_bytes)
+  if (rst->op->bytes_done() != rreq->total_bytes)
     throw std::runtime_error("gpu plugin: stream chain incomplete");
 
   // One fin - the only AM after the rendezvous - sent as soon as the
@@ -480,129 +615,67 @@ void GpuDatatypePlugin::drive_stream_chain(mpi::Process& p,
   p.am_send(req.env.dst, mpi::Pml::fin_handler(), make_payload(fin));
   // Sender completion: the one remaining host wait is the chain's last
   // credit event - every pack done and the staging ring fully drained.
-  vt::Time drained = last_pack;
-  for (const vt::Time t : scredit) drained = std::max(drained, t);
-  eng.finish(*st->op);
-  p.clock().wait_until(drained);
-  sg::Free(p.gpu(), st->staging);
-  st->staging = nullptr;
+  const vt::Time drained = std::max(last_pack, st->ring.drained());
   obs::count(rec, "pml.stream_triggered.sends");
   obs::trace(rec, {"stream_chain", "gpu", chain_begin, drained, p.rank(),
                    req.total_bytes, p.rank(), 0});
-  p.pml().complete_send(req);
+  finish_send(p, req, drained);
 }
 
 void GpuDatatypePlugin::pump_rdma_send(mpi::Process& p,
                                        mpi::SendRequest& req) {
   auto* st = static_cast<SendState*>(req.plugin.get());
-  core::GpuDatatypeEngine& eng = engine(p);
   mpi::Btl& btl = p.runtime().btl_between(p.rank(), req.env.dst);
-  while (!st->op->done() && st->frags_sent - st->acks < st->depth) {
-    const std::int64_t slot = st->next_frag % st->depth;
-    // In PUT mode the local slot is reusable once its last put completed.
-    const vt::Time slot_dep =
-        st->remote_ring != nullptr
-            ? st->slot_free[static_cast<std::size_t>(slot)]
-            : 0;
-    st->op->set_flow(mpi::frag_flow(p.rank(), req.id, st->next_frag));
-    const auto res =
-        eng.process_some(*st->op, st->staging + slot * st->frag_bytes,
-                         st->frag_bytes, slot_dep);
-    if (res.bytes == 0) break;
-    vt::Time notify_after = res.ready;
-    if (st->remote_ring != nullptr) {
-      // Push the packed fragment into the receiver's ring (one-sided).
-      notify_after = btl.rdma_put(
-          p, req.env.dst, st->remote_ring + slot * st->frag_bytes,
-          st->staging + slot * st->frag_bytes,
-          static_cast<std::size_t>(res.bytes), res.ready);
-      st->slot_free[static_cast<std::size_t>(slot)] = notify_after;
+  while (!st->op->done() && st->next_frag - st->acks < st->ring.depth()) {
+    const Packed f = pack_frag(p, req);
+    vt::Time notify_after = f.ready;
+    if (st->remote) {
+      // Push the packed fragment into the receiver's ring (one-sided);
+      // the local slot is reusable once the put completed.
+      notify_after = btl.rdma_put(p, req.env.dst, st->remote.slot(f.k),
+                                  st->ring.slot(f.k),
+                                  static_cast<std::size_t>(f.bytes), f.ready);
+      st->ring.free_at(f.k) = notify_after;
     }
     FragReadyHeader h;
     h.recv_id = st->recv_id;
     h.send_id = req.id;
-    h.frag_idx = st->next_frag;
-    h.bytes = res.bytes;
+    h.frag_idx = f.k;
+    h.bytes = f.bytes;
     h.last = st->op->done() ? 1 : 0;
     p.am_send(req.env.dst, h_frag_ready_, make_payload(h), notify_after);
-    ++st->next_frag;
-    ++st->frags_sent;
   }
-  if (st->op->done()) st->all_packed = true;
-  maybe_complete_rdma_send(p, req);
-}
-
-void GpuDatatypePlugin::maybe_complete_rdma_send(mpi::Process& p,
-                                                 mpi::SendRequest& req) {
-  auto* st = static_cast<SendState*>(req.plugin.get());
-  if (!st->all_packed || st->acks != st->frags_sent) return;
-  core::GpuDatatypeEngine& eng = engine(p);
-  eng.finish(*st->op);
-  if (st->staging != nullptr) {
-    sg::Free(p.gpu(), st->staging);
-    st->staging = nullptr;
-  }
-  p.pml().complete_send(req);
+  if (st->op->done() && st->acks == st->next_frag) finish_send(p, req);
 }
 
 void GpuDatatypePlugin::pump_host_send(mpi::Process& p,
                                        mpi::SendRequest& req) {
   auto* st = static_cast<SendState*>(req.plugin.get());
-  core::GpuDatatypeEngine& eng = engine(p);
-  const bool zero_copy = st->gpu_bounce == nullptr;
-
-  if (req.total_bytes == 0) {
-    FragHeader h;
-    h.recv_id = st->recv_id;
-    h.offset = 0;
-    h.bytes = 0;
-    h.last = 1;
-    p.am_send(req.env.dst, mpi::Pml::frag_handler(), make_payload(h));
-    eng.finish(*st->op);
-    p.pml().complete_send(req);
-    return;
-  }
-
   while (!st->op->done()) {
-    const std::int64_t slot = st->next_frag % st->depth;
-    std::byte* gpu_slot =
-        zero_copy ? nullptr : st->gpu_bounce + slot * st->frag_bytes;
-    std::byte* host_slot = st->host_bounce + slot * st->frag_bytes;
     const std::int64_t offset = st->op->bytes_done();
-    // Pack into the slot; reuse must wait until the previous occupant's
-    // bytes were read onto the wire (virtual-time dependency).
-    st->op->set_flow(mpi::frag_flow(p.rank(), req.id, st->next_frag));
-    const auto res = eng.process_some(
-        *st->op, zero_copy ? static_cast<void*>(host_slot)
-                           : static_cast<void*>(gpu_slot),
-        st->frag_bytes,
-        st->slot_free[static_cast<std::size_t>(slot)]);
-    if (res.bytes == 0) break;
-    vt::Time ready = res.ready;
-    if (!zero_copy) {
+    // A slot is reused once its previous fragment was read onto the wire.
+    const Packed f = pack_frag(p, req);
+    std::byte* shipped = st->ring.slot(f.k);
+    vt::Time ready = f.ready;
+    if (st->host) {
       // Explicit staging: D2H copy chained on the pack stream.
-      ready = sg::MemcpyAsync(p.gpu(), host_slot, gpu_slot,
-                              static_cast<std::size_t>(res.bytes),
-                              eng.pack_stream());
+      shipped = st->host.slot(f.k);
+      ready = sg::MemcpyAsync(p.gpu(), shipped, st->ring.slot(f.k),
+                              static_cast<std::size_t>(f.bytes),
+                              engine(p).pack_stream());
     }
     FragHeader h;
     h.recv_id = st->recv_id;
     h.offset = offset;
-    h.bytes = res.bytes;
+    h.bytes = f.bytes;
     h.last = st->op->done() ? 1 : 0;
-    auto payload = make_payload(h, static_cast<std::size_t>(res.bytes));
-    std::memcpy(payload.data() + sizeof(FragHeader), host_slot,
-                static_cast<std::size_t>(res.bytes));
-    st->slot_free[static_cast<std::size_t>(slot)] = p.am_send(
+    auto payload = make_payload(h, static_cast<std::size_t>(f.bytes));
+    std::memcpy(payload.data() + sizeof(FragHeader), shipped,
+                static_cast<std::size_t>(f.bytes));
+    st->ring.free_at(f.k) = p.am_send(
         req.env.dst, mpi::Pml::frag_handler(), std::move(payload), ready);
-    ++st->next_frag;
   }
-  eng.finish(*st->op);
-  if (st->host_bounce != nullptr) sg::HostFree(p.gpu(), st->host_bounce);
-  if (st->gpu_bounce != nullptr) sg::Free(p.gpu(), st->gpu_bounce);
-  st->host_bounce = nullptr;
-  st->gpu_bounce = nullptr;
-  p.pml().complete_send(req);
+  finish_send(p, req);
 }
 
 // --- Receiver side ----------------------------------------------------------------------
@@ -611,26 +684,23 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
                                    const RtsHeader& rts, vt::Time arrival) {
   const mpi::RuntimeConfig& cfg = p.config();
   req.total_bytes = rts.total_bytes;
-  const bool my_dev = req.space.space == sg::MemorySpace::kDevice;
+  CtsHeader cts;
 
-  if (!my_dev) {
+  if (req.space.space != sg::MemorySpace::kDevice) {
     // Host destination: behave exactly like the host rendezvous receiver;
     // the (GPU) sender will stream host-packed fragments.
     req.cursor = mpi::BlockCursor(req.dt, req.count);
-    CtsHeader cts;
-    cts.send_id = rts.send_id;
-    cts.recv_id = req.id;
     cts.mode = TransferMode::kHostFrags;
     cts.frag_bytes = static_cast<std::int64_t>(cfg.frag_bytes);
-    p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
-    req.cts_sent = p.clock().now();
-    obs::count(cfg.recorder, "gpu.mode.host_frags");
+    reply_cts(p, req, rts, cts);
     return;
   }
 
   auto st = std::make_unique<RecvState>();
-  st->send_id = rts.send_id;
-  st->src_rank = rts.env.src;
+  RecvState& s = *st;
+  s.send_id = rts.send_id;
+  s.src_rank = rts.env.src;
+  req.plugin = std::move(st);
   core::GpuDatatypeEngine& eng = engine(p);
   mpi::Btl& btl = p.runtime().btl_between(p.rank(), rts.env.src);
   const bool rdma = rts.src_is_device && rts.has_handle &&
@@ -639,71 +709,53 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
                     rts.total_bytes <= btl.gpu_rdma_limit(p);
 
   if (!rdma) {
-    // Copy-in/out receive side.
-    st->mode = TransferMode::kHostFrags;
-    st->frag_bytes = std::max<std::int64_t>(
-        std::min<std::int64_t>(
-            static_cast<std::int64_t>(cfg.gpu_frag_bytes),
-            static_cast<std::int64_t>(btl.max_am_payload() -
-                                      sizeof(FragHeader))),
-        cfg.dev_unit_bytes);
-    st->op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
+    // Copy-in/out receive side: unpack each arrived fragment in place
+    // (zero-copy) or from a one-slot device bounce.
+    s.mode = TransferMode::kHostFrags;
+    const std::int64_t frag =
+        frag_size(p, static_cast<std::int64_t>(cfg.gpu_frag_bytes), &btl);
+    s.op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
     if (!cfg.zero_copy) {
-      st->gpu_bounce_bytes = st->frag_bytes;
-      st->gpu_bounce = static_cast<std::byte*>(
-          sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes)));
+      s.land = RecvState::Land::kCopyIn;
+      s.ring.allocate(p.gpu(), Memory::kDevice, frag, 1);
     }
-    CtsHeader cts;
-    cts.send_id = rts.send_id;
-    cts.recv_id = req.id;
     cts.mode = TransferMode::kHostFrags;
-    cts.frag_bytes = st->frag_bytes;
+    cts.frag_bytes = frag;
     cts.depth = cfg.gpu_pipeline_depth;
-    req.plugin = std::move(st);
-    p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
-    req.cts_sent = p.clock().now();
-    obs::count(cfg.recorder, "gpu.mode.host_frags");
+    reply_cts(p, req, rts, cts);
     return;
   }
 
   if (rts.src_contiguous) {
-    // Receiver-driven GET from the exposed contiguous source.
-    st->mode = TransferMode::kRdmaRecvDriven;
-    st->remote = static_cast<std::byte*>(open_handle(p, rts.handle)) +
-                 rts.src_disp;
-    st->frag_bytes = rts.frag_bytes;
-    st->depth = rts.depth;
-    req.plugin = std::move(st);
-    obs::count(cfg.recorder, "gpu.mode.rdma_recv_driven");
-    drive_recv_from_contiguous(p, req, arrival);
+    // Receiver-driven GET from the exposed contiguous source, whose
+    // fragments lie end to end: a ring that never wraps.
+    s.mode = TransferMode::kRdmaRecvDriven;
+    s.src.view(
+        static_cast<std::byte*>(open_handle(p, rts.handle)) + rts.src_disp,
+        rts.frag_bytes,
+        (rts.total_bytes + rts.frag_bytes - 1) / rts.frag_bytes);
+    obs::count(cfg.recorder, kModeCounter[static_cast<int>(s.mode)]);
+    drive_recv_from_contiguous(p, req, rts, arrival);
     return;
   }
 
   if (req.dt->is_contiguous(req.count)) {
     // Shortcut: expose my destination; the sender packs into it directly.
-    st->mode = TransferMode::kRdmaPackToRemote;
-    CtsHeader cts;
-    cts.send_id = rts.send_id;
-    cts.recv_id = req.id;
+    s.mode = TransferMode::kRdmaPackToRemote;
     cts.mode = TransferMode::kRdmaPackToRemote;
     cts.has_handle = 1;
     cts.handle = sg::IpcGetMemHandle(p.gpu(), req.buf);
     cts.remote_disp = req.dt->true_lb();
     cts.frag_bytes = rts.frag_bytes;
-    req.plugin = std::move(st);
-    p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
-    req.cts_sent = p.clock().now();
-    obs::count(cfg.recorder, "gpu.mode.rdma_pack_remote");
+    reply_cts(p, req, rts, cts);
     return;  // completion arrives as a fin
   }
 
-  // Full pipelined RDMA protocol.
-  st->frag_bytes = rts.frag_bytes;
-  st->depth = rts.depth;
-  st->op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
-
+  // Full pipelined RDMA protocol, in the sender's ring geometry.
+  s.op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
   const bool stream_triggered =
       mpi::stream_triggered_switch.enabled(cfg.stream_triggered);
+  s.mode = TransferMode::kIpcRdma;
   if (stream_triggered && !cfg.rdma_put_mode) {
     // Stream-triggered chain (docs/protocols.md): this CTS is the last
     // per-message host work on this rank until the sender's fin. The
@@ -712,73 +764,48 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
     // launch of the chain lands here - the chain driver (sender side,
     // drive_stream_chain) then resolves the per-fragment recurrence
     // purely through stream/event dependencies.
-    st->mode = TransferMode::kStreamTriggered;
-    eng.stage_all(*st->op);
-    st->remote = static_cast<std::byte*>(open_handle(p, rts.handle));
+    s.mode = TransferMode::kStreamTriggered;
+    eng.stage_all(*s.op);
+  }
+  if (cfg.rdma_put_mode) {
+    // PUT mode: expose MY staging ring; the sender pushes fragments in,
+    // and each is unpacked where it landed.
+    s.ring.allocate(p.gpu(), Memory::kDevice, rts.frag_bytes, rts.depth);
+    s.src.view(s.ring.base(), rts.frag_bytes, rts.depth);
+    cts.has_handle = 1;
+    cts.handle = sg::IpcGetMemHandle(p.gpu(), s.ring.base());
+  } else {
+    s.src.view(open_handle(p, rts.handle), rts.frag_bytes, rts.depth);
     if (cfg.recv_local_staging && rts.src_device != p.gpu().device) {
-      st->local_staging = static_cast<std::byte*>(
-          sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes) *
-                                  static_cast<std::size_t>(st->depth)));
-      st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
+      // GET each fragment into a local ring before unpacking it
+      // (Section 5.2's local staging).
+      s.land = RecvState::Land::kGet;
+      s.ring.allocate(p.gpu(), Memory::kDevice, rts.frag_bytes, rts.depth);
     }
-    const std::int64_t nfrags =
-        (rts.total_bytes + st->frag_bytes - 1) / st->frag_bytes;
-    const bool local_staged = st->local_staging != nullptr;
-    CtsHeader cts;
-    cts.send_id = rts.send_id;
-    cts.recv_id = req.id;
-    cts.mode = TransferMode::kStreamTriggered;
-    cts.frag_bytes = st->frag_bytes;
-    cts.depth = st->depth;
-    req.plugin = std::move(st);
-    p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
-    req.cts_sent = p.clock().now();
+  }
+  cts.mode = s.mode;
+  cts.frag_bytes = rts.frag_bytes;
+  cts.depth = rts.depth;
+  reply_cts(p, req, rts, cts);
+  if (s.mode == TransferMode::kStreamTriggered) {
     // Posting charge for the chain: one triggered launch (and one GET
     // post, when staging locally) per fragment. Charged after the CTS is
     // on the wire - the posting overlaps the CTS flight and the sender's
     // own staging, exactly the overlap the offloaded path exists for -
     // but still at rendezvous time: the host never wakes per fragment.
+    const std::int64_t nfrags =
+        (rts.total_bytes + rts.frag_bytes - 1) / rts.frag_bytes;
     const vt::Time enq = p.gpu().cost().enqueue_ns;
     const vt::Time t0 = p.clock().now();
     p.clock().advance(static_cast<vt::Time>(nfrags) * enq *
-                      (local_staged ? 2 : 1));
+                      (s.ring ? 2 : 1));
     obs::count(cfg.recorder, "pml.stream_triggered.recvs");
     obs::observe(cfg.recorder, "pml.stream_triggered.enqueue_ns",
                  p.clock().now() - t0);
     obs::trace(cfg.recorder, {"chain_enqueue", "gpu", t0, p.clock().now(),
                               p.rank(), nfrags, p.rank(), 0});
-    obs::count(cfg.recorder, "gpu.mode.stream_triggered");
     return;  // completion arrives as the sender's fin (recv_fin)
   }
-
-  st->mode = TransferMode::kIpcRdma;
-  CtsHeader cts;
-  cts.send_id = rts.send_id;
-  cts.recv_id = req.id;
-  cts.mode = TransferMode::kIpcRdma;
-  cts.frag_bytes = st->frag_bytes;
-  cts.depth = st->depth;
-  if (cfg.rdma_put_mode) {
-    // PUT mode: expose MY staging ring; the sender pushes fragments in.
-    st->put_mode = true;
-    st->local_staging = static_cast<std::byte*>(
-        sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes) *
-                                static_cast<std::size_t>(st->depth)));
-    cts.has_handle = 1;
-    cts.handle = sg::IpcGetMemHandle(p.gpu(), st->local_staging);
-  } else {
-    st->remote = static_cast<std::byte*>(open_handle(p, rts.handle));
-    if (cfg.recv_local_staging && rts.src_device != p.gpu().device) {
-      st->local_staging = static_cast<std::byte*>(
-          sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes) *
-                                  static_cast<std::size_t>(st->depth)));
-      st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
-    }
-  }
-  req.plugin = std::move(st);
-  p.am_send(rts.env.src, mpi::Pml::cts_handler(), make_payload(cts));
-  req.cts_sent = p.clock().now();
-  obs::count(cfg.recorder, "gpu.mode.ipc_rdma");
   // The triggered recurrence is formulated receiver-GET-side, so PUT
   // mode runs the host-driven protocol instead - counted, not silent.
   if (stream_triggered)
@@ -787,18 +814,14 @@ void GpuDatatypePlugin::recv_start(mpi::Process& p, mpi::RecvRequest& req,
 
 void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
                                                    mpi::RecvRequest& req,
+                                                   const RtsHeader& rts,
                                                    vt::Time arrival) {
   auto* st = static_cast<RecvState*>(req.plugin.get());
-  core::GpuDatatypeEngine& eng = engine(p);
-  mpi::Btl& btl = p.runtime().btl_between(p.rank(), st->src_rank);
   const mpi::RuntimeConfig& cfg = p.config();
-  const sg::PtrAttributes remote_attr = p.runtime().machine().query(st->remote);
+  const sg::PtrAttributes remote_attr =
+      p.runtime().machine().query(st->src.base());
   const bool same_device = remote_attr.space == sg::MemorySpace::kDevice &&
                            remote_attr.device == p.gpu().device;
-  if (!req.dt->is_contiguous(req.count) && st->op == nullptr) {
-    st->op = eng.start(Dir::kUnpack, req.dt, req.count, req.buf);
-  }
-  vt::Time last = arrival;
 
   if (req.dt->is_contiguous(req.count)) {
     // Contiguous on both ends: one big one-sided get into place. The
@@ -808,62 +831,46 @@ void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
     auto* dst = static_cast<std::byte*>(req.buf) + req.dt->true_lb();
     const vt::Time t_start = std::max(arrival, p.clock().now());
     if (same_device) {
-      last = sg::TimedCopy(p.gpu(), dst, st->remote,
-                           static_cast<std::size_t>(req.total_bytes),
-                           t_start, "recv_contig_get");
+      st->last_ready = sg::TimedCopy(
+          p.gpu(), dst, st->src.base(),
+          static_cast<std::size_t>(req.total_bytes), t_start,
+          "recv_contig_get");
     } else {
-      last = btl.rdma_get(p, st->src_rank, dst, st->remote,
-                          static_cast<std::size_t>(req.total_bytes), t_start);
+      st->last_ready =
+          p.runtime().btl_between(p.rank(), st->src_rank).rdma_get(
+              p, st->src_rank, dst, st->src.base(),
+              static_cast<std::size_t>(req.total_bytes), t_start);
     }
     obs::trace(cfg.recorder,
-               {"rdma_frag", "gpu", t_start, last, p.rank(), req.total_bytes,
-                p.rank(), mpi::frag_flow(st->src_rank, st->send_id, 0)});
-  } else if (same_device || !cfg.recv_local_staging) {
-    // Unpack straight out of the exposed source (fast when same device,
-    // the slower remote-read option otherwise).
-    last = eng.drain(*st->op, st->remote, arrival, st->frag_bytes,
-                     {st->src_rank, st->send_id}, req.total_bytes)
-               .ready;
+               {"rdma_frag", "gpu", t_start, st->last_ready, p.rank(),
+                req.total_bytes, p.rank(),
+                mpi::frag_flow(st->src_rank, st->send_id, 0)});
   } else {
-    // Pipelined: get fragments into a local ring, unpack behind the gets.
-    st->local_staging = static_cast<std::byte*>(
-        sg::Malloc(p.gpu(), static_cast<std::size_t>(st->frag_bytes) *
-                                static_cast<std::size_t>(st->depth)));
-    st->slot_free.assign(static_cast<std::size_t>(st->depth), 0);
-    std::int64_t idx = 0;
-    while (st->op->bytes_done() < req.total_bytes) {
-      const std::int64_t slot = idx % st->depth;
-      std::byte* local = st->local_staging + slot * st->frag_bytes;
-      const std::int64_t n = std::min<std::int64_t>(
-          st->frag_bytes, req.total_bytes - st->op->bytes_done());
-      const std::uint64_t flow =
-          mpi::frag_flow(st->src_rank, st->send_id, idx);
-      st->op->set_flow(flow);
-      const vt::Time t_start =
-          std::max({arrival, p.clock().now(),
-                    st->slot_free[static_cast<std::size_t>(slot)]});
-      const vt::Time t_get =
-          btl.rdma_get(p, st->src_rank, local,
-                       st->remote + st->op->bytes_done(),
-                       static_cast<std::size_t>(n), t_start);
-      obs::trace(cfg.recorder, {"rdma_frag", "gpu", t_start, t_get,
-                                p.rank(), n, p.rank(), flow});
-      const auto res = eng.process_some(*st->op, local, n, t_get);
-      st->slot_free[static_cast<std::size_t>(slot)] = res.ready;
-      last = res.ready;
-      ++idx;
-      if (res.bytes == 0) break;
+    // Pipelined: GET fragments into a local ring and unpack behind the
+    // GETs; on the same device, or with local staging off (the slower
+    // remote-read option), unpack straight out of the exposed source.
+    st->op = engine(p).start(Dir::kUnpack, req.dt, req.count, req.buf);
+    if (!same_device && cfg.recv_local_staging) {
+      st->land = RecvState::Land::kGet;
+      st->ring.allocate(p.gpu(), Memory::kDevice, rts.frag_bytes, rts.depth);
     }
-    eng.finish(*st->op);
-    sg::Free(p.gpu(), st->local_staging);
-    st->local_staging = nullptr;
+    for (std::int64_t k = 0; st->op->bytes_done() < req.total_bytes; ++k) {
+      const std::int64_t n = std::min(
+          st->src.slot_bytes(), req.total_bytes - st->op->bytes_done());
+      // This host posts each GET; an unpack in place waits only for the
+      // source the RTS exposed.
+      const vt::Time avail =
+          st->ring ? std::max(arrival, p.clock().now()) : arrival;
+      unpack_frag(p, req, k, st->src.slot(k), n, avail);
+    }
   }
 
-  p.clock().wait_until(last);
+  finish_recv(p, req);
   FinHeader fin;
   fin.req_id = st->send_id;
   fin.to_sender = 1;
-  p.am_send(st->src_rank, mpi::Pml::fin_handler(), make_payload(fin), last);
+  p.am_send(st->src_rank, mpi::Pml::fin_handler(), make_payload(fin),
+            st->last_ready);
   p.pml().complete_recv(req);
 }
 
@@ -873,78 +880,29 @@ void GpuDatatypePlugin::on_frag_ready(mpi::Process& p, mpi::AmMessage& m) {
   if (req == nullptr)
     throw std::runtime_error("gpu plugin: frag-ready for unknown recv");
   auto* st = static_cast<RecvState*>(req->plugin.get());
-  core::GpuDatatypeEngine& eng = engine(p);
-  mpi::Btl& btl = p.runtime().btl_between(p.rank(), st->src_rank);
-  const std::int64_t slot = h.frag_idx % st->depth;
-  // Same pure function of (src rank, send id, frag idx) the sender used,
-  // so this fragment's unpack spans join its cross-rank flow chain.
-  const std::uint64_t flow =
-      mpi::frag_flow(st->src_rank, h.send_id, h.frag_idx);
-  st->op->set_flow(flow);
-
-  vt::Time ack_after;
-  if (st->put_mode) {
-    // The fragment was pushed into my local ring; just unpack it. The
-    // ack releases the RECEIVER-side slot for the sender's next put.
-    const auto res = eng.process_some(
-        *st->op, st->local_staging + slot * st->frag_bytes, h.bytes,
-        p.clock().now());
-    if (res.bytes != h.bytes)
-      throw std::runtime_error("gpu plugin: fragment size mismatch");
-    st->last_ready = res.ready;
-    ack_after = res.ready;
-  } else if (st->local_staging != nullptr) {
-    const std::byte* remote_slot = st->remote + slot * st->frag_bytes;
-    // GET into the local ring, then unpack locally; the sender slot is
-    // free as soon as the get completed.
-    std::byte* local = st->local_staging + slot * st->frag_bytes;
-    const vt::Time t_get = btl.rdma_get(
-        p, st->src_rank, local, remote_slot,
-        static_cast<std::size_t>(h.bytes),
-        std::max(p.clock().now(),
-                 st->slot_free[static_cast<std::size_t>(slot)]));
-    const auto res = eng.process_some(*st->op, local, h.bytes, t_get);
-    if (res.bytes != h.bytes)
-      throw std::runtime_error("gpu plugin: fragment size mismatch");
-    st->slot_free[static_cast<std::size_t>(slot)] = res.ready;
-    st->last_ready = res.ready;
-    ack_after = t_get;
-  } else {
-    // Unpack straight from the sender's staging (same device, or the
-    // remote-read option); the slot is busy until the kernel finished.
-    const std::byte* remote_slot = st->remote + slot * st->frag_bytes;
-    const auto res = eng.process_some(
-        *st->op, const_cast<std::byte*>(remote_slot), h.bytes,
-        p.clock().now());
-    if (res.bytes != h.bytes)
-      throw std::runtime_error("gpu plugin: fragment size mismatch");
-    st->last_ready = res.ready;
-    ack_after = res.ready;
-  }
-  st->bytes_done += h.bytes;
+  // GET the fragment into the local ring and unpack it there, or unpack
+  // it where it sits: in the sender's ring (same device, or the
+  // remote-read option) or, under PUT, in mine.
+  const Landed l = unpack_frag(p, *req, h.frag_idx, st->src.slot(h.frag_idx),
+                               h.bytes, p.clock().now());
   // The pipelined-RDMA fragments bypass Pml::on_frag, so the per-frag
   // rendezvous latencies are recorded here. The rdma_frag span covers
   // the fragment from its announce to its unpack.
   p.pml().record_frag_arrival(*req, h.bytes, m.arrival);
   obs::Recorder* rec = p.config().recorder;
-  obs::observe(rec, "gpu.frag.unpack_ns", st->last_ready - m.arrival);
-  obs::trace(rec, {"rdma_frag", "gpu", m.arrival, st->last_ready, p.rank(),
-                   h.bytes, p.rank(), flow});
+  obs::observe(rec, "gpu.frag.unpack_ns", l.ready - m.arrival);
+  obs::trace(rec, {"rdma_frag", "gpu", m.arrival, l.ready, p.rank(), h.bytes,
+                   p.rank(), l.flow});
 
+  // The ack frees the slot the fragment was taken from: the sender's once
+  // the GET drained it, else (in place, or my PUT slot) once unpacked.
   FragFreeHeader ack;
   ack.send_id = st->send_id;
   ack.frag_idx = h.frag_idx;
-  p.am_send(st->src_rank, h_frag_free_, make_payload(ack), ack_after);
+  p.am_send(st->src_rank, h_frag_free_, make_payload(ack), l.drained);
 
   if (h.last) {
-    if (st->bytes_done != req->total_bytes)
-      throw std::runtime_error("gpu plugin: RDMA stream size mismatch");
-    eng.finish(*st->op);
-    if (st->local_staging != nullptr) {
-      sg::Free(p.gpu(), st->local_staging);
-      st->local_staging = nullptr;
-    }
-    p.clock().wait_until(st->last_ready);
+    finish_recv(p, *req);
     p.pml().complete_recv(*req);
   }
 }
@@ -954,10 +912,8 @@ void GpuDatatypePlugin::on_frag_free(mpi::Process& p, mpi::AmMessage& m) {
   mpi::SendRequest* req = p.pml().find_send(h.send_id);
   if (req == nullptr)
     throw std::runtime_error("gpu plugin: frag-free for unknown send");
-  auto* st = static_cast<SendState*>(req->plugin.get());
-  ++st->acks;
-  if (!st->all_packed) pump_rdma_send(p, *req);
-  maybe_complete_rdma_send(p, *req);
+  ++static_cast<SendState*>(req->plugin.get())->acks;
+  pump_rdma_send(p, *req);
 }
 
 void GpuDatatypePlugin::recv_on_frag(mpi::Process& p, mpi::RecvRequest& req,
@@ -967,61 +923,28 @@ void GpuDatatypePlugin::recv_on_frag(mpi::Process& p, mpi::RecvRequest& req,
   auto* st = static_cast<RecvState*>(req.plugin.get());
   if (st == nullptr || st->mode != TransferMode::kHostFrags)
     throw std::runtime_error("gpu plugin: unexpected host fragment");
-  core::GpuDatatypeEngine& eng = engine(p);
-  if (hdr.offset != st->bytes_done)
+  if (hdr.offset != st->op->bytes_done())
     throw std::runtime_error("gpu plugin: out-of-order fragment");
-  // Pml::on_frag computed this fragment's flow id before dispatching here
-  // - but only a rendezvous carries the sender's request id. A fragment
-  // stream without an RTS-carried send_id (peer_send_id 0) would
-  // fabricate a flow that collides across that peer's sends and draw
-  // wrong/dangling Perfetto arrows; stamp those spans flow-less instead.
-  const std::uint64_t frag_flow_id =
-      req.peer_send_id != 0 ? req.last_flow : 0;
-  st->op->set_flow(frag_flow_id);
 
   if (hdr.bytes > 0) {
     ScopedStagingRegistration staging(p.runtime().machine(), data.data(),
                                       static_cast<std::size_t>(hdr.bytes));
-    if (st->gpu_bounce != nullptr) {
-      // Explicit copy-in: H2D staging, then unpack from device memory.
-      if (hdr.bytes > st->gpu_bounce_bytes)
-        throw std::runtime_error("gpu plugin: fragment exceeds bounce");
-      const vt::Time t_h2d = sg::MemcpyAsync(
-          p.gpu(), st->gpu_bounce, data.data(),
-          static_cast<std::size_t>(hdr.bytes), eng.pack_stream());
-      const auto res =
-          eng.process_some(*st->op, st->gpu_bounce, hdr.bytes, t_h2d);
-      if (res.bytes != hdr.bytes)
-        throw std::runtime_error("gpu plugin: fragment size mismatch");
-      st->last_ready = res.ready;
-    } else {
-      // Zero-copy: the unpack kernel reads the arrived host bytes over
-      // PCI-E directly (UMA mapping).
-      const auto res = eng.process_some(
-          *st->op, const_cast<std::byte*>(data.data()), hdr.bytes, arrival);
-      if (res.bytes != hdr.bytes)
-        throw std::runtime_error("gpu plugin: fragment size mismatch");
-      st->last_ready = res.ready;
-    }
-    st->bytes_done += hdr.bytes;
+    // Zero-copy: the unpack kernel reads the arrived host bytes over
+    // PCI-E directly (UMA mapping). Pml::on_frag counted this fragment,
+    // in order, in frags_seen.
+    const Landed l = unpack_frag(p, req, req.frags_seen - 1, data.data(),
+                                 hdr.bytes, arrival);
     // Arrival gaps were recorded by Pml::on_frag before dispatching here;
     // add the device-side unpack latency of this fragment.
     obs::observe(p.config().recorder, "gpu.frag.unpack_ns",
-                 st->last_ready - arrival);
+                 l.ready - arrival);
     obs::trace(p.config().recorder,
-               {"host_frag_unpack", "gpu", arrival, st->last_ready, p.rank(),
-                hdr.bytes, p.rank(), frag_flow_id});
+               {"host_frag_unpack", "gpu", arrival, l.ready, p.rank(),
+                hdr.bytes, p.rank(), l.flow});
   }
 
   if (hdr.last) {
-    if (st->bytes_done != req.total_bytes)
-      throw std::runtime_error("gpu plugin: fragment stream size mismatch");
-    eng.finish(*st->op);
-    if (st->gpu_bounce != nullptr) {
-      sg::Free(p.gpu(), st->gpu_bounce);
-      st->gpu_bounce = nullptr;
-    }
-    p.clock().wait_until(st->last_ready);
+    finish_recv(p, req);
     p.pml().complete_recv(req);
   }
 }
@@ -1057,16 +980,10 @@ void GpuDatatypePlugin::recv_fin(mpi::Process& p, mpi::RecvRequest& req,
   // First host wakeup this transfer caused on the receiving rank since
   // the CTS: the chain driver already moved every byte and resolved
   // every kernel's virtual time through the triggered entry points.
-  core::GpuDatatypeEngine& eng = engine(p);
-  eng.finish(*st->op);
-  if (st->local_staging != nullptr) {
-    sg::Free(p.gpu(), st->local_staging);
-    st->local_staging = nullptr;
-  }
+  finish_recv(p, req, arrival);
   obs::trace(p.config().recorder,
              {"stream_chain", "gpu", req.cts_sent, st->last_ready, p.rank(),
-              st->bytes_done, p.rank(), 0});
-  p.clock().wait_until(std::max(arrival, st->last_ready));
+              st->op->bytes_done(), p.rank(), 0});
 }
 
 }  // namespace gpuddt::proto

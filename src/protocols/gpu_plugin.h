@@ -22,7 +22,9 @@
 //    as ordinary PML fragments, interoperating with host-side peers.
 //
 // The receiver picks the mode in its CTS, exactly like the paper's GET
-// handshake.
+// handshake. Every pipelined mode shares one staging-ring type and two
+// fragment steps (docs/protocols.md, "One staging ring, two fragment
+// steps").
 #pragma once
 
 #include <cstdint>
@@ -83,6 +85,8 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
 
   struct SendState;
   struct RecvState;
+  struct Packed;
+  struct Landed;
 
   PerRank& per_rank(mpi::Process& p);
   /// pack() and unpack(): move (dt, count) at `user` to (kPack) or from
@@ -93,6 +97,35 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
                            std::span<std::byte> packed,
                            std::int64_t* position);
   void* open_handle(mpi::Process& p, const sg::IpcMemHandle& h);
+  /// The fragment-size rule: `want` bytes, capped at one AM's payload
+  /// when fragments travel as AMs over `am` (copy-in/out), and never
+  /// below the engine's work unit S.
+  std::int64_t frag_size(mpi::Process& p, std::int64_t want,
+                         mpi::Btl* am = nullptr);
+
+  // The two fragment steps: the plugin's only per-fragment engine calls.
+
+  /// Send step: pack `req`'s next fragment into its ring slot, no earlier
+  /// than the slot's free time, under frag_flow(rank, send id, k).
+  Packed pack_frag(mpi::Process& p, mpi::SendRequest& req);
+  /// Receive step: land fragment `k` of `bytes` packed bytes, readable at
+  /// `src` from `avail` on (RDMA GET into the local ring, H2D copy into
+  /// the bounce, or in place), unpack it, check its size and free its
+  /// slot.
+  Landed unpack_frag(mpi::Process& p, mpi::RecvRequest& req, std::int64_t k,
+                     const std::byte* src, std::int64_t bytes,
+                     vt::Time avail);
+  /// Finish `req`'s pack and complete it once the host clock reaches
+  /// `until`; its staging rings go with its state.
+  void finish_send(mpi::Process& p, mpi::SendRequest& req,
+                   vt::Time until = 0);
+  /// Check that `req` unpacked its whole message, finish its op and wait
+  /// for its last unpack (and for `until`).
+  void finish_recv(mpi::Process& p, mpi::RecvRequest& req,
+                   vt::Time until = 0);
+
+  // What each mode adds: how a packed fragment ships and when its ack
+  // leaves.
 
   /// Pack and publish fragments while the staging window has room
   /// (kIpcRdma sender side).
@@ -106,10 +139,10 @@ class GpuDatatypePlugin : public mpi::GpuTransferPlugin {
   /// Receiver-driven GET transfer from a contiguous exposed source
   /// (kRdmaRecvDriven).
   void drive_recv_from_contiguous(mpi::Process& p, mpi::RecvRequest& req,
+                                  const mpi::RtsHeader& rts,
                                   vt::Time arrival);
   /// Stage-and-ship loop for the copy-in/out sender.
   void pump_host_send(mpi::Process& p, mpi::SendRequest& req);
-  void maybe_complete_rdma_send(mpi::Process& p, mpi::SendRequest& req);
 
   // AM handlers (protocol-private messages).
   void on_frag_ready(mpi::Process& p, mpi::AmMessage& m);

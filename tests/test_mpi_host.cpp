@@ -324,5 +324,39 @@ TEST(MpiHost, DeviceSendWithoutPluginThrows) {
                std::runtime_error);
 }
 
+// A rendezvous fragment stream must deliver the size its RTS announced:
+// one whose last fragment arrives short of it is an error, not a short
+// message. Rank 0 plays the sender by hand: an RTS for 4096 bytes, then
+// one last fragment of 1024.
+TEST(MpiHost, FragmentStreamEndingShortOfRtsThrows) {
+  Runtime rt(small_world());
+  try {
+    rt.run([](Process& p) {
+      if (p.rank() == 0) {
+        RtsHeader rts;
+        rts.env = Envelope{0, 0, 1, 7};
+        rts.send_id = 1;
+        rts.total_bytes = 4096;
+        std::vector<std::byte> msg(sizeof(rts));
+        std::memcpy(msg.data(), &rts, sizeof(rts));
+        p.am_send(1, Pml::rts_handler(), std::move(msg));
+        FragHeader frag;
+        frag.recv_id = 1;  // rank 1's first request
+        frag.bytes = 1024;
+        frag.last = 1;
+        msg.assign(sizeof(frag) + 1024, std::byte{0});
+        std::memcpy(msg.data(), &frag, sizeof(frag));
+        p.am_send(1, Pml::frag_handler(), std::move(msg));
+        return;  // the CTS stays unread
+      }
+      std::vector<std::byte> buf(4096);
+      Comm(p).recv(buf.data(), 4096, kByte(), 0, 7);
+    });
+    ADD_FAILURE() << "the short fragment stream completed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "PML: fragment stream size mismatch");
+  }
+}
+
 }  // namespace
 }  // namespace gpuddt::mpi

@@ -140,31 +140,86 @@ TEST(Stress, RepeatedGpuTransfersStayStable) {
   });
 }
 
+// Every plugin mode releases its staging rings and descriptor scratch
+// with its requests: each mode runs four transfers of one shape, and
+// neither rank's device arena may grow after the second (the first
+// DEV-cache hit uploads the cached device copy, which then persists).
 TEST(Stress, DeviceMemoryIsReleasedAfterTransfers) {
-  Runtime rt(stress_world(2, 1 << 30));
-  rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
-  std::size_t in_use_after = 0;
-  rt.run([&](Process& p) {
-    Comm comm(p);
-    auto dt = core::lower_triangular_type(128, 128);
-    const std::size_t span = 128 * 128 * 8;
-    auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), span));
-    const std::size_t baseline = p.gpu().dev().arena().bytes_in_use();
-    for (int i = 0; i < 10; ++i) {
-      if (p.rank() == 0) {
-        comm.send(buf, 1, dt, 1, i);
-      } else {
-        comm.recv(buf, 1, dt, 0, i);
+  struct Mode {
+    const char* name;
+    const char* counter;  // proves the intended path ran
+    void (*setup)(RuntimeConfig&);
+    bool contiguous_send = false;
+    bool contiguous_recv = false;
+    std::int64_t order = 128;  // of the lower-triangular shape
+  };
+  const std::vector<Mode> modes = {
+      {"GPU eager", "gpu.sends.eager", nullptr, false, false, 32},
+      {"copy-in/out, zero-copy", "gpu.mode.host_frags",
+       [](RuntimeConfig& c) { c.ranks_per_node = 1; }},
+      {"copy-in/out, explicit staging", "gpu.mode.host_frags",
+       [](RuntimeConfig& c) {
+         c.ranks_per_node = 1;
+         c.zero_copy = false;
+       }},
+      {"GET, local staging", "gpu.mode.ipc_rdma", nullptr},
+      {"GET, remote read", "gpu.mode.ipc_rdma",
+       [](RuntimeConfig& c) { c.recv_local_staging = false; }},
+      {"PUT", "gpu.mode.ipc_rdma",
+       [](RuntimeConfig& c) { c.rdma_put_mode = true; }},
+      {"receiver-driven, contiguous", "gpu.mode.rdma_recv_driven", nullptr,
+       true, true},
+      {"receiver-driven, pipelined", "gpu.mode.rdma_recv_driven", nullptr,
+       true, false},
+      {"pack-to-remote", "gpu.mode.rdma_pack_remote", nullptr, false, true},
+      {"stream-triggered, staged", "gpu.mode.stream_triggered",
+       [](RuntimeConfig& c) { c.stream_triggered = 1; }},
+      {"stream-triggered, one device", "gpu.mode.stream_triggered",
+       [](RuntimeConfig& c) {
+         c.stream_triggered = 1;
+         c.device_of = [](int) { return 0; };
+       }},
+      {"stream-triggered, PUT fallback", "pml.stream_triggered.fallbacks",
+       [](RuntimeConfig& c) {
+         c.stream_triggered = 1;
+         c.rdma_put_mode = true;
+       }},
+  };
+  for (const Mode& m : modes) {
+    SCOPED_TRACE(m.name);
+    obs::Recorder rec;
+    RuntimeConfig cfg = stress_world(2, 1 << 30);
+    cfg.recorder = &rec;
+    if (m.setup) m.setup(cfg);
+    Runtime rt(cfg);
+    rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());
+    rt.run([&](Process& p) {
+      Comm comm(p);
+      const auto tri = core::lower_triangular_type(m.order, m.order);
+      const bool contiguous =
+          p.rank() == 0 ? m.contiguous_send : m.contiguous_recv;
+      const mpi::DatatypePtr dt = contiguous ? mpi::kDouble() : tri;
+      const std::int64_t count = contiguous ? tri->size() / 8 : 1;
+      const auto span = static_cast<std::size_t>(m.order * m.order * 8);
+      auto* buf = static_cast<std::byte*>(sg::Malloc(p.gpu(), span));
+      std::size_t after_second = 0;
+      for (int i = 0; i < 4; ++i) {
+        if (p.rank() == 0) {
+          comm.send(buf, count, dt, 1, i);
+        } else {
+          comm.recv(buf, count, dt, 0, i);
+        }
+        comm.barrier();
+        const std::size_t in_use = p.gpu().dev().arena().bytes_in_use();
+        if (i == 1) after_second = in_use;
+        if (i > 1) {
+          EXPECT_EQ(in_use, after_second)
+              << "rank " << p.rank() << ", transfer " << i;
+        }
       }
-    }
-    comm.barrier();
-    // Staging rings and descriptor scratch are freed per transfer; only
-    // the DEV-cache device copies may persist (bounded by the cache).
-    const std::size_t now = p.gpu().dev().arena().bytes_in_use();
-    EXPECT_LT(now - baseline, 4u << 20);
-    if (p.rank() == 0) in_use_after = now;
-  });
-  (void)in_use_after;
+    });
+    EXPECT_GE(test::counter(rec, m.counter), 4) << m.counter;
+  }
 }
 
 TEST(Stress, TruncatingRendezvousThrows) {

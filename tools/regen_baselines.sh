@@ -32,6 +32,7 @@ BASELINES=(
   "ablation_pipeline|bench_ablation_pipeline||"
   "ddt_zoo|bench_ddt_zoo||"
   "fig9_stream_triggered|bench_fig9_pcie_pingpong||--stream-triggered"
+  "ablation_pipeline_stream_triggered|bench_ablation_pipeline||--stream-triggered"
   "sim_throughput|bench_sim_throughput||"
   "traffic_mix|bench_traffic_mix||"
   "chrome/fig10_ib_t_256|bench_fig10_pingpong|BM_Fig10_IB_T/256/|"
