@@ -5,16 +5,7 @@
 
 namespace gpuddt::base {
 
-namespace {
-
-template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
-  std::memcpy(v.data(), &h, sizeof(H));
-  return v;
-}
-
-}  // namespace
+using mpi::make_payload;
 
 struct MvapichLikePlugin::SendState : mpi::PluginState {
   std::byte* host = nullptr;

@@ -30,11 +30,12 @@ std::string unit_str(const core::CudaDevDist& u) {
 }
 
 /// Shared per-unit checks: length in (0, S] and nc side within bounds.
-void check_units(std::span<const core::CudaDevDist> units,
-                 const DevListBounds& b, const char* origin,
-                 obs::Recorder* rec) {
+/// `Units` is a unit span or a DevWindow (whose units are cut).
+template <typename Units>
+void check_units(const Units& units, const DevListBounds& b,
+                 const char* origin, obs::Recorder* rec) {
   for (std::size_t i = 0; i < units.size(); ++i) {
-    const auto& u = units[i];
+    const core::CudaDevDist u = units[i];
     if (u.length <= 0 || u.length > b.unit_bytes) {
       fail(origin, rec, "unit_length", static_cast<std::int64_t>(i),
            "unit " + unit_str(u) + " length outside (0, " +
@@ -56,17 +57,18 @@ void check_units(std::span<const core::CudaDevDist> units,
 
 /// Packed-side overlap check on a sorted-by-pk copy; returns the sorted
 /// order for further coverage checks.
-std::vector<std::size_t> check_pk_disjoint(
-    std::span<const core::CudaDevDist> units, const char* origin,
-    obs::Recorder* rec) {
+template <typename Units>
+std::vector<std::size_t> check_pk_disjoint(const Units& units,
+                                           const char* origin,
+                                           obs::Recorder* rec) {
   std::vector<std::size_t> order(units.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
     return units[a].pk_disp < units[c].pk_disp;
   });
   for (std::size_t i = 1; i < order.size(); ++i) {
-    const auto& prev = units[order[i - 1]];
-    const auto& cur = units[order[i]];
+    const core::CudaDevDist prev = units[order[i - 1]];
+    const core::CudaDevDist cur = units[order[i]];
     if (cur.pk_disp < prev.pk_disp + prev.length) {
       fail(origin, rec, "pk_overlap", static_cast<std::int64_t>(order[i]),
            "pack destinations overlap: " + unit_str(prev) + " and " +
@@ -118,23 +120,23 @@ void validate_dev_list(std::span<const core::CudaDevDist> units,
   }
 }
 
-void validate_dev_window(std::span<const core::CudaDevDist> units,
-                         const DevListBounds& b, std::int64_t pk_expected,
-                         bool contiguous, const char* origin,
-                         obs::Recorder* rec) {
-  check_units(units, b, origin, rec);
+void validate_dev_window(const core::DevWindow& win, const DevListBounds& b,
+                         std::int64_t pk_expected, bool contiguous,
+                         const char* origin, obs::Recorder* rec) {
+  check_units(win, b, origin, rec);
   if (contiguous) {
     std::int64_t expect = pk_expected;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      if (units[i].pk_disp != expect) {
+    for (std::size_t i = 0; i < win.size(); ++i) {
+      const core::CudaDevDist u = win[i];
+      if (u.pk_disp != expect) {
         fail(origin, rec, "pk_not_contiguous", static_cast<std::int64_t>(i),
              "window pack destination expected " + std::to_string(expect) +
-                 ", got " + unit_str(units[i]));
+                 ", got " + unit_str(u));
       }
-      expect += units[i].length;
+      expect += u.length;
     }
   } else {
-    check_pk_disjoint(units, origin, rec);
+    check_pk_disjoint(win, origin, rec);
   }
 }
 

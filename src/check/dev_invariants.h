@@ -61,13 +61,13 @@ void validate_dev_list(std::span<const core::CudaDevDist> units,
                        const DevListBounds& b, const char* origin,
                        obs::Recorder* rec);
 
-/// Validate one launch window (budget-trimmed units). `pk_expected` is
-/// the packed offset the window must start at; with `contiguous` the pack
-/// destinations must be exactly consecutive, otherwise (residue-split
-/// windows, which reorder units) merely pairwise non-overlapping.
-void validate_dev_window(std::span<const core::CudaDevDist> units,
-                         const DevListBounds& b, std::int64_t pk_expected,
-                         bool contiguous, const char* origin,
-                         obs::Recorder* rec);
+/// Validate one launch window: its units as the window cuts them, i.e.
+/// exactly the bytes the kernel moves. `pk_expected` is the packed offset
+/// the window must start at; with `contiguous` the pack destinations must
+/// be exactly consecutive, otherwise (residue-split windows, which
+/// reorder units) merely pairwise non-overlapping.
+void validate_dev_window(const core::DevWindow& win, const DevListBounds& b,
+                         std::int64_t pk_expected, bool contiguous,
+                         const char* origin, obs::Recorder* rec);
 
 }  // namespace gpuddt::check

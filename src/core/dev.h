@@ -32,6 +32,43 @@ struct CudaDevDist {
 /// Paper lower bound for S: 8 bytes x 32 lanes = 256 B per warp round.
 constexpr std::int64_t kMinUnitBytes = 256;
 
+/// One kernel launch's units, viewed in place in the list that holds
+/// them (a DEV-cache entry, a stage_all batch or a conversion chunk):
+/// nothing is copied. The first unit's first `skip` bytes were done by an
+/// earlier window, and the last unit stops `cut` bytes short of its end
+/// (the next window resumes it). A window of one unit has both.
+struct DevWindow {
+  std::span<const CudaDevDist> units;
+  std::int64_t skip = 0;
+  std::int64_t cut = 0;
+
+  std::size_t size() const { return units.size(); }
+
+  /// Unit i as the window sees it.
+  CudaDevDist operator[](std::size_t i) const {
+    CudaDevDist u = units[i];
+    if (i == 0) u = {u.nc_disp + skip, u.pk_disp + skip, u.length - skip};
+    if (i + 1 == units.size()) u.length -= cut;
+    return u;
+  }
+
+  /// fn(nc_disp, pk_disp, length) for every unit of the window, in order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::size_t n = units.size();
+    if (n == 0) return;
+    const CudaDevDist* u = units.data();
+    if (n == 1) {
+      fn(u->nc_disp + skip, u->pk_disp + skip, u->length - skip - cut);
+      return;
+    }
+    fn(u[0].nc_disp + skip, u[0].pk_disp + skip, u[0].length - skip);
+    for (std::size_t i = 1; i + 1 < n; ++i)
+      fn(u[i].nc_disp, u[i].pk_disp, u[i].length);
+    fn(u[n - 1].nc_disp, u[n - 1].pk_disp, u[n - 1].length - cut);
+  }
+};
+
 /// Incremental converter from a datatype (for `count` elements) into CUDA
 /// DEV work units. Supports partial conversion so the host can pipeline
 /// conversion with kernel execution (Section 3.2).

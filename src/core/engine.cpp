@@ -157,7 +157,7 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_triggered(
   return process_dev(op, contig, max_bytes, dep, &dep);
 }
 
-vt::Time GpuDatatypeEngine::launch(Op& op, std::span<const CudaDevDist> units,
+vt::Time GpuDatatypeEngine::launch(Op& op, const DevWindow& win,
                                    std::int64_t pk_base, void* contig,
                                    const CudaDevDist* dev_units,
                                    sg::Stream& stream,
@@ -168,17 +168,17 @@ vt::Time GpuDatatypeEngine::launch(Op& op, std::span<const CudaDevDist> units,
                stream.tail());
   vt::Time ready;
   if (op.dir_ == Dir::kPack) {
-    ready = pack_dev_kernel(ctx_, stream, op.user_base_, units, pk_base,
+    ready = pack_dev_kernel(ctx_, stream, op.user_base_, win, pk_base,
                             contig, dev_units, cfg_.kernel_blocks,
                             triggered_at);
   } else {
-    ready = unpack_dev_kernel(ctx_, stream, op.user_base_, units, pk_base,
+    ready = unpack_dev_kernel(ctx_, stream, op.user_base_, win, pk_base,
                               contig, dev_units, cfg_.kernel_blocks,
                               triggered_at);
   }
   obs::trace(cfg_.recorder,
              {"dev_kernel", "engine", queued, ready, ctx_.device,
-              static_cast<std::int64_t>(units.size()), cfg_.trace_pid,
+              static_cast<std::int64_t>(win.size()), cfg_.trace_pid,
               op.flow_});
   return ready;
 }
@@ -245,7 +245,8 @@ void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
 }
 
 const CudaDevDist* GpuDatatypeEngine::upload_descriptors(
-    Op& op, std::span<const CudaDevDist> units) {
+    Op& op, const DevWindow& win) {
+  const std::span<const CudaDevDist> units = win.units;
   if (units.empty()) return nullptr;
   const int slot = op.desc_slot_ ^ 1;
   op.desc_slot_ = slot;
@@ -293,10 +294,10 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
   const bool batched = !cached && op.batch_dev_ != nullptr;
 
   while (bytes < budget) {
-    // Current unit source window.
-    const std::vector<CudaDevDist>* units =
-        cached ? &op.cached_->units : &op.staged_;
-    if (op.unit_pos_ == units->size()) {
+    // The unit list the window is cut from.
+    const std::vector<CudaDevDist>& list =
+        cached ? op.cached_->units : op.staged_;
+    if (op.unit_pos_ == list.size()) {
       if (cached || batched) break;  // exhausted (coincides with op.done())
       // Refill the staging window: one pipelined chunk, or everything
       // when conversion pipelining is disabled (Figure 7's plain mode).
@@ -310,40 +311,36 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
                                          2);
       convert_chunk(op, chunk);
       if (op.staged_.empty()) break;
-      units = &op.staged_;
     }
-    // Trim a window of units to the remaining budget.
-    op.ws_.clear();
+    // Cut the window in place. Units tile the packed stream in order (a
+    // checked DEV invariant), so the window ends at the last unit that
+    // starts before the budget's end; that unit is cut there.
     const std::size_t first = op.unit_pos_;
     const std::int64_t win_pk = pk_base + bytes;
-    std::int64_t distinct = 0;
-    while (op.unit_pos_ < units->size() && bytes < budget) {
-      const CudaDevDist& u = (*units)[op.unit_pos_];
-      if (op.unit_off_ == 0) ++distinct;  // first touch of this unit
-      const std::int64_t avail = u.length - op.unit_off_;
-      const std::int64_t take = std::min(avail, budget - bytes);
-      op.ws_.push_back(CudaDevDist{u.nc_disp + op.unit_off_,
-                                   u.pk_disp + op.unit_off_, take});
-      bytes += take;
-      op.unit_off_ += take;
-      if (op.unit_off_ == u.length) {
-        op.unit_off_ = 0;
-        ++op.unit_pos_;
-      }
-    }
-    if (op.ws_.empty()) break;
-    // Units served from the cache are counted per window, inside the
-    // loop: a small per-call budget walks this loop many times, and each
-    // window's ws_ replaces the previous one. The companion _distinct
-    // counter ignores re-touches of a unit split across windows.
+    const std::int64_t win_end = pk_base + budget;
+    const CudaDevDist* lo = list.data() + first;
+    const CudaDevDist* hi = std::partition_point(
+        lo, list.data() + list.size(),
+        [&](const CudaDevDist& u) { return u.pk_disp < win_end; });
+    const std::int64_t last_end = hi[-1].pk_disp + hi[-1].length;
+    const std::int64_t cut = std::max<std::int64_t>(last_end - win_end, 0);
+    const DevWindow win{{lo, hi}, op.unit_off_, cut};
+    bytes = last_end - cut - pk_base;
+    // A cut unit is where the next window starts.
+    op.unit_pos_ =
+        static_cast<std::size_t>(hi - list.data()) - (cut > 0 ? 1 : 0);
+    op.unit_off_ = cut > 0 ? hi[-1].length - cut : 0;
+    // Units served from the cache are counted per window: a unit split
+    // across windows counts in each, and the companion _distinct counter
+    // counts it at its first window only.
     if (cached) {
-      obs::count(cfg_.recorder, "engine.units.from_cache",
-                 static_cast<std::int64_t>(op.ws_.size()));
+      const auto n = static_cast<std::int64_t>(win.size());
+      obs::count(cfg_.recorder, "engine.units.from_cache", n);
       obs::count(cfg_.recorder, "engine.units.from_cache_distinct",
-                 distinct);
+                 win.skip > 0 ? n - 1 : n);
     }
     if (validate_ && op.count_ > 0) {
-      check::validate_dev_window(op.ws_,
+      check::validate_dev_window(win,
                                  bounds_of(*op.dt_, op.count_,
                                            cfg_.unit_bytes),
                                  win_pk, /*contiguous=*/true,
@@ -353,9 +350,9 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       const CudaDevDist* dev_units =
           cached     ? op.cached_dev_ + first
           : batched  ? static_cast<const CudaDevDist*>(op.batch_dev_) + first
-                     : upload_descriptors(op, op.ws_);
-      const vt::Time r = launch(op, op.ws_, pk_base, contig, dev_units,
-                                kernel_stream_, trig);
+                     : upload_descriptors(op, win);
+      const vt::Time r =
+          launch(op, win, pk_base, contig, dev_units, kernel_stream_, trig);
       if (!cached && !batched) {
         op.desc_last_use_[op.desc_slot_] =
             std::max(op.desc_last_use_[op.desc_slot_], r);
@@ -367,29 +364,30 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       // extra launch per window, which is exactly the overhead the paper
       // avoids by treating residues like every other unit.
       //
-      // The split reorders units, so neither the ws_-ordered scratch nor
-      // the cached device array lines up index-for-index with what each
-      // kernel is handed. Build one stable split (full units first, then
-      // residues), upload descriptors in that order, and give each launch
-      // its own sub-span; the upload on the cached path is the honest
-      // extra cost of this ablation variant.
+      // The split reorders units, so neither the list the window views
+      // nor the cached device array lines up index-for-index with what
+      // each kernel is handed. Build one stable split of the window's
+      // units as cut (full units first, then residues), upload
+      // descriptors in that order, and give each launch its own
+      // sub-span; the upload on the cached path is the honest extra cost
+      // of this ablation variant.
       auto& split = op.split_;
       split.clear();
-      split.reserve(op.ws_.size());
-      for (const auto& u : op.ws_)
-        if (u.length == cfg_.unit_bytes) split.push_back(u);
+      split.reserve(win.size());
+      for (std::size_t i = 0; i < win.size(); ++i)
+        if (win[i].length == cfg_.unit_bytes) split.push_back(win[i]);
       const std::size_t n_full = split.size();
-      for (const auto& u : op.ws_)
-        if (u.length != cfg_.unit_bytes) split.push_back(u);
+      for (std::size_t i = 0; i < win.size(); ++i)
+        if (win[i].length != cfg_.unit_bytes) split.push_back(win[i]);
       if (validate_ && op.count_ > 0) {
-        check::validate_dev_window(split,
+        check::validate_dev_window({split},
                                    bounds_of(*op.dt_, op.count_,
                                              cfg_.unit_bytes),
                                    win_pk, /*contiguous=*/false,
                                    "engine.window.residue_split",
                                    cfg_.recorder);
       }
-      const CudaDevDist* dev_split = upload_descriptors(op, split);
+      const CudaDevDist* dev_split = upload_descriptors(op, {split});
       sg::StreamWaitEvent(ctx_, residue_stream_,
                           sg::EventRecord(ctx_, upload_stream_));
       const std::span<const CudaDevDist> full(split.data(), n_full);
@@ -398,12 +396,12 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
       vt::Time slot_use = 0;
       if (!full.empty()) {
         const vt::Time r =
-            launch(op, full, pk_base, contig, dev_split, kernel_stream_);
+            launch(op, {full}, pk_base, contig, dev_split, kernel_stream_);
         slot_use = std::max(slot_use, r);
         ready = std::max(ready, r);
       }
       if (!residue.empty()) {
-        const vt::Time r = launch(op, residue, pk_base, contig,
+        const vt::Time r = launch(op, {residue}, pk_base, contig,
                                   dev_split + n_full, residue_stream_);
         slot_use = std::max(slot_use, r);
         ready = std::max(ready, r);

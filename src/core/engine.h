@@ -11,7 +11,11 @@
 //     to the specialized kernel, no descriptor conversion at all (S3.1);
 //   * general path: the host converts the datatype into CUDA DEV work
 //     units - in chunks, pipelined with kernel execution (S3.2) - uploads
-//     the descriptors, and launches the DEV kernel;
+//     the descriptors, and launches the DEV kernel. Each launch's window
+//     is a DevWindow cut in place from the unit list the op holds (a
+//     cache entry, a stage_all batch or a conversion chunk): the first
+//     unit skips the bytes done before, the last is cut at the budget,
+//     and the window's end is a binary search on pk_disp;
 //   * converted unit arrays are cached (host + device copies) and reused
 //     whenever the same datatype *shape* and count is packed again - the
 //     cache keys on the canonical-form digest (mpi/canonical.h), so
@@ -117,8 +121,11 @@ class GpuDatatypeEngine {
     // Cached-path state.
     const DevCache::Entry* cached_ = nullptr;
     const CudaDevDist* cached_dev_ = nullptr;
-    std::size_t unit_pos_ = 0;   // next unit (cached or staged window)
-    std::int64_t unit_off_ = 0;  // bytes of the current unit already done
+    // Where the next window starts in the unit list (the cache entry or
+    // staged_): its first unit, and the bytes of that unit already done,
+    // which become the window's skip (DevWindow).
+    std::size_t unit_pos_ = 0;
+    std::int64_t unit_off_ = 0;
     // Live-conversion state.
     DevCursor cursor_;
     std::vector<CudaDevDist> staged_;   // converted, not yet consumed
@@ -132,7 +139,6 @@ class GpuDatatypeEngine {
     std::size_t desc_cap_units_[2] = {0, 0};
     vt::Time desc_last_use_[2] = {0, 0};  // last kernel finish per slot
     int desc_slot_ = 0;                   // slot the latest upload used
-    std::vector<CudaDevDist> ws_;       // per-launch trimmed window
     std::vector<CudaDevDist> split_;    // residue-stream split (full first)
     // Batch-submission state (stage_all): the full unit list converted and
     // uploaded up-front into one device array, so later process_triggered
@@ -235,14 +241,12 @@ class GpuDatatypeEngine {
                      vt::Time dep, const vt::Time* trig = nullptr);
   /// Convert up to `limit` more units into op.staged_, charging host time.
   void convert_chunk(Op& op, std::size_t limit);
-  /// Upload descriptors to op's device scratch; returns the device pointer
-  /// and orders the kernel stream after the upload.
-  const CudaDevDist* upload_descriptors(Op& op,
-                                        std::span<const CudaDevDist> units);
-  vt::Time launch(Op& op, std::span<const CudaDevDist> units,
-                  std::int64_t pk_base, void* contig,
-                  const CudaDevDist* dev_units, sg::Stream& stream,
-                  const vt::Time* triggered_at = nullptr);
+  /// Upload a window's units to op's device scratch; returns the device
+  /// pointer and orders the kernel stream after the upload.
+  const CudaDevDist* upload_descriptors(Op& op, const DevWindow& win);
+  vt::Time launch(Op& op, const DevWindow& win, std::int64_t pk_base,
+                  void* contig, const CudaDevDist* dev_units,
+                  sg::Stream& stream, const vt::Time* triggered_at = nullptr);
 
   sg::HostContext& ctx_;
   EngineConfig cfg_;

@@ -93,14 +93,14 @@ Side classify(const sg::HostContext& ctx, const sg::Stream& stream,
 
 /// Accumulates the timing profile of a gather/scatter kernel.
 struct Traffic {
-  const sg::CostModel* cm;
+  int shift;  // log2 of the transaction line size
   Side src_side;
   Side dst_side;
   sg::KernelProfile prof;
 
   Traffic(const sg::HostContext& ctx, const sg::Stream& stream,
           const void* src_base, const void* dst_base, int blocks)
-      : cm(&ctx.cost()),
+      : shift(ctx.cost().txn_shift()),
         src_side(classify(ctx, stream, src_base)),
         dst_side(classify(ctx, stream, dst_base)) {
     prof.blocks = blocks;
@@ -119,17 +119,19 @@ struct Traffic {
   /// Charge descriptor-array reads (the kernel streams the CudaDevDist
   /// array from device memory).
   void add_descriptor_reads(std::int64_t n_units) {
-    prof.device_txn_bytes +=
-        ((n_units * static_cast<std::int64_t>(sizeof(CudaDevDist))) +
-         cm->mem_txn_bytes - 1) /
-        cm->mem_txn_bytes * cm->mem_txn_bytes;
+    add_lines(0, n_units * static_cast<std::int64_t>(sizeof(CudaDevDist)));
   }
 
  private:
+  void add_lines(std::int64_t off, std::int64_t len) {
+    prof.device_txn_bytes += sg::CostModel::txn_lines(off, len, shift)
+                             << shift;
+  }
+
   void add_side(Side side, std::int64_t off, std::int64_t len) {
     switch (side) {
       case Side::kLocalDevice:
-        prof.device_txn_bytes += cm->txn_lines(off, len) * cm->mem_txn_bytes;
+        add_lines(off, len);
         break;
       case Side::kPeerDevice:
       case Side::kMappedHost:
@@ -141,18 +143,19 @@ struct Traffic {
 
 /// Iterate the (src_off, dst_off, len) pieces of a packed-range vector
 /// operation. `fn(src_off, pk_off, len)` with pk_off relative to pk_lo.
+/// One division places pk_lo in its block; every later piece starts the
+/// next block.
 template <typename Fn>
 void for_vector_range(const mpi::RegularPattern& pat, std::int64_t pk_lo,
                       std::int64_t pk_hi, Fn&& fn) {
-  if (pat.blocklen <= 0) return;
-  std::int64_t pk = pk_lo;
-  while (pk < pk_hi) {
-    const std::int64_t blk = pk / pat.blocklen;
-    if (blk >= pat.count) break;
-    const std::int64_t intra = pk - blk * pat.blocklen;
-    const std::int64_t take =
-        std::min(pat.blocklen - intra, pk_hi - pk);
-    fn(pat.first_disp + blk * pat.stride + intra, pk - pk_lo, take);
+  if (pat.blocklen <= 0 || pk_lo >= pk_hi) return;
+  std::int64_t blk = pk_lo / pat.blocklen;
+  std::int64_t intra = pk_lo - blk * pat.blocklen;
+  std::int64_t nc = pat.first_disp + blk * pat.stride;
+  for (std::int64_t pk = pk_lo; pk < pk_hi && blk < pat.count;
+       ++blk, nc += pat.stride, intra = 0) {
+    const std::int64_t take = std::min(pat.blocklen - intra, pk_hi - pk);
+    fn(nc + intra, pk - pk_lo, take);
     pk += take;
   }
 }
@@ -224,57 +227,61 @@ vt::Time unpack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
 }
 
 vt::Time pack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                         const void* src_base,
-                         std::span<const CudaDevDist> units,
+                         const void* src_base, const DevWindow& win,
                          std::int64_t pk_base, void* dst,
                          const CudaDevDist* device_units, int blocks,
                          const vt::Time* triggered_at) {
   Traffic t(ctx, stream, src_base, dst, blocks);
-  for (const auto& u : units) t.add(u.nc_disp, u.pk_disp - pk_base, u.length);
-  t.add_descriptor_reads(static_cast<std::int64_t>(units.size()));
+  win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+    t.add(nc, pk - pk_base, len);
+  });
+  t.add_descriptor_reads(static_cast<std::int64_t>(win.size()));
   const auto* sb = static_cast<const std::byte*>(src_base);
   auto* db = static_cast<std::byte*>(dst);
   RangeBuilder rb;
   if (ctx.machine->observer() != nullptr) {
-    for (const auto& u : units)
-      rb.add(sb + u.nc_disp, db + (u.pk_disp - pk_base), u.length);
+    win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+      rb.add(sb + nc, db + (pk - pk_base), len);
+    });
   }
   return sg::LaunchKernel(
       ctx, stream, t.prof,
       [&] {
-        for (const auto& u : units) {
-          std::memcpy(db + (u.pk_disp - pk_base), sb + u.nc_disp,
-                      static_cast<std::size_t>(u.length));
-        }
+        win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+          std::memcpy(db + (pk - pk_base), sb + nc,
+                      static_cast<std::size_t>(len));
+        });
       },
-      "pack_dev", rb.finish(device_units, units.size()), triggered_at);
+      "pack_dev", rb.finish(device_units, win.size()), triggered_at);
 }
 
 vt::Time unpack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                           void* dst_base,
-                           std::span<const CudaDevDist> units,
+                           void* dst_base, const DevWindow& win,
                            std::int64_t pk_base, const void* src,
                            const CudaDevDist* device_units, int blocks,
                            const vt::Time* triggered_at) {
   Traffic t(ctx, stream, src, dst_base, blocks);
-  for (const auto& u : units) t.add(u.pk_disp - pk_base, u.nc_disp, u.length);
-  t.add_descriptor_reads(static_cast<std::int64_t>(units.size()));
+  win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+    t.add(pk - pk_base, nc, len);
+  });
+  t.add_descriptor_reads(static_cast<std::int64_t>(win.size()));
   auto* db = static_cast<std::byte*>(dst_base);
   const auto* sb = static_cast<const std::byte*>(src);
   RangeBuilder rb;
   if (ctx.machine->observer() != nullptr) {
-    for (const auto& u : units)
-      rb.add(sb + (u.pk_disp - pk_base), db + u.nc_disp, u.length);
+    win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+      rb.add(sb + (pk - pk_base), db + nc, len);
+    });
   }
   return sg::LaunchKernel(
       ctx, stream, t.prof,
       [&] {
-        for (const auto& u : units) {
-          std::memcpy(db + u.nc_disp, sb + (u.pk_disp - pk_base),
-                      static_cast<std::size_t>(u.length));
-        }
+        win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+          std::memcpy(db + nc, sb + (pk - pk_base),
+                      static_cast<std::size_t>(len));
+        });
       },
-      "unpack_dev", rb.finish(device_units, units.size()), triggered_at);
+      "unpack_dev", rb.finish(device_units, win.size()), triggered_at);
 }
 
 }  // namespace gpuddt::core

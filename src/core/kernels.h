@@ -10,7 +10,9 @@
 //
 // Each wrapper computes a transaction-accurate KernelProfile (128-byte
 // line counting on both the gather and scatter side, 8 bytes per lane,
-// 256-byte warp rounds) and performs the functional byte movement. The
+// 256-byte warp rounds) and performs the functional byte movement. On
+// the host, pricing a piece is a few adds and shifts, so a kernel costs
+// its copies plus a constant per launch. The
 // profiles are what make the simulated Figure 6 behave like the paper's:
 // aligned vectors reach ~94% of cudaMemcpy, triangular-matrix columns
 // drift off transaction boundaries and lose ~15%, and the stair-shaped
@@ -45,21 +47,21 @@ vt::Time unpack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
                               const void* src, int blocks,
                               const vt::Time* triggered_at = nullptr);
 
-/// Pack the given work units: gather src_base + u.nc_disp into
-/// dst + (u.pk_disp - pk_base). `device_units` is the device-resident
-/// descriptor array the real kernel would read (its traffic is charged);
-/// the functional copy uses the host-visible `units`.
+/// Pack the units of a window: gather src_base + u.nc_disp into
+/// dst + (u.pk_disp - pk_base) for each unit u as the window cuts it.
+/// `device_units` is the device-resident copy of `win.units` the real
+/// kernel would read (its traffic is charged; the window's skip and cut
+/// would be scalar kernel arguments); the functional copy reads the
+/// host-visible list the window views.
 vt::Time pack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                         const void* src_base,
-                         std::span<const CudaDevDist> units,
+                         const void* src_base, const DevWindow& win,
                          std::int64_t pk_base, void* dst,
                          const CudaDevDist* device_units, int blocks,
                          const vt::Time* triggered_at = nullptr);
 
 /// Inverse: scatter src + (u.pk_disp - pk_base) into dst_base + u.nc_disp.
 vt::Time unpack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                           void* dst_base,
-                           std::span<const CudaDevDist> units,
+                           void* dst_base, const DevWindow& win,
                            std::int64_t pk_base, const void* src,
                            const CudaDevDist* device_units, int blocks,
                            const vt::Time* triggered_at = nullptr);

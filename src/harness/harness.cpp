@@ -170,7 +170,7 @@ double kernel_pack_bandwidth(const mpi::DatatypePtr& dt, std::int64_t count,
     sg::Memcpy(ctx, dev_units, units.data(),
                units.size() * sizeof(core::CudaDevDist));
     start = ctx.clock.now();
-    finish = core::pack_dev_kernel(ctx, stream, base, units, 0, packed,
+    finish = core::pack_dev_kernel(ctx, stream, base, {units}, 0, packed,
                                    dev_units, engine.kernel_blocks);
   }
   const vt::Time dur = finish - start;

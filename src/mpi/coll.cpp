@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -321,21 +322,24 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
 
   // Work on the packed representation in host memory: pack the local
   // contribution, combine children's packed streams, unpack at the root.
-  std::vector<std::byte> acc(static_cast<std::size_t>(bytes));
+  // The pack and each receive overwrite their buffer in full before
+  // anything reads it, so neither is zero-filled.
+  const auto n = static_cast<std::size_t>(bytes);
+  const auto acc = std::make_unique_for_overwrite<std::byte[]>(n);
   {
-    const PackStats st = cpu_pack(dt, count, sendbuf, acc);
+    const PackStats st = cpu_pack(dt, count, sendbuf, {acc.get(), n});
     comm_.process().pml().charge_cpu_pack(st);
   }
   auto packed = Datatype::contiguous(bytes, kByte());
 
   const int vrank = (rank - root + size) % size;
-  std::vector<std::byte> incoming(static_cast<std::size_t>(bytes));
+  const auto incoming = std::make_unique_for_overwrite<std::byte[]>(n);
   // Binomial reduce: absorb children, then forward to the parent.
   int mask = 1;
   while (mask < size) {
     if (vrank & mask) {
       const int parent = (vrank - mask + root) % size;
-      comm_.send(acc.data(), 1, packed, parent, tag);
+      comm_.send(acc.get(), 1, packed, parent, tag);
       // The payload crossed the wire as a host-staged packed stream, so
       // it counts as staged regardless of the user layout.
       span.sent(bytes, contig, /*staged=*/true);
@@ -344,8 +348,8 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
     const int child_v = vrank + mask;
     if (child_v < size) {
       const int child = (child_v + root) % size;
-      comm_.recv(incoming.data(), 1, packed, child, tag);
-      apply_op(op, prim, acc.data(), incoming.data(), bytes);
+      comm_.recv(incoming.get(), 1, packed, child, tag);
+      apply_op(op, prim, acc.get(), incoming.get(), bytes);
       span.ops(bytes / prim_bytes(prim));
       comm_.process().clock().advance(
           vt::transfer_time(bytes, 4.0));  // ~4 GB/s host reduction
@@ -353,7 +357,7 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
     mask <<= 1;
   }
   // Root: scatter the combined packed stream into the recv layout.
-  const PackStats st = cpu_unpack(dt, count, acc, recvbuf);
+  const PackStats st = cpu_unpack(dt, count, {acc.get(), n}, recvbuf);
   comm_.process().pml().charge_cpu_pack(st);
 }
 

@@ -17,22 +17,6 @@ struct EagerHeader {
   std::int64_t bytes = 0;
 };
 
-template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
-  std::memcpy(v.data(), &h, sizeof(H));
-  return v;
-}
-
-template <typename H>
-H read_header(const AmMessage& m) {
-  if (m.payload.size() < sizeof(H))
-    throw std::runtime_error("PML: truncated AM payload");
-  H h;
-  std::memcpy(&h, m.payload.data(), sizeof(H));
-  return h;
-}
-
 bool matches(const RecvRequest& req, const Envelope& env) {
   return req.context == env.context &&
          (req.src == kAnySource || req.src == env.src) &&

@@ -9,11 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <list>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +54,27 @@ struct RequestState {
 using Request = std::shared_ptr<RequestState>;
 
 // --- Wire protocol headers (POD, memcpy'd into AM payloads) -------------------
+
+/// An AM payload holding header `h` followed by `extra` bytes for the
+/// caller to fill. Every AM sender (PML, GPU plugin, baselines) builds
+/// its payloads here.
+template <typename H>
+std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
+  std::vector<std::byte> v(sizeof(H) + extra);
+  std::memcpy(v.data(), &h, sizeof(H));
+  return v;
+}
+
+/// The header at the front of `m`'s payload; throws std::runtime_error
+/// when the payload is shorter than the header.
+template <typename H>
+H read_header(const AmMessage& m) {
+  if (m.payload.size() < sizeof(H))
+    throw std::runtime_error("truncated AM payload");
+  H h;
+  std::memcpy(&h, m.payload.data(), sizeof(H));
+  return h;
+}
 
 /// Rendezvous RTS: sender -> receiver.
 struct RtsHeader {

@@ -16,6 +16,8 @@ namespace {
 using mpi::CtsHeader;
 using mpi::FinHeader;
 using mpi::FragHeader;
+using mpi::make_payload;
+using mpi::read_header;
 using mpi::RtsHeader;
 using mpi::TransferMode;
 
@@ -36,22 +38,6 @@ struct FragFreeHeader {
   std::uint64_t send_id = 0;
   std::int64_t frag_idx = 0;
 };
-
-template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
-  std::memcpy(v.data(), &h, sizeof(H));
-  return v;
-}
-
-template <typename H>
-H read_header(const mpi::AmMessage& m) {
-  if (m.payload.size() < sizeof(H))
-    throw std::runtime_error("gpu plugin: truncated AM payload");
-  H h;
-  std::memcpy(&h, m.payload.data(), sizeof(H));
-  return h;
-}
 
 // Receiver-side unpack reads AM payload bytes in place; register the
 // span for the duration of the handler (simgpu/staging.h).

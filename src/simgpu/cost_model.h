@@ -17,7 +17,9 @@
 //    (zero-copy) memory moves over PCI-E in cacheline-sized bursts.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <stdexcept>
 
 #include "vtime/vclock.h"
 
@@ -134,12 +136,35 @@ struct CostModel {
     return vt::transfer_time(bytes, cpu_copy_gbps);
   }
 
+  /// log2(mem_txn_bytes): lines are counted by shifting, so a line size
+  /// that is not a power of two throws std::invalid_argument here.
+  int txn_shift() const {
+    const auto bytes = static_cast<unsigned>(mem_txn_bytes);
+    if (mem_txn_bytes <= 0 || !std::has_single_bit(bytes)) {
+      throw std::invalid_argument(
+          "CostModel: mem_txn_bytes must be a power of two");
+    }
+    return std::countr_zero(bytes);
+  }
+
   /// Number of `mem_txn_bytes`-sized lines touched by [offset, offset+len).
   std::int64_t txn_lines(std::int64_t offset, std::int64_t len) const {
+    return txn_lines(offset, len, txn_shift());
+  }
+
+  /// The same count for lines of 2^shift bytes (a kernel takes the shift
+  /// once and counts every range with it). A line index truncates toward
+  /// zero, as integer division does: a negative index is biased by
+  /// 2^shift - 1 before the arithmetic shift. So a range before the base
+  /// pointer, (-2^shift, 0), shares line 0 with [0, 2^shift).
+  static std::int64_t txn_lines(std::int64_t offset, std::int64_t len,
+                                int shift) {
     if (len <= 0) return 0;
-    const std::int64_t first = offset / mem_txn_bytes;
-    const std::int64_t last = (offset + len - 1) / mem_txn_bytes;
-    return last - first + 1;
+    const std::int64_t bias = (std::int64_t{1} << shift) - 1;
+    const auto line = [&](std::int64_t x) {
+      return (x + ((x >> 63) & bias)) >> shift;
+    };
+    return line(offset + len - 1) - line(offset) + 1;
   }
 };
 

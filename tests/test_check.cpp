@@ -450,7 +450,7 @@ TEST(CheckInvariants, OutOfBoundsUnitThrows) {
   const check::DevListBounds b{0, 1000, 2048, 1024};
   const CudaDevDist bad[] = {{950, 0, 100}};  // nc end 1050 > 1000
   obs::Recorder rec;
-  EXPECT_THROW(check::validate_dev_window(bad, b, 0, /*contiguous=*/false,
+  EXPECT_THROW(check::validate_dev_window({bad}, b, 0, /*contiguous=*/false,
                                           "test", &rec),
                check::InvariantViolation);
   EXPECT_EQ(violations(rec), 1);
@@ -465,10 +465,10 @@ TEST(CheckInvariants, BadUnitLengthThrows) {
   const CudaDevDist zero[] = {{0, 0, 0}};
   const CudaDevDist oversize[] = {{0, 0, 2048}};
   obs::Recorder rec;
-  EXPECT_THROW(check::validate_dev_window(zero, b, 0, false, "test", &rec),
+  EXPECT_THROW(check::validate_dev_window({zero}, b, 0, false, "test", &rec),
                check::InvariantViolation);
   EXPECT_THROW(
-      check::validate_dev_window(oversize, b, 0, false, "test", &rec),
+      check::validate_dev_window({oversize}, b, 0, false, "test", &rec),
       check::InvariantViolation);
 }
 
@@ -477,7 +477,7 @@ TEST(CheckInvariants, OverlappingPackDestinationsThrow) {
   // Two units whose packed destinations collide on [512, 1024).
   const CudaDevDist bad[] = {{0, 0, 1024}, {4096, 512, 1024}};
   obs::Recorder rec;
-  EXPECT_THROW(check::validate_dev_window(bad, b, 0, /*contiguous=*/false,
+  EXPECT_THROW(check::validate_dev_window({bad}, b, 0, /*contiguous=*/false,
                                           "test", &rec),
                check::InvariantViolation);
   EXPECT_EQ(violations(rec), 1);
@@ -491,7 +491,7 @@ TEST(CheckInvariants, NonContiguousWindowThrows) {
   // gap-free; this one jumps 512 bytes.
   const CudaDevDist bad[] = {{0, 0, 1024}, {4096, 1536, 1024}};
   obs::Recorder rec;
-  EXPECT_THROW(check::validate_dev_window(bad, b, 0, /*contiguous=*/true,
+  EXPECT_THROW(check::validate_dev_window({bad}, b, 0, /*contiguous=*/true,
                                           "test", &rec),
                check::InvariantViolation);
 }

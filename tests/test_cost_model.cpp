@@ -2,6 +2,9 @@
 // timing figure rests on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "simgpu/cost_model.h"
 #include "simgpu/runtime.h"
 
@@ -17,6 +20,46 @@ TEST(CostModel, TransactionLineCounting) {
   EXPECT_EQ(cm.txn_lines(127, 2), 2);    // straddles a line boundary
   EXPECT_EQ(cm.txn_lines(8, 1024), 9);   // misaligned 1KB: 9 lines
   EXPECT_EQ(cm.txn_lines(128, 1024), 8); // aligned 1KB: 8 lines
+  // A line index truncates toward zero, so a range before the base
+  // pointer shares line 0 with [0, 128): (-127, 128) is one line.
+  EXPECT_EQ(cm.txn_lines(-127, 255), 1);
+  EXPECT_EQ(cm.txn_lines(-128, 1), 1);
+  EXPECT_EQ(cm.txn_lines(-128, 2), 2);  // -128 starts line -1
+
+  // Lines are counted by shifting; the reference is the truncating
+  // division they were counted with before, for every power-of-two line
+  // size and for offsets on both sides of the base and past 2^31.
+  const auto reference = [](std::int64_t off, std::int64_t len,
+                            std::int64_t line) -> std::int64_t {
+    if (len <= 0) return 0;
+    return (off + len - 1) / line - off / line + 1;
+  };
+  constexpr std::int64_t k2G = std::int64_t{1} << 31;
+  const std::int64_t far[] = {k2G - 1,       k2G,          k2G + 77,
+                              3 * k2G + 5,   -k2G - 3,     (k2G << 9) + 200};
+  for (const int line : {32, 64, 128, 256}) {
+    cm.mem_txn_bytes = line;
+    std::int64_t mismatches = 0;
+    std::string first;
+    const auto check = [&](std::int64_t off, std::int64_t len) {
+      const std::int64_t got = cm.txn_lines(off, len);
+      const std::int64_t want = reference(off, len, line);
+      if (got != want && mismatches++ == 0) {
+        first = "line " + std::to_string(line) + " off " +
+                std::to_string(off) + " len " + std::to_string(len) +
+                ": " + std::to_string(got) + " != " + std::to_string(want);
+      }
+    };
+    for (std::int64_t off = -1024; off < 1024; ++off)
+      for (std::int64_t len = 1; len <= 1024; ++len) check(off, len);
+    for (const std::int64_t off : far)
+      for (std::int64_t len = 1; len <= 1024; ++len) check(off, len);
+    EXPECT_EQ(mismatches, 0) << first;
+  }
+
+  // A line size that is not a power of two cannot be counted by shifts.
+  cm.mem_txn_bytes = 96;
+  EXPECT_THROW(cm.txn_lines(0, 1), std::invalid_argument);
 }
 
 TEST(CostModel, D2DCopyCountsBothDirections) {

@@ -388,7 +388,7 @@ TEST_F(KernelTest, DevPackMatchesCpuReference) {
   auto* dst = static_cast<std::byte*>(sg::Malloc(ctx, dt->size()));
   test::fill_pattern(src, static_cast<std::size_t>(span), 8);
   auto units = convert_all(dt, 1, 1024);
-  pack_dev_kernel(ctx, stream, src, units, 0, dst, nullptr, 15);
+  pack_dev_kernel(ctx, stream, src, {units}, 0, dst, nullptr, 15);
   const auto ref = test::reference_pack(dt, 1, src);
   EXPECT_EQ(std::memcmp(dst, ref.data(), ref.size()), 0);
 }
@@ -402,8 +402,8 @@ TEST_F(KernelTest, DevUnpackInvertsPack) {
   test::fill_pattern(orig, static_cast<std::size_t>(span), 9);
   std::memset(back, 0, static_cast<std::size_t>(span));
   auto units = convert_all(dt, 1, 512);
-  pack_dev_kernel(ctx, stream, orig, units, 0, packed, nullptr, 15);
-  unpack_dev_kernel(ctx, stream, back, units, 0, packed, nullptr, 15);
+  pack_dev_kernel(ctx, stream, orig, {units}, 0, packed, nullptr, 15);
+  unpack_dev_kernel(ctx, stream, back, {units}, 0, packed, nullptr, 15);
   EXPECT_EQ(test::reference_pack(dt, 1, orig),
             test::reference_pack(dt, 1, back));
 }
@@ -438,10 +438,10 @@ TEST_F(KernelTest, MisalignedUnitsCostMoreTransactions) {
   auto* dst = static_cast<std::byte*>(sg::Malloc(ctx, 1 << 20));
   auto* dst2 = static_cast<std::byte*>(sg::Malloc(ctx, 1 << 20));
   sg::Stream s1(&m.device(0)), s2(&m.device(0));
-  const vt::Time f1 = pack_dev_kernel(ctx, s1, src, aligned, 0, dst, nullptr, 15);
+  const vt::Time f1 = pack_dev_kernel(ctx, s1, src, {aligned}, 0, dst, nullptr, 15);
   const vt::Time base1 = s1.tail();
   const vt::Time f2 =
-      pack_dev_kernel(ctx, s2, src, drifting, 0, dst2, nullptr, 15);
+      pack_dev_kernel(ctx, s2, src, {drifting}, 0, dst2, nullptr, 15);
   (void)base1;
   // Durations: compare net-of-queue times via fresh streams.
   EXPECT_GT(f2 - f1, 0);
@@ -551,51 +551,148 @@ TEST_F(EngineTest, SecondPackHitsCache) {
 }
 
 TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
-  // Regression for the engine.units.from_cache accounting: the counter
-  // used to be bumped once per process_some call, after the window loop,
-  // from the contents of the last ws_ window. It must equal the total
-  // number of window entries served from the cache - including units
-  // split across budget boundaries, which legitimately count once per
-  // window they appear in.
-  obs::Recorder rec;
-  EngineConfig cfg;
-  cfg.recorder = &rec;
-  GpuDatatypeEngine eng(ctx, cfg);
-  auto dt = core::lower_triangular_type(64, 64);
-  run_roundtrip(ctx, eng, dt, 1, 8192);  // fills the cache
-  ASSERT_GE(eng.cache().size(), 1u);
+  // Each launch window is cut out of the unit list the op already holds:
+  // a cache entry, a stage_all batch (driven by process_triggered) or a
+  // live conversion chunk. The window skips the first unit's consumed
+  // bytes and cuts the last unit at the budget. For every source, type
+  // and budget:
+  //  * the packed bytes equal cpu_pack's, and the unpack restores them;
+  //  * every window holds the units the budget-trimming walk below
+  //    replays; on a cache hit, engine.units.from_cache counts a unit
+  //    once per window it appears in and _distinct counts it once;
+  //  * each op completes at the virtual time pinned below, so a split
+  //    unit priced whole fails;
+  //  * each window runs against its own slot between guard bytes, so a
+  //    split unit copied whole fails: a pack past its cut or before its
+  //    skip writes a guard, an unpack reads one into the user buffer.
+  // The particle's runs merge across element seams, so most of its units
+  // are 52 B, not 28 and 24.
+  enum Source { kCached, kBatched, kFresh, kSources };
+  const mpi::DatatypePtr types[] = {core::lower_triangular_type(64, 64),
+                                    test::particle_type()};
+  const std::int64_t counts[] = {1, 300};
+  const std::int64_t budgets[] = {1000, 1024, 4104, 0};  // 0: whole
+  // {pack, unpack} completion per [source][type][budget].
+  const vt::Time pinned[kSources][2][4][2] = {
+      {// cached
+       {{132928, 243558}, {132927, 243556}, {54932, 87566}, {28934, 35570}},
+       {{128843, 233171}, {128842, 233169}, {50849, 77183}, {31348, 38181}}},
+      {// stage_all batch
+       {{132928, 243558}, {132927, 243556}, {54932, 87566}, {28934, 39584}},
+       {{128843, 233171}, {128842, 233169}, {50849, 77183}, {31348, 42556}}},
+      {// fresh conversion
+       {{196838, 375517}, {196836, 375518}, {70809, 123464}, {28934, 39584}},
+       {{188559, 357298}, {188550, 357287}, {62591, 105305}, {31348, 42556}}}};
+  for (int source = 0; source < kSources; ++source) {
+    for (int t = 0; t < 2; ++t) {
+      for (int b = 0; b < 4; ++b) {
+        const mpi::DatatypePtr& dt = types[t];
+        const std::int64_t count = counts[t];
+        const std::int64_t total = dt->size() * count;
+        const std::int64_t budget = budgets[b] > 0 ? budgets[b] : total;
+        SCOPED_TRACE(testing::Message() << "source " << source << " type "
+                                        << t << " budget " << budget);
+        // Replay the budget-trimming walk on the host units: units per
+        // window, and units first touched.
+        const auto units = convert_all(dt, count, 1024);
+        std::vector<std::int64_t> expected;
+        std::size_t pos = 0;
+        std::int64_t off = 0;
+        while (pos < units.size()) {
+          std::int64_t left = budget;
+          expected.push_back(0);
+          while (pos < units.size() && left > 0) {
+            const std::int64_t take = std::min(units[pos].length - off, left);
+            ++expected.back();
+            left -= take;
+            off += take;
+            if (off == units[pos].length) {
+              off = 0;
+              ++pos;
+            }
+          }
+        }
+        std::int64_t pieces = 0;
+        for (const std::int64_t n : expected) pieces += n;
 
-  // Replay the budget-trimming walk on the host units to get the exact
-  // expected per-window entry count.
-  const auto units = convert_all(dt, 1, 1024);
-  const std::int64_t frag = 1000;  // odd: forces unit splits
-  std::int64_t expected = 0, windows = 0;
-  std::size_t pos = 0;
-  std::int64_t off = 0;
-  while (pos < units.size()) {
-    std::int64_t budget = frag;
-    ++windows;
-    while (pos < units.size() && budget > 0) {
-      const std::int64_t take = std::min(units[pos].length - off, budget);
-      ++expected;
-      budget -= take;
-      off += take;
-      if (off == units[pos].length) {
-        off = 0;
-        ++pos;
+        // A fresh machine per case keeps the pinned times independent.
+        sg::Machine mach(test::machine_config(1));
+        sg::HostContext c(mach, 0);
+        obs::Recorder rec;
+        rec.enable_tracing();
+        EngineConfig cfg;
+        cfg.recorder = &rec;
+        cfg.cache_enabled = source == kCached;
+        GpuDatatypeEngine eng(c, cfg);
+        if (source == kCached) eng.prefetch(dt, count);
+        const std::int64_t span = test::span_bytes(dt, count);
+        auto* src = static_cast<std::byte*>(sg::Malloc(c, span));
+        auto* back = static_cast<std::byte*>(sg::Malloc(c, span));
+        auto* packed = static_cast<std::byte*>(sg::Malloc(c, total));
+        test::fill_pattern(src, static_cast<std::size_t>(span), 29);
+        std::memset(back, 0, static_cast<std::size_t>(span));
+        std::byte* src_base = src - dt->true_lb();
+        std::byte* back_base = back - dt->true_lb();
+
+        constexpr std::int64_t kGuard = 1024;
+        const auto stage_bytes = static_cast<std::size_t>(budget + 2 * kGuard);
+        auto* stage = static_cast<std::byte*>(sg::Malloc(c, stage_bytes));
+        std::byte* slot = stage + kGuard;
+        std::int64_t guard_hits = 0;
+        auto run = [&](Dir dir, std::byte* user) {
+          auto op = eng.start(dir, dt, count, user);
+          EXPECT_EQ(op->used_cache(), source == kCached);
+          if (source == kBatched) eng.stage_all(*op);
+          vt::Time ready = 0;
+          while (!op->done()) {
+            const std::int64_t at = op->bytes_done();
+            const auto n =
+                static_cast<std::size_t>(std::min(budget, total - at));
+            std::memset(stage, 0x5A, stage_bytes);
+            if (dir == Dir::kUnpack) std::memcpy(slot, packed + at, n);
+            const auto r = source == kBatched
+                               ? eng.process_triggered(*op, slot, budget, 0, 0)
+                               : eng.process_some(*op, slot, budget);
+            EXPECT_EQ(r.bytes, static_cast<std::int64_t>(n));
+            if (r.bytes == 0) break;
+            if (dir == Dir::kPack) std::memcpy(packed + at, slot, n);
+            for (std::size_t i = 0; i < stage_bytes; ++i) {
+              const bool guard = i < kGuard || i >= kGuard + n;
+              if (guard && stage[i] != std::byte{0x5A}) ++guard_hits;
+            }
+            ready = std::max(ready, r.ready);
+          }
+          eng.finish(*op);
+          return ready;
+        };
+        const vt::Time pack_ready = run(Dir::kPack, src_base);
+        const auto ref = test::reference_pack(dt, count, src_base);
+        EXPECT_EQ(std::memcmp(packed, ref.data(), ref.size()), 0);
+        const vt::Time unpack_ready = run(Dir::kUnpack, back_base);
+        EXPECT_EQ(test::reference_pack(dt, count, back_base), ref);
+        EXPECT_EQ(guard_hits, 0);
+        EXPECT_EQ(pack_ready, pinned[source][t][b][0]);
+        EXPECT_EQ(unpack_ready, pinned[source][t][b][1]);
+
+        std::vector<std::int64_t> windows;
+        for (const auto& ev : rec.trace().snapshot())
+          if (ev.name == "dev_kernel") windows.push_back(ev.arg0);
+        const std::size_t n = expected.size();
+        ASSERT_EQ(windows.size(), 2 * n);
+        EXPECT_EQ(std::vector<std::int64_t>(windows.begin(),
+                                            windows.begin() + n),
+                  expected);
+        EXPECT_EQ(std::vector<std::int64_t>(windows.begin() + n,
+                                            windows.end()),
+                  expected);
+        const std::int64_t ops = source == kCached ? 2 : 0;
+        EXPECT_EQ(test::counter(rec, "engine.units.from_cache"),
+                  ops * pieces);
+        EXPECT_EQ(test::counter(rec, "engine.units.from_cache_distinct"),
+                  ops * static_cast<std::int64_t>(units.size()));
       }
     }
   }
-  ASSERT_GT(windows, 1);
-
-  auto* src = static_cast<std::byte*>(sg::Malloc(ctx, 64 * 64 * 8));
-  auto* packed = static_cast<std::byte*>(sg::Malloc(ctx, dt->size()));
-  const std::int64_t before = test::counter(rec, "engine.units.from_cache");
-  auto op = eng.start(Dir::kPack, dt, 1, src);
-  ASSERT_TRUE(op->used_cache());
-  eng.drain(*op, packed, 0, frag);
-  EXPECT_EQ(test::counter(rec, "engine.units.from_cache") - before,
-            expected);
 }
 
 TEST_F(EngineTest, CacheDisabledNeverCaches) {
