@@ -168,17 +168,14 @@ inline bool check_claims(std::span<const Claim> claims, const Results& r,
   return ok;
 }
 
-/// Shared main: strips `--metrics-out=FILE`, `--trace`,
-/// `--trace-format=chrome|v1`, `--trace-out=FILE`, `--profile` and
-/// `--check` before handing the rest to google-benchmark, then dumps the
+/// Shared main: strips `--metrics-out=FILE`, `--latency-out=FILE`,
+/// `--trace-out=FILE`, `--profile`, `--stream-triggered` and `--check`
+/// before handing the rest to google-benchmark, then dumps the
 /// process-global recorder (which the harness feeds when specs carry no
 /// recorder of their own) as JSON.
-/// `--trace-format=chrome` (or any `--trace-out=`) implies `--trace` and
-/// writes the trace buffer as a Chrome Trace Event Format array
-/// (docs/tracing.md) to `--trace-out` (default `trace.json`), loadable
-/// in chrome://tracing or Perfetto; `--trace-format=v1` keeps trace
-/// events inline in the `--metrics-out` document, the pre-existing
-/// behaviour of bare `--trace`. `--profile` implies `--trace` and prints
+/// `--trace-out=FILE` turns tracing on and writes the trace buffer as a
+/// Chrome Trace Event Format array (docs/tracing.md) to FILE, loadable in
+/// chrome://tracing or Perfetto. `--profile` turns tracing on and prints
 /// the per-rank stage-utilization table (obs::stage_profile_table) to
 /// stdout after the run. `--check` turns the access checker on for every
 /// machine the run creates; its findings land in the recorder's
@@ -205,7 +202,6 @@ inline int bench_main(int argc, char** argv,
   mallopt(M_TRIM_THRESHOLD, 1 << 30);
   std::string metrics_out;
   std::string latency_out;
-  std::string trace_format;
   std::string trace_out;
   bool profile = false;
   std::vector<char*> args;
@@ -216,11 +212,6 @@ inline int bench_main(int argc, char** argv,
     } else if (std::strncmp(argv[i], "--latency-out=", 14) == 0) {
       latency_out = argv[i] + 14;
       obs::default_recorder().flowstats().enable(true);
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      obs::default_recorder().enable_tracing(true);
-    } else if (std::strncmp(argv[i], "--trace-format=", 15) == 0) {
-      trace_format = argv[i] + 15;
-      obs::default_recorder().enable_tracing(true);
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
       trace_out = argv[i] + 12;
       obs::default_recorder().enable_tracing(true);
@@ -235,14 +226,6 @@ inline int bench_main(int argc, char** argv,
       args.push_back(argv[i]);
     }
   }
-  if (!trace_format.empty() && trace_format != "chrome" &&
-      trace_format != "v1") {
-    std::fprintf(stderr, "unknown --trace-format=%s (chrome|v1)\n",
-                 trace_format.c_str());
-    return 1;
-  }
-  const bool chrome = trace_format == "chrome" ||
-                      (trace_format.empty() && !trace_out.empty());
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
@@ -259,13 +242,11 @@ inline int bench_main(int argc, char** argv,
             .c_str(),
         stdout);
   }
-  if (chrome) {
-    const std::string path = trace_out.empty() ? "trace.json" : trace_out;
-    if (!obs::default_recorder().write_chrome_json(path)) {
-      std::fprintf(stderr, "failed to write chrome trace to %s\n",
-                   path.c_str());
-      return 1;
-    }
+  if (!trace_out.empty() &&
+      !obs::default_recorder().write_chrome_json(trace_out)) {
+    std::fprintf(stderr, "failed to write chrome trace to %s\n",
+                 trace_out.c_str());
+    return 1;
   }
   if (!metrics_out.empty()) {
     if (!obs::default_recorder().write_json(metrics_out)) {

@@ -7,12 +7,10 @@ namespace gpuddt::core {
 
 DevCursor::DevCursor(mpi::DatatypePtr dt, std::int64_t count,
                      std::int64_t unit_bytes)
-    // Convert over the canonical program: structurally equal types then
-    // compile to identical unit lists, which is what lets the DEV cache
-    // key on the shape digest (dev_cache.h) rather than type identity.
-    : cursor_(std::move(dt), count,
-              mpi::BlockCursor::ProgramView::kCanonical),
-      unit_bytes_(unit_bytes) {
+    // The program is canonical: structurally equal types compile to
+    // identical unit lists, which is what lets the DEV cache key on the
+    // shape digest (dev_cache.h) rather than type identity.
+    : cursor_(std::move(dt), count), unit_bytes_(unit_bytes) {
   if (unit_bytes < kMinUnitBytes)
     throw std::invalid_argument("DevCursor: unit size below 256B warp floor");
 }

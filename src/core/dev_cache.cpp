@@ -88,7 +88,7 @@ const DevCache::Entry* DevCache::insert(sg::HostContext& ctx,
   }
   if (verify::verify_switch.enabled()) {
     // Symbolic certification (src/verify/): proves the unit list
-    // byte-exact against the datatype's tree/program/canonical layouts
+    // byte-exact against the datatype's tree and program layouts
     // before the DEV can become reachable from the cache. Throws
     // verify::CertificationFailure on any unproven obligation.
     verify::certify_insert(dt, count, unit_bytes,

@@ -136,7 +136,7 @@ void GpuDatatypeEngine::stage_all(Op& op) {
   obs::count(cfg_.recorder, "engine.desc_upload_bytes", bytes);
   obs::trace(cfg_.recorder,
              {"desc_upload", "engine", t0, done, ctx_.device, bytes,
-              cfg_.trace_pid, op.flow_});
+              cfg_.trace_pid, op.flow_, obs::Stage::kDesc});
 }
 
 GpuDatatypeEngine::Result GpuDatatypeEngine::process_triggered(
@@ -179,7 +179,7 @@ vt::Time GpuDatatypeEngine::launch(Op& op, const DevWindow& win,
   obs::trace(cfg_.recorder,
              {"dev_kernel", "engine", queued, ready, ctx_.device,
               static_cast<std::int64_t>(win.size()), cfg_.trace_pid,
-              op.flow_});
+              op.flow_, obs::Stage::kKernel});
   return ready;
 }
 
@@ -210,7 +210,7 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
              hi - lo);
   obs::trace(cfg_.recorder,
              {"vector_kernel", "engine", queued, ready, ctx_.device, hi - lo,
-              cfg_.trace_pid, op.flow_});
+              cfg_.trace_pid, op.flow_, obs::Stage::kKernel});
   return {hi - lo, ready};
 }
 
@@ -236,9 +236,9 @@ void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
   op.conv_ns_ += adv;
   op.conv_overlap_ns_ +=
       std::clamp<vt::Time>(kernel_stream_.tail() - t0, 0, adv);
-  obs::trace(cfg_.recorder,
-             {"convert_chunk", "engine", t0, t0 + adv, ctx_.device,
-              static_cast<std::int64_t>(n), cfg_.trace_pid, op.flow_});
+  obs::trace(cfg_.recorder, {"convert_chunk", "engine", t0, t0 + adv,
+                             ctx_.device, static_cast<std::int64_t>(n),
+                             cfg_.trace_pid, op.flow_, obs::Stage::kConv});
   if (op.fill_cache_)
     op.accum_.insert(op.accum_.end(), op.staged_.begin() + old,
                      op.staged_.end());
@@ -275,7 +275,7 @@ const CudaDevDist* GpuDatatypeEngine::upload_descriptors(
   obs::count(cfg_.recorder, "engine.desc_upload_bytes", bytes);
   obs::trace(cfg_.recorder,
              {"desc_upload", "engine", t0, done, ctx_.device, bytes,
-              cfg_.trace_pid, op.flow_});
+              cfg_.trace_pid, op.flow_, obs::Stage::kDesc});
   return static_cast<const CudaDevDist*>(op.desc_dev_[slot]);
 }
 

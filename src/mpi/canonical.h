@@ -3,9 +3,10 @@
 // Two datatypes built through different constructor paths (a contiguous
 // run of doubles vs. a blocklen-N vector with unit stride vs. an hvector
 // whose byte stride equals its block length...) describe the same memory
-// shape, yet each committed instance gets its own compiled program and -
-// before this pass - its own DEV-cache entry. canonicalize_program()
-// reduces a compiled loop/block program to a canonical representation:
+// shape, yet each constructor composes its own loop/block program.
+// canonicalize_program() reduces such a composed program to a canonical
+// representation, and Datatype::finalize stores only that result as the
+// type's program():
 //
 //   * empty loops and zero-length blocks are dropped,
 //   * count-1 loops are inlined into their parent (nested
@@ -22,9 +23,10 @@
 //   * every loop hoists its body's leading displacement into its own.
 //
 // All rules preserve the byte-visit order of the traversal exactly, so
-// the canonical program packs identically to the compiled one; rules that
+// the canonical program packs identically to the composed one; rules that
 // merge blocks only merge blocks that were already contiguous in the
-// emitted order. shape_digest() then hashes the canonical program plus
+// emitted order (the verifier's tree_equiv obligation proves the stored
+// program against the constructor tree). shape_digest() then hashes the canonical program plus
 // the extent (which governs multi-element placement) into a stable
 // 64-bit key: structurally equal types collide by construction, and the
 // DEV cache (core/dev_cache.h) keys on this digest instead of the

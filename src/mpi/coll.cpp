@@ -125,6 +125,8 @@ void apply_typed(ReduceOp op, T* acc, const T* in, std::int64_t n) {
   }
 }
 
+}  // namespace
+
 void apply_op(ReduceOp op, Primitive p, std::byte* acc, const std::byte* in,
               std::int64_t bytes) {
   switch (p) {
@@ -145,11 +147,9 @@ void apply_op(ReduceOp op, Primitive p, std::byte* acc, const std::byte* in,
                   reinterpret_cast<const double*>(in), bytes / 8);
       break;
     default:
-      throw std::invalid_argument("reduce: unsupported primitive");
+      throw std::invalid_argument("apply_op: unsupported primitive");
   }
 }
-
-}  // namespace
 
 int Collectives::next_tag() {
   epoch_ = (epoch_ + 1) & 0xfff;

@@ -16,8 +16,15 @@
 
 namespace gpuddt::mpi {
 
-/// Reduction operators for reduce/allreduce.
+/// Reduction operators for reduce/allreduce and one-sided accumulate.
 enum class ReduceOp { kSum, kMax, kMin, kProd };
+
+/// Combine `bytes` bytes of packed `p` elements element-wise:
+/// acc[i] = acc[i] op in[i]. The one reduction both the collectives and
+/// rma::Window::accumulate apply. Supports kInt32, kInt64, kFloat and
+/// kDouble; throws std::invalid_argument for any other primitive.
+void apply_op(ReduceOp op, Primitive p, std::byte* acc, const std::byte* in,
+              std::int64_t bytes);
 
 class Collectives {
  public:

@@ -4,12 +4,10 @@
 
 namespace gpuddt::mpi {
 
-BlockCursor::BlockCursor(DatatypePtr dt, std::int64_t count,
-                         ProgramView view)
+BlockCursor::BlockCursor(DatatypePtr dt, std::int64_t count)
     : dt_(std::move(dt)), count_(count) {
   assert(count >= 0);
-  prog_ = view == ProgramView::kCanonical ? &dt_->canonical_program()
-                                          : &dt_->program();
+  prog_ = &dt_->program();
   total_ = remaining_ = dt_->size() * count_;
   if (count_ == 0 || prog_->empty()) remaining_ = total_ = 0;
   elem_base_ = 0;

@@ -1,7 +1,8 @@
 // Datatype traversal.
 //
-// BlockCursor walks the compiled loop/block program of `count` elements of
-// a datatype and yields the contiguous blocks in layout order. It supports
+// BlockCursor walks the loop/block program (Datatype::program(), the
+// type's one canonical program) of `count` elements of a datatype and
+// yields the contiguous blocks in layout order. It supports
 // *partial* consumption (stop mid-block after an exact byte budget), which
 // is what lets the PML fragment messages and the GPU engine pipeline
 // pack/unpack - the cursor is the moral equivalent of Open MPI's
@@ -50,15 +51,8 @@ struct Block {
 
 class BlockCursor {
  public:
-  /// Which compiled form to traverse. Both emit the same bytes in the
-  /// same order; kCanonical walks the normalized program
-  /// (mpi/canonical.h) so structurally equal types traverse - and the
-  /// DEV conversion compiles - identically.
-  enum class ProgramView : std::uint8_t { kCompiled, kCanonical };
-
   BlockCursor() = default;
-  BlockCursor(DatatypePtr dt, std::int64_t count,
-              ProgramView view = ProgramView::kCompiled);
+  BlockCursor(DatatypePtr dt, std::int64_t count);
 
   /// Produce the next piece, at most `max_bytes` long. Returns false when
   /// the traversal is complete. A block longer than `max_bytes` is split;
@@ -98,7 +92,7 @@ class BlockCursor {
   void advance_instr();
 
   DatatypePtr dt_;
-  const std::vector<Instr>* prog_ = nullptr;  // selected by ProgramView
+  const std::vector<Instr>* prog_ = nullptr;  // dt_->program()
   std::int64_t count_ = 0;
   std::int64_t elem_ = 0;      // current element index
   std::int64_t elem_base_ = 0; // elem_ * extent

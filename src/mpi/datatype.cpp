@@ -282,8 +282,8 @@ DatatypePtr Datatype::finalize(std::vector<Instr> program, Signature sig,
                                TypeContents contents) {
   auto dt = std::shared_ptr<Datatype>(new Datatype());
   dt->contents_ = std::move(contents);
-  const WalkResult w = walk(program, 0, program.size());
-  dt->program_ = std::move(program);
+  dt->program_ = canonicalize_program(program);
+  const WalkResult w = walk(dt->program_, 0, dt->program_.size());
   dt->signature_ = std::move(sig);
   dt->size_ = w.size;
   dt->true_lb_ = w.any ? w.min : 0;
@@ -301,9 +301,7 @@ DatatypePtr Datatype::finalize(std::vector<Instr> program, Signature sig,
                dt->program_[0].disp == 0 && dt->lb_ == 0 &&
                dt->extent_ == dt->size_;
   dt->type_id_ = g_next_type_id++;
-  dt->canonical_program_ = canonicalize_program(dt->program_);
-  dt->shape_digest_ =
-      ::gpuddt::mpi::shape_digest(dt->canonical_program_, dt->extent_);
+  dt->shape_digest_ = ::gpuddt::mpi::shape_digest(dt->program_, dt->extent_);
   return dt;
 }
 
@@ -651,10 +649,10 @@ bool Datatype::is_contiguous(std::int64_t count) const {
 
 std::optional<RegularPattern> Datatype::regular_pattern(
     std::int64_t count) const {
-  // Decided on the canonical program: a uniform strided pattern hiding
-  // inside an indexed/struct construction re-rolls into the 3-instr
-  // loop{block} shape and takes the vector fast path too.
-  const std::vector<Instr>& prog = canonical_program_;
+  // The program is canonical: a uniform strided pattern hiding inside an
+  // indexed/struct construction re-rolls into the 3-instr loop{block}
+  // shape and takes the vector fast path too.
+  const std::vector<Instr>& prog = program_;
   if (count <= 0 || prog.empty()) return std::nullopt;
   if (prog.size() == 1 && prog[0].op == Instr::Op::kBlock) {
     const Instr& b = prog[0];

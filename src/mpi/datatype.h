@@ -5,8 +5,9 @@
 // contiguous, vector/hvector, indexed/hindexed/indexed_block, struct,
 // subarray and resized. Internally a committed type is compiled into a
 // compact loop/block *program* - the equivalent of Open MPI's stack-based
-// representation - which both the CPU pack engine (cursor.h) and the GPU
-// datatype engine (src/core) traverse.
+// representation - and stored in canonical form (mpi/canonical.h). The
+// CPU pack engine (cursor.h) and the GPU datatype engine (src/core) both
+// traverse that one program.
 #pragma once
 
 #include <array>
@@ -221,20 +222,15 @@ class Datatype : public std::enable_shared_from_this<Datatype> {
   /// Number of contiguous blocks per element (what a pack must gather).
   std::int64_t blocks_per_element() const { return blocks_per_element_; }
 
+  /// The type's one program, in canonical form (mpi/canonical.h):
+  /// structurally equal types - however they were constructed - share
+  /// it, so every walker visits them identically and equal shapes
+  /// compile to identical DEV unit lists.
   const std::vector<Instr>& program() const { return program_; }
   const Signature& signature() const { return signature_; }
 
-  /// Canonical form of program() (mpi/canonical.h): same byte-visit
-  /// order, normalized structure. Structurally equal types - however
-  /// they were constructed - share one canonical program. The DEV
-  /// conversion walks this form so equal shapes compile to identical
-  /// unit lists.
-  const std::vector<Instr>& canonical_program() const {
-    return canonical_program_;
-  }
-
-  /// Stable 64-bit digest of the canonical program + extent: the shape
-  /// key the DEV cache is keyed on. Equal for structurally equal types.
+  /// Stable 64-bit digest of program() + extent: the shape key the DEV
+  /// cache is keyed on. Equal for structurally equal types.
   std::uint64_t shape_digest() const { return shape_digest_; }
 
   /// Unique id of this committed type instance (shape-dedup accounting;
@@ -263,7 +259,6 @@ class Datatype : public std::enable_shared_from_this<Datatype> {
                               TypeContents contents = {});
 
   std::vector<Instr> program_;
-  std::vector<Instr> canonical_program_;
   Signature signature_;
   std::int64_t size_ = 0;
   std::int64_t extent_ = 0;

@@ -283,7 +283,7 @@ Request Pml::irecv(void* buf, std::int64_t count, const DatatypePtr& dt,
     if (u.is_rts) {
       handle_matched_rts(r, u.rts, u.arrival);
     } else {
-      deliver_eager_to_recv(r, u);
+      deliver_eager_to_recv(r, u.packed(), u.arrival);
     }
     return user;
   }
@@ -291,22 +291,24 @@ Request Pml::irecv(void* buf, std::int64_t count, const DatatypePtr& dt,
   return user;
 }
 
-void Pml::deliver_eager_to_recv(RecvRequest& req, const Unexpected& u) {
-  if (static_cast<std::int64_t>(u.eager_data.size()) > req.total_bytes)
+void Pml::deliver_eager_to_recv(RecvRequest& req,
+                                std::span<const std::byte> data,
+                                vt::Time arrival) {
+  if (static_cast<std::int64_t>(data.size()) > req.total_bytes)
     throw std::runtime_error("PML: eager message longer than recv buffer");
-  proc_.clock().wait_until(u.arrival);
+  proc_.clock().wait_until(arrival);
   if (req.space.space == sg::MemorySpace::kDevice) {
     GpuTransferPlugin* plugin = proc_.runtime().gpu_plugin();
     if (plugin == nullptr)
       throw std::runtime_error("PML: device recv without GPU plugin");
-    plugin->recv_eager(proc_, req, u.eager_data, u.arrival);
+    plugin->recv_eager(proc_, req, data, arrival);
     return;  // plugin completes the request
   }
   // The message may legally be shorter than the posted receive.
   BlockCursor cur(req.dt, req.count);
-  const PackStats st = cpu_unpack_some(cur, u.eager_data, req.buf);
+  const PackStats st = cpu_unpack_some(cur, data, req.buf);
   charge_cpu_pack(st);
-  req.total_bytes = static_cast<std::int64_t>(u.eager_data.size());
+  req.total_bytes = static_cast<std::int64_t>(data.size());
   complete_recv(req);
 }
 
@@ -355,20 +357,17 @@ void Pml::on_eager(AmMessage& m) {
   if (try_match_posted(h.env, &req)) {
     req->matched = true;
     req->matched_env = h.env;
-    Unexpected u;
-    u.env = h.env;
-    u.arrival = m.arrival;
-    u.eager_data.assign(m.payload.begin() + sizeof(EagerHeader),
-                        m.payload.end());
-    deliver_eager_to_recv(*req, u);
+    // Unpacked straight from the AM payload, past its header.
+    deliver_eager_to_recv(
+        *req, std::span<const std::byte>(m.payload).subspan(sizeof(h)),
+        m.arrival);
     return;
   }
   Unexpected u;
   u.env = h.env;
-  u.is_rts = false;
+  u.payload = std::move(m.payload);
+  u.data_at = sizeof(h);
   u.arrival = m.arrival;
-  u.eager_data.assign(m.payload.begin() + sizeof(EagerHeader),
-                      m.payload.end());
   unexpected_.push_back(std::move(u));
 }
 
@@ -426,7 +425,7 @@ void Pml::on_frag(AmMessage& m) {
   record_frag_arrival(*req, h.bytes, m.arrival);
   obs::trace(proc_.config().recorder,
              {"frag", "pml", m.arrival, m.arrival, proc_.rank(), h.bytes,
-              proc_.rank(), req->last_flow});
+              proc_.rank(), req->last_flow, obs::Stage::kWire});
   if (req->space.space == sg::MemorySpace::kDevice) {
     proc_.runtime().gpu_plugin()->recv_on_frag(proc_, *req, h, data,
                                                m.arrival);
@@ -526,7 +525,7 @@ bool Pml::iprobe(int src, int tag, int context, Status* st) {
       st->source = u.env.src;
       st->tag = u.env.tag;
       st->bytes = u.is_rts ? u.rts.total_bytes
-                           : static_cast<std::int64_t>(u.eager_data.size());
+                           : static_cast<std::int64_t>(u.packed().size());
     }
     return true;
   }

@@ -366,8 +366,14 @@ class Pml {
     Envelope env;
     bool is_rts = false;
     RtsHeader rts;
-    std::vector<std::byte> eager_data;  // packed payload for eager sends
+    std::vector<std::byte> payload;  // an eager message's whole AM payload
+    std::size_t data_at = 0;         // where its packed bytes start
     vt::Time arrival = 0;
+
+    /// An eager message's packed bytes: its payload past the header.
+    std::span<const std::byte> packed() const {
+      return std::span<const std::byte>(payload).subspan(data_at);
+    }
   };
 
   // AM handler bodies.
@@ -379,7 +385,9 @@ class Pml {
 
   void start_host_rendezvous_send(SendRequest& req);
   void stream_host_frags(SendRequest& req, const CtsHeader& cts);
-  void deliver_eager_to_recv(RecvRequest& req, const Unexpected& u);
+  void deliver_eager_to_recv(RecvRequest& req,
+                             std::span<const std::byte> data,
+                             vt::Time arrival);
   void handle_matched_rts(RecvRequest& req, const RtsHeader& rts,
                           vt::Time arrival);
   bool try_match_posted(const Envelope& env, RecvRequest** out);

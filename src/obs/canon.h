@@ -6,9 +6,8 @@
 // form before comparing:
 //
 //   - only the `schema`, `counters` and `histograms` sections survive;
-//     the `trace` section (event capture is bounded and --trace is
-//     opt-in) and the `diagnostics` section (check and verify findings)
-//     are diagnostic payload, not gated metrics, and are dropped;
+//     the `diagnostics` section (check and verify findings) is
+//     diagnostic payload, not gated metrics, and is dropped;
 //   - `check.*` metrics are dropped: they come from the optional access
 //     checker (GPUDDT_CHECK / --check), so keeping them would make the
 //     canonical text depend on the build configuration; so are the

@@ -97,7 +97,7 @@ void FlowStats::on_span(const TraceEvent& ev) {
   const std::int64_t end = std::max(ev.begin, ev.end);
   p.min_begin = std::min(p.min_begin, ev.begin);
   p.max_end = std::max(p.max_end, end);
-  auto& ivals = p.stages[static_cast<std::size_t>(stage_of(ev.cat, ev.name))];
+  auto& ivals = p.stages[static_cast<std::size_t>(ev.stage)];
   ivals.push_back(Interval{ev.begin, end});
   if (ivals.size() >= kMaxIntervals) {
     // Compact to the interval union; if the flow genuinely has more

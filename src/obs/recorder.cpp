@@ -112,32 +112,6 @@ std::string Recorder::to_json() const {
     out += "]}";
   }
   out += first ? "},\n" : "\n  },\n";
-  out += "  \"trace\": {\"dropped\": ";
-  append_int(out, trace_.dropped());
-  out += ", \"events\": [";
-  first = true;
-  for (const auto& ev : trace_.snapshot()) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": \"" + json::escape(ev.name) + "\", \"cat\": \"" +
-           json::escape(ev.cat) + "\", \"begin\": ";
-    append_int(out, ev.begin);
-    out += ", \"end\": ";
-    append_int(out, ev.end);
-    out += ", \"tid\": ";
-    append_int(out, ev.tid);
-    out += ", \"pid\": ";
-    append_int(out, ev.pid);
-    out += ", \"arg0\": ";
-    append_int(out, ev.arg0);
-    if (ev.flow != 0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), ", \"flow\": %" PRIu64, ev.flow);
-      out += buf;
-    }
-    out += "}";
-  }
-  out += first ? "]},\n" : "\n  ]},\n";
   out += "  \"diagnostics\": [";
   first = true;
   for (const Diagnostic& d : diagnostics_) {

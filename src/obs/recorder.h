@@ -1,8 +1,10 @@
 // Recorder - the observability layer's front door.
 //
 // Bundles a metrics Registry, a TraceBuffer and the run's check/verify
-// findings and serializes them as one JSON document (schema:
-// docs/metrics.md, `gpuddt-metrics-v1`). Producers (the GPU datatype
+// findings. The metrics and findings serialize as one JSON document
+// (schema: docs/metrics.md, `gpuddt-metrics-v1`); the trace buffer
+// serializes only as a Chrome Trace Event Format array (to_chrome_json,
+// docs/tracing.md). Producers (the GPU datatype
 // engine, the DEV cache, the PML, the GPU transfer plugin) take a
 // nullable Recorder* and record nothing when it is null, so unit tests
 // attach private recorders and production paths pay one branch when
@@ -53,8 +55,7 @@ class Recorder {
   void report(Diagnostic d);
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
 
-  /// Serialize counters, histograms, trace events and findings as one
-  /// JSON document.
+  /// Serialize counters, histograms and findings as one JSON document.
   std::string to_json() const;
 
   /// to_json() into `path`; returns false on I/O failure.

@@ -44,7 +44,7 @@ void append_u64(std::string& out, std::uint64_t v) {
 
 // Chrome row and latency-report key of each Stage, indexed by its value
 // (kOther spans row by their category instead).
-constexpr const char* kRows[static_cast<int>(Stage::kOther)] = {
+const std::string kRows[static_cast<int>(Stage::kOther)] = {
     "conv", "H2D desc", "kernel", "wire", "RDMA GET", "unpack"};
 constexpr const char* kKeys[kStageCount] = {"conv", "desc",   "kernel", "wire",
                                             "rdma", "unpack", "other"};
@@ -54,34 +54,22 @@ constexpr const char* kKeys[kStageCount] = {"conv", "desc",   "kernel", "wire",
 /// number on from kOther by first appearance in `others`.
 int row_id(const TraceEvent& ev,
            std::map<std::string, int, std::less<>>& others) {
-  const Stage s = stage_of(ev.cat, ev.name);
-  if (s != Stage::kOther) return static_cast<int>(s);
+  if (ev.stage != Stage::kOther) return static_cast<int>(ev.stage);
   const int next = kStageCount - 1 + static_cast<int>(others.size());
   return others.try_emplace(ev.cat, next).first->second;
 }
 
+/// The named timeline row `ev` renders on: its pipeline stage's row
+/// ("conv", "H2D desc", "kernel", "wire", "RDMA GET", "unpack"), or its
+/// category for kOther spans.
+const std::string& row_name(const TraceEvent& ev) {
+  return ev.stage == Stage::kOther ? ev.cat
+                                   : kRows[static_cast<int>(ev.stage)];
+}
+
 }  // namespace
 
-Stage stage_of(std::string_view cat, std::string_view name) {
-  if (cat == "engine") {
-    if (name == "convert_chunk") return Stage::kConv;
-    if (name == "desc_upload") return Stage::kDesc;
-    if (name == "dev_kernel" || name == "vector_kernel") return Stage::kKernel;
-  } else if (cat == "pml") {
-    if (name == "frag") return Stage::kWire;
-  } else if (cat == "gpu") {
-    if (name == "rdma_frag") return Stage::kRdma;
-    if (name == "host_frag_unpack") return Stage::kUnpack;
-  }
-  return Stage::kOther;
-}
-
 const char* stage_key(Stage s) { return kKeys[static_cast<int>(s)]; }
-
-std::string stage_row(std::string_view cat, std::string_view name) {
-  const Stage s = stage_of(cat, name);
-  return std::string(s == Stage::kOther ? cat : kRows[static_cast<int>(s)]);
-}
 
 std::string chrome_trace_json(std::vector<TraceEvent> events,
                               std::int64_t dropped) {
@@ -113,7 +101,7 @@ std::string chrome_trace_json(std::vector<TraceEvent> events,
   for (const TraceEvent& ev : events) {
     const int pid = ev.pid >= 0 ? ev.pid : (ev.tid >= 0 ? ev.tid : 0);
     const int tid = row_id(ev, other_rows);
-    named_rows.try_emplace({pid, tid}, stage_row(ev.cat, ev.name));
+    named_rows.try_emplace({pid, tid}, row_name(ev));
     last_end = std::max(last_end, ev.end);
 
     body += ",\n{\"name\": \"" + json::escape(ev.name) + "\", \"cat\": \"" +
@@ -210,8 +198,7 @@ std::string stage_profile_table(const std::vector<TraceEvent>& events) {
   std::int64_t t0 = events.front().begin, t1 = events.front().end;
   for (const TraceEvent& ev : events) {
     const int pid = ev.pid >= 0 ? ev.pid : (ev.tid >= 0 ? ev.tid : 0);
-    Cell& c = cells[{pid,
-                     {row_id(ev, other_rows), stage_row(ev.cat, ev.name)}}];
+    Cell& c = cells[{pid, {row_id(ev, other_rows), row_name(ev)}}];
     c.ivals.emplace_back(ev.begin, std::max(ev.begin, ev.end));
     ++c.count;
     t0 = std::min(t0, ev.begin);

@@ -8,19 +8,35 @@
 // pack op or one pipelined transfer - the same evidence Figure 5 of the
 // paper sketches by hand.
 //
+// Each producer sets its span's pipeline stage in the event's `stage`
+// field, which the chrome rows, FlowStats and --profile read. The chrome
+// array (chrome_trace_json) is the one serialized trace format.
+//
 // Disabled tracing is a single flag test per call site; the buffer is
 // bounded so runaway benchmarks cannot exhaust memory.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace gpuddt::obs {
 
+/// The pipeline stages of one transfer (§3.2/§4.1) in pipeline order, and
+/// kOther for spans outside it.
+enum class Stage : std::uint8_t {
+  kConv,    // engine/convert_chunk: host conversion of DEV units
+  kDesc,    // engine/desc_upload: descriptor uploads
+  kKernel,  // engine/dev_kernel, engine/vector_kernel
+  kWire,    // pml/frag: rendezvous fragments on the link
+  kRdma,    // gpu/rdma_frag: RDMA fragments, announce to unpack
+  kUnpack,  // gpu/host_frag_unpack: host-staged fragment unpacks
+  kOther,
+};
+inline constexpr int kStageCount = static_cast<int>(Stage::kOther) + 1;
+
 struct TraceEvent {
-  std::string name;       // stage ("convert", "kernel", "frag", ...)
+  std::string name;       // span name ("convert_chunk", "frag", ...)
   std::string cat;        // subsystem ("engine", "pml", ...)
   std::int64_t begin = 0; // virtual ns
   std::int64_t end = 0;   // virtual ns
@@ -28,6 +44,7 @@ struct TraceEvent {
   std::int64_t arg0 = 0;  // stage-specific (bytes, unit count, frag index)
   std::int32_t pid = -1;  // owning rank when known (-1: fall back to tid)
   std::uint64_t flow = 0; // fragment flow id (0: not part of a flow)
+  Stage stage = Stage::kOther;  // set by the producer
 };
 
 class TraceBuffer {
@@ -75,31 +92,9 @@ class TraceBuffer {
 std::string chrome_trace_json(std::vector<TraceEvent> events,
                               std::int64_t dropped);
 
-/// The pipeline stages of one transfer (§3.2/§4.1) in pipeline order, and
-/// kOther for spans outside it. The chrome rows, FlowStats and
-/// trace_critpath all classify spans with stage_of.
-enum class Stage : std::uint8_t {
-  kConv,    // engine/convert_chunk: host conversion of DEV units
-  kDesc,    // engine/desc_upload: descriptor uploads
-  kKernel,  // engine/dev_kernel, engine/vector_kernel
-  kWire,    // pml/frag: rendezvous fragments on the link
-  kRdma,    // gpu/rdma_frag: RDMA fragments, announce to unpack
-  kUnpack,  // gpu/host_frag_unpack: host-staged fragment unpacks
-  kOther,
-};
-inline constexpr int kStageCount = static_cast<int>(Stage::kOther) + 1;
-
-/// The stage a span of producer category `cat` named `name` belongs to.
-Stage stage_of(std::string_view cat, std::string_view name);
-
 /// A stage's key in the latency report (docs/latency.md): "conv",
 /// "desc", "kernel", "wire", "rdma", "unpack", "other".
 const char* stage_key(Stage s);
-
-/// The named timeline row a span renders on in the chrome export: its
-/// pipeline stage's row ("conv", "H2D desc", "kernel", "wire", "RDMA GET",
-/// "unpack"), or its category for kOther spans.
-std::string stage_row(std::string_view cat, std::string_view name);
 
 /// Human-readable per-(rank, stage-row) utilization table over a trace
 /// snapshot: busy virtual ns, % of the trace's end-to-end span, and

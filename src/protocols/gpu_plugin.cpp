@@ -356,8 +356,9 @@ GpuDatatypePlugin::Landed GpuDatatypePlugin::unpack_frag(
     // The GET spans the fragment, except under host-driven RDMA, where
     // on_frag_ready spans it from its announce to its unpack.
     if (st.mode != TransferMode::kIpcRdma) {
-      obs::trace(p.config().recorder, {"rdma_frag", "gpu", t_start, dep,
-                                       p.rank(), bytes, p.rank(), flow});
+      obs::trace(p.config().recorder,
+                 {"rdma_frag", "gpu", t_start, dep, p.rank(), bytes,
+                  p.rank(), flow, obs::Stage::kRdma});
     }
   } else if (st.land == RecvState::Land::kCopyIn) {
     // Explicit copy-in: H2D staging, then unpack from device memory.
@@ -827,10 +828,10 @@ void GpuDatatypePlugin::drive_recv_from_contiguous(mpi::Process& p,
               p, st->src_rank, dst, st->src.base(),
               static_cast<std::size_t>(req.total_bytes), t_start);
     }
-    obs::trace(cfg.recorder,
-               {"rdma_frag", "gpu", t_start, st->last_ready, p.rank(),
-                req.total_bytes, p.rank(),
-                mpi::frag_flow(st->src_rank, st->send_id, 0)});
+    obs::trace(cfg.recorder, {"rdma_frag", "gpu", t_start, st->last_ready,
+                              p.rank(), req.total_bytes, p.rank(),
+                              mpi::frag_flow(st->src_rank, st->send_id, 0),
+                              obs::Stage::kRdma});
   } else {
     // Pipelined: GET fragments into a local ring and unpack behind the
     // GETs; on the same device, or with local staging off (the slower
@@ -878,7 +879,7 @@ void GpuDatatypePlugin::on_frag_ready(mpi::Process& p, mpi::AmMessage& m) {
   obs::Recorder* rec = p.config().recorder;
   obs::observe(rec, "gpu.frag.unpack_ns", l.ready - m.arrival);
   obs::trace(rec, {"rdma_frag", "gpu", m.arrival, l.ready, p.rank(), h.bytes,
-                   p.rank(), l.flow});
+                   p.rank(), l.flow, obs::Stage::kRdma});
 
   // The ack frees the slot the fragment was taken from: the sender's once
   // the GET drained it, else (in place, or my PUT slot) once unpacked.
@@ -926,7 +927,7 @@ void GpuDatatypePlugin::recv_on_frag(mpi::Process& p, mpi::RecvRequest& req,
                  l.ready - arrival);
     obs::trace(p.config().recorder,
                {"host_frag_unpack", "gpu", arrival, l.ready, p.rank(),
-                hdr.bytes, p.rank(), l.flow});
+                hdr.bytes, p.rank(), l.flow, obs::Stage::kUnpack});
   }
 
   if (hdr.last) {

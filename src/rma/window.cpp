@@ -223,38 +223,7 @@ void Window::accumulate(const void* origin, std::int64_t origin_count,
   // Element-wise combine (host ALU; ~4 GB/s like the collectives). Ranks
   // run one at a time and nothing here suspends, so the read-modify-write
   // is as atomic as MPI requires.
-  const mpi::Primitive prim = sig.runs[0].prim;
-  switch (prim) {
-    case mpi::Primitive::kInt32: {
-      auto* a = reinterpret_cast<std::int32_t*>(theirs.data());
-      const auto* b = reinterpret_cast<const std::int32_t*>(ours.data());
-      for (std::int64_t i = 0; i < total / 4; ++i) {
-        switch (op) {
-          case mpi::ReduceOp::kSum: a[i] += b[i]; break;
-          case mpi::ReduceOp::kProd: a[i] *= b[i]; break;
-          case mpi::ReduceOp::kMax: a[i] = std::max(a[i], b[i]); break;
-          case mpi::ReduceOp::kMin: a[i] = std::min(a[i], b[i]); break;
-        }
-      }
-      break;
-    }
-    case mpi::Primitive::kDouble: {
-      auto* a = reinterpret_cast<double*>(theirs.data());
-      const auto* b = reinterpret_cast<const double*>(ours.data());
-      for (std::int64_t i = 0; i < total / 8; ++i) {
-        switch (op) {
-          case mpi::ReduceOp::kSum: a[i] += b[i]; break;
-          case mpi::ReduceOp::kProd: a[i] *= b[i]; break;
-          case mpi::ReduceOp::kMax: a[i] = std::max(a[i], b[i]); break;
-          case mpi::ReduceOp::kMin: a[i] = std::min(a[i], b[i]); break;
-        }
-      }
-      break;
-    }
-    default:
-      throw std::invalid_argument(
-          "Window::accumulate: int32/double elements only");
-  }
+  mpi::apply_op(op, sig.runs[0].prim, theirs.data(), ours.data(), total);
   p.clock().advance(vt::transfer_time(total, 4.0));
   const vt::Time done =
       pack_unpack(Dir::kUnpack, tptr, target_count, target_dt, theirs.data(),

@@ -60,8 +60,9 @@ class Window {
            const mpi::DatatypePtr& target_dt);
 
   /// One-sided accumulate (MPI_Accumulate): combine the origin data into
-  /// the target with `op`. Restricted to single-primitive datatypes, like
-  /// the collectives' reductions.
+  /// the target with `op` (mpi::apply_op, the collectives' reduction).
+  /// Restricted to datatypes over one of kInt32, kInt64, kFloat and
+  /// kDouble; anything else throws std::invalid_argument.
   void accumulate(const void* origin, std::int64_t origin_count,
                   const mpi::DatatypePtr& origin_dt, int target,
                   std::int64_t target_disp, std::int64_t target_count,

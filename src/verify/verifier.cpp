@@ -37,8 +37,7 @@ Report verify_type(const mpi::Datatype& dt) {
   Report rep;
   rep.subject = dt.describe_tree();
 
-  const bool wf = mpi::program_well_formed(dt.program()) &&
-                  mpi::program_well_formed(dt.canonical_program());
+  const bool wf = mpi::program_well_formed(dt.program());
   prove(rep, kProgramWellFormed, wf,
         "unbalanced loops or broken body_end links");
   if (!wf) return rep;  // the walkers below assume well-formed programs
@@ -57,10 +56,6 @@ Report verify_type(const mpi::Datatype& dt) {
   prove(rep, kTreeEquiv, tree_ok && tree.map == prog_map,
         tree_ok ? "tree vs program: " + map_diff(tree.map, prog_map)
                 : tree_err);
-
-  const ByteMap canon_map = program_byte_map(dt.canonical_program());
-  prove(rep, kCanonicalEquiv, canon_map == prog_map,
-        "canonical vs program: " + map_diff(canon_map, prog_map));
 
   {
     std::ostringstream os;
@@ -117,7 +112,7 @@ std::vector<core::CudaDevDist> expected_units(const mpi::Datatype& dt,
   // merges a run into the previous one where element e's last run ends
   // at element e + 1's first, so `runs` holds the maximal runs of the
   // whole message in visit order.
-  const ByteMap elem = program_byte_map(dt.canonical_program());
+  const ByteMap elem = program_byte_map(dt.program());
   ByteMap runs;
   for (std::int64_t e = 0; e < count; ++e) {
     for (const Run& r : elem.runs()) runs.push(e * dt.extent() + r.off, r.len);

@@ -1,14 +1,14 @@
 // The symbolic DEV/datatype verifier - proof obligations and provers.
 //
 // verify_type() proves, for a committed datatype and ALL counts n (not a
-// sampled few), that the three representations the engine juggles -
-// constructor tree, compiled program, canonical program - describe
-// exactly the same byte-visit sequence, with exact bounds/size/extent
-// and no intra- or cross-element overlap. verify_dev() then proves a
-// converted CUDA DEV unit list is exactly the closed-form unit split of
-// the canonical program's maximal contiguous runs, merged across element
-// seams: right unit count, every non-contiguous displacement exact, pack
-// destinations exactly contiguous over [0, size*count).
+// sampled few), that its constructor tree and its one program - the
+// canonical program every walker reads - describe exactly the same
+// byte-visit sequence, with exact bounds/size/extent and no intra- or
+// cross-element overlap. verify_dev() then proves a converted CUDA DEV
+// unit list is exactly the closed-form unit split of the program's
+// maximal contiguous runs, merged across element seams: right unit
+// count, every non-contiguous displacement exact, pack destinations
+// exactly contiguous over [0, size*count).
 // verify_pipeline() proves the engine's fragment
 // pipeline hazard-free over all legal interleavings (pipeline.h).
 //
@@ -60,7 +60,6 @@ struct Report {
 // Obligation names (the catalogue; docs/verification.md).
 inline constexpr const char* kProgramWellFormed = "program_well_formed";
 inline constexpr const char* kTreeEquiv = "tree_equiv";
-inline constexpr const char* kCanonicalEquiv = "canonical_equiv";
 inline constexpr const char* kBoundsExact = "bounds_exact";
 inline constexpr const char* kSizeExact = "size_exact";
 inline constexpr const char* kExtentExact = "extent_exact";
@@ -73,7 +72,7 @@ inline constexpr const char* kDevNcExact = "dev_nc_exact";
 inline constexpr const char* kDevPkExact = "dev_pk_exact";
 inline constexpr const char* kPipelineHazardFree = "pipeline_hazard_free";
 
-/// Prove tree == program == canonical byte-visit equivalence plus the
+/// Prove tree == program byte-visit equivalence plus the
 /// bounds/size/extent/overlap obligations, closed over all counts.
 Report verify_type(const mpi::Datatype& dt);
 
@@ -87,7 +86,7 @@ Report verify_dev(const mpi::Datatype& dt, std::int64_t count,
 Report verify_pipeline(const EnginePipelineParams& params);
 
 /// The closed-form unit split the DEV conversion must produce, derived
-/// from the canonical program's ByteMap rather than from DevCursor:
+/// from the program's ByteMap rather than from DevCursor:
 /// element 0's maximal runs, shifted by e * extent for element e, with
 /// a run merged into the previous one where element e's last run ends
 /// at element e + 1's first; each merged run is cut into unit_bytes

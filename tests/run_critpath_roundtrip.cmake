@@ -1,5 +1,5 @@
 # Round-trip + determinism check for the critical-path profiler: run the
-# fig9 benchmark twice with --trace-format=chrome, feed both traces
+# fig9 benchmark twice with --trace-out (a chrome array), feed both traces
 # through trace_critpath, and require
 #   - overlap efficiency in (0, 1] on real pipeline output
 #     (--check-efficiency), and
@@ -20,7 +20,6 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 foreach(run 1 2)
   execute_process(
     COMMAND ${BENCH} --benchmark_filter=BM_Fig9_V/1024/
-            --trace-format=chrome
             --trace-out=${WORK_DIR}/critpath_trace_${run}.json
     OUTPUT_QUIET
     RESULT_VARIABLE rc)

@@ -1,7 +1,8 @@
 // Canonical datatype form (mpi/canonical.h): structurally equal types
-// built through different constructor paths must agree on the canonical
-// program and the shape digest, compile to identical DEV unit lists, and
-// share one DEV-cache entry (a shape_dedup hit on the second build).
+// built through different constructor paths must agree on the stored
+// (canonical) program and the shape digest, compile to identical DEV
+// unit lists, and share one DEV-cache entry (a shape_dedup hit on the
+// second build).
 // Träff's self-consistency expectation rides along: the canonicalized
 // type drives exactly the same conversion work as its hand-flattened
 // equivalent, so it can never be slower.
@@ -18,6 +19,7 @@
 #include "mpi/datatype.h"
 #include "obs/recorder.h"
 #include "test_helpers.h"
+#include "verify/symbolic.h"
 
 namespace gpuddt::mpi {
 namespace {
@@ -25,16 +27,34 @@ namespace {
 using core::convert_all;
 using core::CudaDevDist;
 
-/// Every byte offset (dt, count) touches, in traversal order, walking
-/// the given program view. Canonicalization must preserve this exactly.
-std::vector<std::int64_t> touched_bytes(const DatatypePtr& dt,
-                                        std::int64_t count,
-                                        BlockCursor::ProgramView view) {
-  BlockCursor cur(dt, count, view);
-  std::vector<std::int64_t> out;
+/// The byte offsets (dt, count) touches, one list per element, in the
+/// order the cursor walks the stored program.
+std::vector<std::vector<std::int64_t>> walked_elements(const DatatypePtr& dt,
+                                                       std::int64_t count) {
+  BlockCursor cur(dt, count);
+  std::vector<std::vector<std::int64_t>> out(static_cast<std::size_t>(count));
+  std::int64_t walked = 0;
   Block b;
   while (cur.next(&b)) {
-    for (std::int64_t i = 0; i < b.len; ++i) out.push_back(b.offset + i);
+    for (std::int64_t i = 0; i < b.len; ++i, ++walked)
+      out[static_cast<std::size_t>(walked / dt->size())].push_back(b.offset +
+                                                                   i);
+  }
+  return out;
+}
+
+/// The same, derived from the constructor tree (verify::element_byte_map,
+/// which shares no code with the program compiler or canonicalization):
+/// element e is element 0 shifted by e * extent.
+std::vector<std::vector<std::int64_t>> tree_elements(const DatatypePtr& dt,
+                                                     std::int64_t count) {
+  const verify::TreeLayout tree = verify::element_byte_map(*dt);
+  std::vector<std::vector<std::int64_t>> out(static_cast<std::size_t>(count));
+  for (std::int64_t e = 0; e < count; ++e) {
+    for (const verify::Run& r : tree.map.runs())
+      for (std::int64_t i = 0; i < r.len; ++i)
+        out[static_cast<std::size_t>(e)].push_back(e * tree.extent + r.off +
+                                                   i);
   }
   return out;
 }
@@ -42,7 +62,7 @@ std::vector<std::int64_t> touched_bytes(const DatatypePtr& dt,
 void expect_same_shape(const DatatypePtr& a, const DatatypePtr& b) {
   EXPECT_EQ(a->shape_digest(), b->shape_digest())
       << a->describe() << " vs " << b->describe();
-  EXPECT_EQ(a->canonical_program(), b->canonical_program())
+  EXPECT_EQ(a->program(), b->program())
       << a->describe() << " vs " << b->describe();
   EXPECT_EQ(a->size(), b->size());
   EXPECT_EQ(a->extent(), b->extent());
@@ -74,9 +94,9 @@ TEST(Canonical, VectorIndexedStructEquivalence) {
   expect_same_shape(v, Datatype::indexed_block(2, displs_el, kDouble()));
   const DatatypePtr dd[] = {kDouble(), kDouble(), kDouble()};
   expect_same_shape(v, Datatype::struct_type(lens, displs_by, dd));
-  // The canonical program is the re-rolled loop.
-  ASSERT_EQ(v->canonical_program().size(), 3u);
-  EXPECT_EQ(v->canonical_program()[0].op, Instr::Op::kLoop);
+  // The program is the re-rolled loop.
+  ASSERT_EQ(v->program().size(), 3u);
+  EXPECT_EQ(v->program()[0].op, Instr::Op::kLoop);
 }
 
 TEST(Canonical, RegularPatternHidesInsideIndexed) {
@@ -105,8 +125,8 @@ TEST(Canonical, PerfectlyNestedLoopsFuse) {
   auto nested = Datatype::contiguous(2, inner);
   auto flat = Datatype::resized(Datatype::vector(8, 1, 2, kDouble()), 0, 128);
   expect_same_shape(flat, nested);
-  ASSERT_EQ(nested->canonical_program().size(), 3u);
-  EXPECT_EQ(nested->canonical_program()[0].count, 8);
+  ASSERT_EQ(nested->program().size(), 3u);
+  EXPECT_EQ(nested->program()[0].count, 8);
 }
 
 TEST(Canonical, SubarrayEquivalence) {
@@ -153,15 +173,20 @@ TEST(Canonical, DistinctShapesKeepDistinctDigests) {
 }
 
 TEST(Canonical, WalkPreservesByteOrderOnRandomTypes) {
-  // Property: the canonical program visits exactly the same bytes in the
-  // same order as the compiled program, for any constructor mix.
+  // Property: the cursor's walk of the stored (canonical) program visits
+  // exactly the bytes the constructor tree defines, in the same order,
+  // element by element, for any constructor mix.
   std::mt19937 rng(20160531);  // the paper's conference date as seed
   for (int i = 0; i < 200; ++i) {
     auto dt = test::random_datatype(rng);
     for (std::int64_t count : {1, 3}) {
-      EXPECT_EQ(touched_bytes(dt, count, BlockCursor::ProgramView::kCompiled),
-                touched_bytes(dt, count, BlockCursor::ProgramView::kCanonical))
-          << dt->describe_tree() << " count=" << count;
+      const auto walked = walked_elements(dt, count);
+      const auto tree = tree_elements(dt, count);
+      for (std::size_t e = 0; e < tree.size(); ++e) {
+        EXPECT_EQ(walked[e], tree[e]) << dt->describe_tree()
+                                      << " count=" << count << " element "
+                                      << e;
+      }
     }
   }
 }

@@ -209,7 +209,6 @@ std::vector<Block> reference_pieces(const OneBlockCase& c, std::int64_t count,
 }
 
 TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
-  using View = BlockCursor::ProgramView;
   std::mt19937 rng(18);
   std::uniform_int_distribution<std::int64_t> draw(1, 17);
   for (const auto& c : one_block_cases()) {
@@ -232,32 +231,26 @@ TEST(BlockCursor, OneBlockPiecesMatchElementReference) {
                 static_cast<std::int64_t>(merge_abutting(whole).size()))
           << what;
 
-      for (const View view : {View::kCompiled, View::kCanonical}) {
-        const auto& prog = view == View::kCompiled ? c.dt->program()
-                                                   : c.dt->canonical_program();
-        ASSERT_EQ(prog.size(), 1u) << c.name;
-        for (const bool bounded : {false, true}) {
-          // One budget per byte bounds the piece count, plus the final
-          // call that finds the walk done.
-          std::vector<std::int64_t> budgets;
-          if (bounded) {
-            for (std::int64_t i = 0; i <= c.len * count; ++i)
-              budgets.push_back(draw(rng));
-          }
-          const auto want = reference_pieces(c, count, budgets);
-          BlockCursor cur(c.dt, count, view);
-          std::vector<Block> got;
-          Block b;
-          while (cur.next(budget_at(budgets, got.size()), &b))
-            got.push_back(b);
-          const std::string where =
-              what + (bounded ? " bounded" : " unbounded");
-          expect_same_blocks(got, want, where);
-          EXPECT_EQ(cur.pieces_produced(),
-                    static_cast<std::int64_t>(want.size()))
-              << where;
-          EXPECT_TRUE(cur.done()) << where;
+      ASSERT_EQ(c.dt->program().size(), 1u) << c.name;
+      for (const bool bounded : {false, true}) {
+        // One budget per byte bounds the piece count, plus the final
+        // call that finds the walk done.
+        std::vector<std::int64_t> budgets;
+        if (bounded) {
+          for (std::int64_t i = 0; i <= c.len * count; ++i)
+            budgets.push_back(draw(rng));
         }
+        const auto want = reference_pieces(c, count, budgets);
+        BlockCursor cur(c.dt, count);
+        std::vector<Block> got;
+        Block b;
+        while (cur.next(budget_at(budgets, got.size()), &b)) got.push_back(b);
+        const std::string where = what + (bounded ? " bounded" : " unbounded");
+        expect_same_blocks(got, want, where);
+        EXPECT_EQ(cur.pieces_produced(),
+                  static_cast<std::int64_t>(want.size()))
+            << where;
+        EXPECT_TRUE(cur.done()) << where;
       }
     }
   }
@@ -282,7 +275,7 @@ TEST(BlockCursor, ChargedPieceCountsArePinned) {
 // --- Runs -------------------------------------------------------------------
 //
 // next_run merges consecutive pieces while each starts where the previous
-// one ended. verify::expected_units derives the runs from the canonical
+// one ended. verify::expected_units derives the runs from the program's
 // ByteMap without a cursor: each of its units is a maximal run cut every
 // `cut` bytes from the run's start, which is what next_run(cut) yields
 // call after call, and one maximal run when `cut` is the message size.
@@ -324,7 +317,6 @@ std::vector<std::int64_t> byte_offsets(const std::vector<Block>& blocks) {
 }
 
 TEST(BlockCursor, UnbudgetedRunsAreTheMaximalRuns) {
-  using View = BlockCursor::ProgramView;
   std::vector<std::pair<DatatypePtr, std::int64_t>> cases;
   // The reshape property's layouts of n doubles...
   std::mt19937 reshape_rng(104729);
@@ -345,20 +337,16 @@ TEST(BlockCursor, UnbudgetedRunsAreTheMaximalRuns) {
     const std::int64_t total = dt->size() * count;
     const auto want =
         expected_runs(dt, count, std::max<std::int64_t>(total, 1));
-    for (const View view : {View::kCompiled, View::kCanonical}) {
-      const std::string where = dt->describe() + " count " +
-                                std::to_string(count) +
-                                (view == View::kCompiled ? " compiled"
-                                                         : " canonical");
-      BlockCursor cur(dt, count, view);
-      expect_same_blocks(walk_runs(cur, INT64_MAX, where), want, where);
-      // pieces_produced() still counts the pieces next() would yield.
-      BlockCursor by_piece(dt, count, view);
-      Block p;
-      while (by_piece.next(&p)) {
-      }
-      EXPECT_EQ(cur.pieces_produced(), by_piece.pieces_produced()) << where;
+    const std::string where =
+        dt->describe() + " count " + std::to_string(count);
+    BlockCursor cur(dt, count);
+    expect_same_blocks(walk_runs(cur, INT64_MAX, where), want, where);
+    // pieces_produced() still counts the pieces next() would yield.
+    BlockCursor by_piece(dt, count);
+    Block p;
+    while (by_piece.next(&p)) {
     }
+    EXPECT_EQ(cur.pieces_produced(), by_piece.pieces_produced()) << where;
   }
 }
 

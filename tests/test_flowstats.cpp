@@ -20,19 +20,18 @@
 namespace gpuddt::obs {
 namespace {
 
-TraceEvent span(const char* name, const char* cat, std::int64_t begin,
-                std::int64_t end, std::uint64_t flow) {
+TraceEvent span(Stage stage, std::int64_t begin, std::int64_t end,
+                std::uint64_t flow) {
   TraceEvent ev;
-  ev.name = name;
-  ev.cat = cat;
   ev.begin = begin;
   ev.end = end;
   ev.tid = 0;
   ev.flow = flow;
+  ev.stage = stage;
   return ev;
 }
 
-int stage_of(const char* short_name) {
+int stage_index(const char* short_name) {
   for (int i = 0; i < obs::kStageCount; ++i)
     if (std::string(FlowStats::stage_name(i)) == short_name) return i;
   ADD_FAILURE() << "no stage named " << short_name;
@@ -47,10 +46,10 @@ TEST(FlowStats, AssemblesFragmentSpansIntoOneLogicalFlow) {
   // 44 bits of frag_flow); their spans union per stage.
   const std::uint64_t f0 = mpi::frag_flow(0, 1, 0);
   const std::uint64_t f1 = mpi::frag_flow(0, 1, 1);
-  fs.on_span(span("dev_kernel", "engine", 100, 200, f0));
-  fs.on_span(span("frag", "pml", 200, 300, f0));
-  fs.on_span(span("dev_kernel", "engine", 250, 350, f1));
-  fs.on_span(span("frag", "pml", 350, 450, f1));
+  fs.on_span(span(Stage::kKernel, 100, 200, f0));
+  fs.on_span(span(Stage::kWire, 200, 300, f0));
+  fs.on_span(span(Stage::kKernel, 250, 350, f1));
+  fs.on_span(span(Stage::kWire, 350, 450, f1));
   fs.complete({f0, "send", 0xabcu, 4096, -1, -1, 1});
 
   const FlowStats::Report rep = fs.report();
@@ -67,8 +66,8 @@ TEST(FlowStats, AssemblesFragmentSpansIntoOneLogicalFlow) {
   EXPECT_EQ(cls.p50, 350);
   EXPECT_EQ(cls.p99, 350);
   EXPECT_EQ(cls.max, 350);
-  const int kernel = stage_of("kernel");
-  const int wire = stage_of("wire");
+  const int kernel = stage_index("kernel");
+  const int wire = stage_index("wire");
   // Interval unions: kernel [100,200]+[250,350], wire [200,300]+[350,450].
   EXPECT_EQ(cls.work[kernel], 200);
   EXPECT_EQ(cls.work[wire], 200);
@@ -87,12 +86,12 @@ TEST(FlowStats, OverlappingSpansUnionNotSum) {
   FlowStats fs(reg);
   fs.enable(true);
   const std::uint64_t f = mpi::frag_flow(1, 9, 0);
-  fs.on_span(span("dev_kernel", "engine", 0, 100, f));
-  fs.on_span(span("dev_kernel", "engine", 50, 150, f));
+  fs.on_span(span(Stage::kKernel, 0, 100, f));
+  fs.on_span(span(Stage::kKernel, 50, 150, f));
   fs.complete({f, "pack", 0, 64, -1, -1, 1});
   const auto rep = fs.report();
   const auto& cls = rep.classes.begin()->second;
-  EXPECT_EQ(cls.work[stage_of("kernel")], 150);  // union, not 200
+  EXPECT_EQ(cls.work[stage_index("kernel")], 150);  // union, not 200
   EXPECT_EQ(cls.max, 150);
 }
 
@@ -140,9 +139,9 @@ TEST(FlowStats, OpenFlowAtShutdownIsDroppedNotFolded) {
   fs.enable(true);
   const std::uint64_t open_flow = mpi::frag_flow(0, 5, 0);
   const std::uint64_t done_flow = mpi::frag_flow(1, 6, 0);
-  fs.on_span(span("dev_kernel", "engine", 0, 70, open_flow));
-  fs.on_span(span("frag", "pml", 70, 900000, open_flow));  // huge outlier
-  fs.on_span(span("dev_kernel", "engine", 0, 100, done_flow));
+  fs.on_span(span(Stage::kKernel, 0, 70, open_flow));
+  fs.on_span(span(Stage::kWire, 70, 900000, open_flow));  // huge outlier
+  fs.on_span(span(Stage::kKernel, 0, 100, done_flow));
   fs.complete({done_flow, "send", 0x7u, 512, -1, -1, 1});
   fs.end_generation();  // Runtime teardown with open_flow still open
 
@@ -160,11 +159,11 @@ TEST(FlowStats, LateSpanAfterFinalizationIsCountedNotFolded) {
   FlowStats fs(reg);
   fs.enable(true);
   const std::uint64_t f = mpi::frag_flow(0, 2, 0);
-  fs.on_span(span("dev_kernel", "engine", 0, 100, f));
+  fs.on_span(span(Stage::kKernel, 0, 100, f));
   fs.complete({f, "send", 0, 256, -1, -1, 1});
   // A straggler span for the already-finalized flow (e.g. the sender's
   // last fragment ack) must not reopen or skew the class.
-  fs.on_span(span("frag", "pml", 100, 5000, f));
+  fs.on_span(span(Stage::kWire, 100, 5000, f));
   const auto rep = fs.report();
   EXPECT_EQ(rep.late_spans, 1);
   EXPECT_EQ(rep.classes.begin()->second.max, 100);
@@ -201,11 +200,11 @@ TEST(FlowStats, GenerationFenceUnaliasesRestartedFlowIds) {
   fs.enable(true);
   const std::uint64_t f = mpi::frag_flow(0, 1, 0);
   fs.begin_generation();
-  fs.on_span(span("dev_kernel", "engine", 0, 10, f));
+  fs.on_span(span(Stage::kKernel, 0, 10, f));
   fs.complete({f, "send", 0, 32, -1, -1, 1});
   fs.end_generation();
   fs.begin_generation();  // next Runtime: ids restart
-  fs.on_span(span("dev_kernel", "engine", 0, 20, f));
+  fs.on_span(span(Stage::kKernel, 0, 20, f));
   fs.complete({f, "send", 0, 32, -1, -1, 1});
   fs.end_generation();
   const auto rep = fs.report();
@@ -219,8 +218,8 @@ TEST(FlowStats, ToJsonIsCanonicalAndIdempotent) {
   FlowStats fs(reg);
   fs.enable(true);
   const std::uint64_t f = mpi::frag_flow(0, 3, 0);
-  fs.on_span(span("dev_kernel", "engine", 10, 50, f));
-  fs.on_span(span("frag", "pml", 50, 90, f));
+  fs.on_span(span(Stage::kKernel, 10, 50, f));
+  fs.on_span(span(Stage::kWire, 50, 90, f));
   fs.complete({f, "send", 0xbeefu, 2048, -1, -1, 1});
   fs.drop_unidentified();
   const std::string text = fs.to_json();
@@ -247,7 +246,7 @@ TEST(FlowStats, DisabledEngineRecordsNothing) {
   Registry reg;
   FlowStats fs(reg);
   const std::uint64_t f = mpi::frag_flow(0, 1, 0);
-  fs.on_span(span("dev_kernel", "engine", 0, 10, f));
+  fs.on_span(span(Stage::kKernel, 0, 10, f));
   fs.complete({f, "send", 0, 32, -1, -1, 1});
   fs.drop_unidentified();
   const auto rep = fs.report();

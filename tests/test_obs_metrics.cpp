@@ -146,8 +146,6 @@ TEST(Recorder, ToJsonRoundTrips) {
   rec.metrics().counter("dev_cache.hits").add(3);
   for (int i = 0; i < 10; ++i)
     rec.metrics().histogram("pml.rts_to_cts_ns").record(1000 + i);
-  rec.enable_tracing(true);
-  rec.trace().record({"dev_kernel", "engine", 10, 20, 0, 64});
 
   const auto doc = json::parse(rec.to_json());
   EXPECT_EQ(doc.at("schema").as_string(), "gpuddt-metrics-v1");
@@ -158,11 +156,6 @@ TEST(Recorder, ToJsonRoundTrips) {
   EXPECT_EQ(h.at("min").as_int(), 1000);
   EXPECT_EQ(h.at("max").as_int(), 1009);
   EXPECT_GT(h.at("mean").as_double(), 999.0);
-  const auto& events = doc.at("trace").at("events").as_array();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].at("name").as_string(), "dev_kernel");
-  EXPECT_EQ(events[0].at("begin").as_int(), 10);
-  EXPECT_EQ(events[0].at("end").as_int(), 20);
 }
 
 TEST(Recorder, WriteJsonProducesParsableFile) {
@@ -288,8 +281,8 @@ TEST(ChromeTrace, RoundTripsThroughParser) {
 TEST(ChromeTrace, NamesStageRowsAndProcesses) {
   Recorder rec;
   rec.enable_tracing();
-  trace(&rec, {"convert_chunk", "engine", 0, 10, 0, 1, 0});
-  trace(&rec, {"rdma_frag", "gpu", 5, 20, 1, 1, 1});
+  trace(&rec, {"convert_chunk", "engine", 0, 10, 0, 1, 0, 0, Stage::kConv});
+  trace(&rec, {"rdma_frag", "gpu", 5, 20, 1, 1, 1, 0, Stage::kRdma});
   const json::Value doc = json::parse(rec.to_chrome_json());
   bool saw_conv = false, saw_rdma = false, saw_proc = false;
   for (const json::Value& ev : doc.as_array()) {
@@ -310,14 +303,19 @@ TEST(ChromeTrace, FlowEventsChainFragmentsAcrossRanks) {
   // RDMA GET -> receiver unpack) must export as args.flow on each X
   // event plus an s -> t -> f flow-event chain with the shared id, each
   // bound at its span's begin; a flow with a single member gets args.flow
-  // but NO flow events (there is nothing to draw an arrow to).
+  // but NO flow events (there is nothing to draw an arrow to), and a span
+  // with flow 0 gets neither.
   Recorder rec;
   rec.enable_tracing();
   const std::uint64_t flow = (1ull << 40) | (7ull << 20) | 3ull;
-  trace(&rec, {"dev_kernel", "engine", 100, 200, 0, 64, 0, flow});
-  trace(&rec, {"rdma_frag", "gpu", 250, 400, 1, 64, 1, flow});
-  trace(&rec, {"host_frag_unpack", "gpu", 450, 500, 1, 64, 1, flow});
-  trace(&rec, {"dev_kernel", "engine", 600, 700, 0, 64, 0, 42});
+  trace(&rec, {"dev_kernel", "engine", 100, 200, 0, 64, 0, flow,
+               Stage::kKernel});
+  trace(&rec, {"rdma_frag", "gpu", 250, 400, 1, 64, 1, flow, Stage::kRdma});
+  trace(&rec, {"host_frag_unpack", "gpu", 450, 500, 1, 64, 1, flow,
+               Stage::kUnpack});
+  trace(&rec, {"dev_kernel", "engine", 600, 700, 0, 64, 0, 42,
+               Stage::kKernel});
+  trace(&rec, {"frag", "pml", 800, 900, 1, 64, 1, 0, Stage::kWire});
   const json::Value doc = json::parse(rec.to_chrome_json());
   int args_flow = 0;
   std::vector<std::string> phases;
@@ -345,31 +343,15 @@ TEST(ChromeTrace, FlowEventsChainFragmentsAcrossRanks) {
   EXPECT_EQ(phases[2], "f");
 }
 
-TEST(V1Trace, FlowKeySerializedOnlyWhenSet) {
-  // The v1 dump keeps trace events inline; a non-zero flow id must
-  // round-trip through the JSON (as a < 2^53 number, exact in a double)
-  // and a zero flow must not emit the key at all.
-  Recorder rec;
-  rec.enable_tracing();
-  const std::uint64_t flow = (3ull << 40) | (1ull << 20) | 5ull;
-  trace(&rec, {"frag", "pml", 0, 10, 0, 4096, 0, flow});
-  trace(&rec, {"frag", "pml", 10, 20, 0, 4096, 0});
-  const json::Value doc = json::parse(rec.to_json());
-  const auto& events = doc.at("trace").at("events").as_array();
-  ASSERT_EQ(events.size(), 2u);
-  ASSERT_TRUE(events[0].contains("flow"));
-  EXPECT_EQ(static_cast<std::uint64_t>(events[0].at("flow").as_double()),
-            flow);
-  EXPECT_FALSE(events[1].contains("flow"));
-}
-
 TEST(StageProfile, TableUsesIntervalUnionOccupancy) {
   // Two overlapping kernels on one rank occupy [0, 150) - the union, not
   // the 200ns duration sum - so busy_% stays a true utilization.
   std::vector<TraceEvent> events;
-  events.push_back({"dev_kernel", "engine", 0, 100, 0, 1, 0});
-  events.push_back({"dev_kernel", "engine", 50, 150, 0, 1, 0});
-  events.push_back({"frag", "pml", 100, 200, 1, 1, 1});
+  events.push_back({"dev_kernel", "engine", 0, 100, 0, 1, 0, 0,
+                    Stage::kKernel});
+  events.push_back({"dev_kernel", "engine", 50, 150, 0, 1, 0, 0,
+                    Stage::kKernel});
+  events.push_back({"frag", "pml", 100, 200, 1, 1, 1, 0, Stage::kWire});
   const std::string table = stage_profile_table(events);
   EXPECT_NE(table.find("stage utilization over 200 virtual ns"),
             std::string::npos);

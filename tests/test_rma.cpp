@@ -161,6 +161,60 @@ TEST(RmaWindow, AccumulateSumsFromAllRanks) {
   });
 }
 
+TEST(RmaWindow, AccumulateInt64SumsBeyond32Bits) {
+  mpi::Runtime rt(world(3));
+  rt.run([](mpi::Process& p) {
+    mpi::Comm comm(p);
+    std::vector<std::int64_t> win(32, 0);
+    Window w(comm, win.data(), 32 * 8);
+    w.fence();
+    std::vector<std::int64_t> mine(32);
+    for (int i = 0; i < 32; ++i)
+      mine[static_cast<std::size_t>(i)] = (std::int64_t{1} << 40) *
+                                              (p.rank() + 1) + i;
+    w.accumulate(mine.data(), 32, mpi::kInt64(), 0, 0, 32, mpi::kInt64(),
+                 mpi::ReduceOp::kSum);
+    w.fence();
+    if (p.rank() == 0) {
+      for (int i = 0; i < 32; ++i)
+        EXPECT_EQ(win[static_cast<std::size_t>(i)],
+                  (std::int64_t{1} << 40) * 6 + 3 * i);
+    }
+  });
+}
+
+TEST(RmaWindow, AccumulateFloatProduct) {
+  mpi::Runtime rt(world(3));
+  rt.run([](mpi::Process& p) {
+    mpi::Comm comm(p);
+    std::vector<float> win(16, 1.0f);
+    Window w(comm, win.data(), 16 * 4);
+    w.fence();
+    std::vector<float> mine(16, 0.5f * static_cast<float>(p.rank() + 2));
+    w.accumulate(mine.data(), 16, mpi::kFloat(), 0, 0, 16, mpi::kFloat(),
+                 mpi::ReduceOp::kProd);
+    w.fence();
+    if (p.rank() == 0) {
+      for (float v : win) EXPECT_FLOAT_EQ(v, 1.0f * 1.5f * 2.0f);
+    }
+  });
+}
+
+TEST(RmaWindow, AccumulateOfCharsThrows) {
+  mpi::Runtime rt(world(2));
+  rt.run([](mpi::Process& p) {
+    mpi::Comm comm(p);
+    std::vector<char> win(64, 0);
+    Window w(comm, win.data(), 64);
+    w.fence();
+    std::vector<char> data(64, 1);
+    EXPECT_THROW(w.accumulate(data.data(), 64, mpi::kChar(), 1 - p.rank(), 0,
+                              64, mpi::kChar(), mpi::ReduceOp::kSum),
+                 std::invalid_argument);
+    w.fence();
+  });
+}
+
 TEST(RmaWindow, FencePropagatesVirtualCompletion) {
   mpi::Runtime rt(world(2));
   rt.set_gpu_plugin(std::make_shared<proto::GpuDatatypePlugin>());

@@ -6,7 +6,7 @@
 //
 // Runs each binary twice with --metrics-out into a scratch directory,
 // canonicalizes both gpuddt-metrics-v1 dumps (obs/canon.h: counters and
-// histograms, trace dropped) and requires the two canonical texts to
+// histograms, findings dropped) and requires the two canonical texts to
 // match byte-for-byte. Virtual time has no tolerance: the simulator's
 // clocks, resource reservations and cache behavior are fully determined
 // by the program, so ANY divergence between two runs of the same binary

@@ -2,8 +2,8 @@
 // datatype corpus and the engine pipeline model, without executing a
 // single copy.
 //
-// For every corpus type it proves the tree/program/canonical byte-map
-// equivalence obligations (closed over all counts), then converts the
+// For every corpus type it proves the tree/program byte-map equivalence
+// obligations (closed over all counts), then converts the
 // type through the production DevCursor (core::convert_all) for several
 // (count, unit_bytes) points and proves the resulting DEV unit list
 // byte-exact. It also proves the engine's fragment pipeline hazard-free

@@ -67,11 +67,6 @@ NOT_A_METRIC_SUFFIX = {"md", "json", "cpp", "h", "py", "sh", "txt", "cmake"}
 EXTERNAL_FLAGS = {"--preset", "--benchmark_min_time"}
 TOP_LEVEL_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
-# Dump sections that are not counter families: `trace.dropped` is a field
-# of the gpuddt-metrics-v1 trace section (docs/tracing.md), never a
-# gated counter, so kKnownFamilies rightly omits it.
-NONCOUNTER_NAMESPACES = {"trace."}
-
 
 def load_corpus(root: Path) -> str:
     """All source/tooling text the docs may make claims about."""
@@ -182,8 +177,6 @@ def lint_doc(root: Path, doc: Path, corpus: str, families: set,
                         NOT_A_METRIC_SUFFIX:
                     continue
                 family = m.group(1) + "."
-                if family in NONCOUNTER_NAMESPACES:
-                    continue
                 if family not in families:
                     if not waived("unknown_family", lines, i):
                         findings.append(

@@ -15,7 +15,7 @@
 //       failure (used by the bench_metrics_validate CTest entry).
 //   metrics_diff --validate-chrome FILE
 //       Parse FILE as a Chrome Trace Event Format array (the
-//       --trace-format=chrome output; docs/tracing.md) and check its
+//       --trace-out chrome output; docs/tracing.md) and check its
 //       shape: a JSON array whose "X" events carry non-negative dur and
 //       monotone non-decreasing ts, and whose flow events (ph s/t/f)
 //       form well-nested flows - one start and one finish per id, no
@@ -31,7 +31,7 @@
 //       counts must sum to flowstats.flows. Exits 1 on any failure.
 //   metrics_diff --gate --baseline BASELINE.json CANDIDATE.json
 //       Exact gate: canonicalize both dumps (obs/canon.h - counters and
-//       histograms only, trace dropped) and require them to match
+//       histograms only, findings dropped) and require them to match
 //       byte-for-byte. Virtual time is deterministic, so a checked-in
 //       baseline needs no headroom; any divergence is a behavior change
 //       that must be reviewed (and the baseline regenerated with
@@ -292,7 +292,7 @@ int validate_latency(const std::string& path) {
   return 0;
 }
 
-/// Shape check for --trace-format=chrome output (docs/tracing.md),
+/// Shape check for --trace-out chrome output (docs/tracing.md),
 /// including the fragment flow events: every flow id must open with one
 /// "s", close with one "f", never continue after closing, and each flow
 /// event's binding point must lie inside an "X" slice on the same

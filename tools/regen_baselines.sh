@@ -2,14 +2,17 @@
 # Regenerate the checked-in metrics baselines under bench/baselines/.
 #
 # Each baseline is the CANONICAL (metrics_diff --canon: counters +
-# histograms, trace dropped, sorted keys) gpuddt-metrics-v1 dump of one
+# histograms, findings dropped, sorted keys) gpuddt-metrics-v1 dump of one
 # benchmark configuration. Virtual time is deterministic, so the CI gate
 # (metrics_diff --gate --baseline, the bench_baseline_gate ctest entry)
 # compares against these files byte-for-byte with zero headroom. Rerun
 # this script - and review the diff! - whenever a change intentionally
 # moves a modeled cost, then commit the updated baselines with the change
 # that moved them. docs/determinism.md has the full story. A chrome/<name>
-# baseline is instead one small run's raw --trace-format=chrome array.
+# baseline is instead one small run's raw --trace-out chrome array, and a
+# results/<name> baseline the reduced --benchmark_out results of one
+# unfiltered run of a bench that records no counters
+# (tests/run_results_gate.cmake).
 # The perfbench vt_digest pins (PERFBENCH_VT_DIGESTS in tools/ci.sh) move
 # with these baselines: update them in the same change.
 set -euo pipefail
@@ -39,10 +42,17 @@ BASELINES=(
   "chrome/fig9_t_512_stream|bench_fig9_pcie_pingpong|BM_Fig9_T/512/|--stream-triggered"
 )
 
+# Benches whose dumps hold no counters: their results are gated instead.
+RESULTS=(fig6_kernel_bandwidth fig8_vs_memcpy2d fig1_alternatives
+         app_workloads)
+
 binaries=(metrics_diff)
 for spec in "${BASELINES[@]}"; do
   IFS='|' read -r _ bin _ _ <<<"$spec"
   binaries+=("$bin")
+done
+for name in "${RESULTS[@]}"; do
+  binaries+=("bench_$name")
 done
 cmake --build "$BUILD" -j "$JOBS" --target "${binaries[@]}"
 
@@ -55,7 +65,7 @@ for spec in "${BASELINES[@]}"; do
   [ -n "$filter" ] && args+=("--benchmark_filter=$filter")
   [ -n "$extra" ] && args+=($extra)
   [[ $name == chrome/* ]] &&
-    args+=(--trace-format=chrome "--trace-out=$OUT/$name.json")
+    args+=("--trace-out=$OUT/$name.json")
   # The traffic-mix workload also pins the flow-latency report
   # (docs/latency.md): one run produces both baselines.
   latency_tmp=
@@ -74,6 +84,15 @@ for spec in "${BASELINES[@]}"; do
       > "$OUT/${name}_latency.json"
     rm -f "$latency_tmp"
   fi
+done
+
+mkdir -p "$OUT/results"
+for name in "${RESULTS[@]}"; do
+  echo "== results/$name: bench_$name"
+  "$BUILD/bench/bench_$name" --benchmark_out="$tmp" \
+    --benchmark_out_format=json > /dev/null
+  cmake -DRESULTS="$tmp" -DBASELINE="$OUT/results/$name.json" -DWRITE=1 \
+    -P tests/run_results_gate.cmake
 done
 
 echo "== baselines regenerated into $OUT - review with git diff"

@@ -1,8 +1,8 @@
 // Per-fragment critical-path profiler over gpuddt traces.
 //
-// Reconstructs the fragment dependency DAG from a trace - either the
-// Chrome Trace Event Format array (--trace-format=chrome) or the v1
-// gpuddt-metrics dump's trace section - using two edge kinds:
+// Reconstructs the fragment dependency DAG from a trace - the Chrome
+// Trace Event Format array a bench writes with --trace-out=FILE - using
+// two edge kinds:
 //
 //   flow edges   events sharing a non-zero fragment flow id
 //                (mpi::frag_flow: conv -> H2D desc -> pack kernel ->
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -103,27 +102,6 @@ std::vector<Span> load_chrome(const Value& doc) {
     s.stage = it != rows.end() ? it->second : "tid" + std::to_string(tid);
     if (ev.contains("args") && ev.at("args").contains("flow"))
       s.flow = static_cast<std::uint64_t>(ev.at("args").at("flow").as_double());
-    spans.push_back(std::move(s));
-  }
-  return spans;
-}
-
-/// v1 dump: the trace section carries raw ns and the producer's
-/// name/cat, from which the exporter's own row mapping names the stage.
-std::vector<Span> load_v1(const Value& doc) {
-  std::vector<Span> spans;
-  const Value& events = doc.at("trace").at("events");
-  for (const Value& ev : events.as_array()) {
-    Span s;
-    s.name = ev.at("name").as_string();
-    s.stage = gpuddt::obs::stage_row(ev.at("cat").as_string(), s.name);
-    const int pid = static_cast<int>(ev.at("pid").as_int());
-    const int tid = static_cast<int>(ev.at("tid").as_int());
-    s.pid = pid >= 0 ? pid : (tid >= 0 ? tid : 0);
-    s.begin = ev.at("begin").as_int();
-    s.end = ev.at("end").as_int();
-    if (ev.contains("flow"))
-      s.flow = static_cast<std::uint64_t>(ev.at("flow").as_double());
     spans.push_back(std::move(s));
   }
   return spans;
@@ -399,24 +377,20 @@ int main(int argc, char** argv) {
   if (file.empty()) {
     std::cerr << "usage: trace_critpath [--json] [--json-out=PATH] "
                  "[--check-efficiency] TRACE.json\n"
-                 "TRACE.json: a --trace-format=chrome array or a "
-                 "gpuddt-metrics-v1 dump with trace events\n";
+                 "TRACE.json: the chrome trace array a bench writes "
+                 "with --trace-out=FILE\n";
     return 2;
   }
 
   try {
     const Value doc = load(file);
-    std::vector<Span> spans;
-    if (doc.is_array()) {
-      spans = load_chrome(doc);
-    } else if (doc.is_object() && doc.contains("schema") &&
-               doc.at("schema").as_string() == "gpuddt-metrics-v1") {
-      spans = load_v1(doc);
-    } else {
-      std::cerr << file << ": neither a chrome trace array nor a "
-                << "gpuddt-metrics-v1 dump\n";
+    if (!doc.is_array()) {
+      std::cerr << file << ": not a chrome trace array (a bench writes "
+                << "one with --trace-out=FILE; a --metrics-out document "
+                << "holds no trace events)\n";
       return 1;
     }
+    std::vector<Span> spans = load_chrome(doc);
     const Report r = analyze(spans);
     const std::string json = to_json(spans, r);
     if (!json_out.empty()) {
