@@ -22,7 +22,7 @@ void run_shared(benchmark::State& state, const mpi::DatatypePtr& dt) {
       sg::KernelProfile prof;
       prof.device_txn_bytes = 96 << 20;  // a hefty compute burst
       prof.blocks = busy_sms;
-      sg::LaunchKernel(p.gpu(), s, prof, [] {});
+      sg::LaunchKernel(p.gpu(), s, prof);
     };
   }
   for (auto _ : state) {

@@ -52,8 +52,9 @@ void BM_Fig8_kernel_d2d(benchmark::State& state) {
   Fig8Setup s(state, false);
   for (auto _ : state) {
     const vt::Time t0 = s.ctx.clock.now();
-    const vt::Time fin = core::pack_vector_kernel(
-        s.ctx, s.stream, s.src, s.pattern(), 0, s.total, s.dev_dst, 64);
+    const vt::Time fin =
+        core::vector_kernel(s.ctx, s.stream, core::Dir::kPack, s.src,
+                            s.pattern(), 0, s.total, s.dev_dst, 64);
     record(state, fin - t0, s.total);
     s.ctx.clock.wait_until(fin);  // drain before the next iteration
   }
@@ -67,8 +68,8 @@ void BM_Fig8_kernel_d2d2h(benchmark::State& state) {
   Fig8Setup s(state, false);
   for (auto _ : state) {
     const vt::Time t0 = s.ctx.clock.now();
-    core::pack_vector_kernel(s.ctx, s.stream, s.src, s.pattern(), 0, s.total,
-                             s.dev_dst, 64);
+    core::vector_kernel(s.ctx, s.stream, core::Dir::kPack, s.src, s.pattern(),
+                        0, s.total, s.dev_dst, 64);
     const vt::Time fin =
         sg::MemcpyAsync(s.ctx, s.host_dst, s.dev_dst,
                         static_cast<std::size_t>(s.total), s.stream);
@@ -85,8 +86,9 @@ void BM_Fig8_kernel_d2h_zero_copy(benchmark::State& state) {
   Fig8Setup s(state, true);
   for (auto _ : state) {
     const vt::Time t0 = s.ctx.clock.now();
-    const vt::Time fin = core::pack_vector_kernel(
-        s.ctx, s.stream, s.src, s.pattern(), 0, s.total, s.host_dst, 64);
+    const vt::Time fin =
+        core::vector_kernel(s.ctx, s.stream, core::Dir::kPack, s.src,
+                            s.pattern(), 0, s.total, s.host_dst, 64);
     record(state, fin - t0, s.total);
     s.ctx.clock.wait_until(fin);
   }

@@ -52,7 +52,7 @@ struct DevListBounds {
   std::int64_t unit_bytes = 0;
 };
 
-/// Validate a complete converted list (cache insert / prefetch): unit
+/// Validate a complete converted list (cache insert): unit
 /// lengths and bounds, packed side exactly covering [0, total_bytes)
 /// with no gaps or overlaps, and the non-contiguous span touching both
 /// datatype bounds. `origin` names the call site in diagnostics, which

@@ -33,8 +33,8 @@ struct CudaDevDist {
 constexpr std::int64_t kMinUnitBytes = 256;
 
 /// One kernel launch's units, viewed in place in the list that holds
-/// them (a DEV-cache entry, a stage_all batch or a conversion chunk):
-/// nothing is copied. The first unit's first `skip` bytes were done by an
+/// them (a DEV-cache entry or the engine op's own unit list): nothing is
+/// copied. The first unit's first `skip` bytes were done by an
 /// earlier window, and the last unit stops `cut` bytes short of its end
 /// (the next window resumes it). A window of one unit has both.
 struct DevWindow {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <span>
+#include <stdexcept>
 
 #include "check/dev_invariants.h"
 #include "obs/recorder.h"
@@ -97,35 +98,22 @@ const DevCache::Entry* DevCache::insert(sg::HostContext& ctx,
   auto it = entries_.find(k);
   if (it != entries_.end()) {
     Entry& e = *it->second.entry;
-    if (e.units == units) {
-      // Same program resident already: keep the existing copy (and its
-      // device uploads). Count the coalesce when another instance of the
-      // shape raced the fill.
-      if (e.first_type_id != dt->type_id()) {
-        obs::count(rec_, "dev_cache.shape_dedup.inserts_coalesced");
-        obs::count(rec_, "dev_cache.shape_dedup.bytes_saved",
-                   entry_bytes(e));
-      }
-      touch(it->second);
-      return &e;
+    // The DEV split is a function of the key, so a resident key with a
+    // different list means two shapes share a digest: serving either
+    // one's units to the other would move the wrong bytes.
+    if (e.units != units) {
+      throw std::logic_error(
+          "DevCache::insert: resident key holds a different unit list "
+          "(shape digest collision)");
     }
-    // Re-insert with a different program (e.g. the same shape converted
-    // under a different engine state): replace the units and charge the
-    // byte *delta* - the old accounting double-counted the entry.
-    const std::int64_t old_bytes = entry_bytes(e);
-    for (auto& [dev, ptr] : e.device_copies) sg::Free(ctx, ptr);
-    e.device_copies.clear();
-    e.total_bytes = 0;
-    for (const auto& u : units) e.total_bytes += u.length;
-    e.units = std::move(units);
-    e.first_type_id = dt->type_id();
-    const std::int64_t delta = entry_bytes(e) - old_bytes;
-    bytes_ += delta;
-    obs::count(rec_, "dev_cache.bytes", delta);
+    // Same program resident already: keep the existing copy (and its
+    // device uploads). Count the coalesce when another instance of the
+    // shape raced the fill.
+    if (e.first_type_id != dt->type_id()) {
+      obs::count(rec_, "dev_cache.shape_dedup.inserts_coalesced");
+      obs::count(rec_, "dev_cache.shape_dedup.bytes_saved", entry_bytes(e));
+    }
     touch(it->second);
-    evict_if_needed(ctx);
-    // evict_if_needed never evicts the most-recent entry, so `e` stays
-    // valid here.
     return &e;
   }
   auto entry = std::make_unique<Entry>();

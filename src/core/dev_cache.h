@@ -70,7 +70,9 @@ class DevCache {
                     std::int64_t unit_bytes) const;
 
   /// Insert a fully converted array (takes ownership). Returns the entry.
-  /// `ctx` is used to free device copies of any evicted entry.
+  /// `ctx` is used to free device copies of any evicted entry. A resident
+  /// key keeps its entry when `units` equals its list and throws
+  /// std::logic_error when it differs (a shape-digest collision).
   const Entry* insert(sg::HostContext& ctx, const mpi::DatatypePtr& dt,
                       std::int64_t count, std::int64_t unit_bytes,
                       std::vector<CudaDevDist> units);

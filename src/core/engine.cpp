@@ -11,6 +11,9 @@ namespace gpuddt::core {
 
 namespace {
 
+/// Units converted per pipelined refill (the host conversion chunk).
+constexpr std::size_t kConvertChunkUnits = 4096;
+
 /// Bounds every DEV unit of (dt, count) must respect; see
 /// check::validate_dev_window.
 check::DevListBounds bounds_of(const mpi::Datatype& dt, std::int64_t count,
@@ -30,8 +33,6 @@ GpuDatatypeEngine::GpuDatatypeEngine(sg::HostContext& ctx, EngineConfig cfg)
       residue_stream_(&ctx.dev(), "engine.residue") {
   if (cfg_.unit_bytes < kMinUnitBytes)
     throw std::invalid_argument("EngineConfig: unit_bytes below 256B floor");
-  if (cfg_.convert_chunk_units == 0)
-    throw std::invalid_argument("EngineConfig: zero conversion chunk");
   cache_.set_recorder(cfg_.recorder);
   cache_.set_max_bytes(cfg_.cache_max_bytes);
   // DEV windows and cached lists are validated whenever the machine runs
@@ -62,11 +63,6 @@ std::unique_ptr<GpuDatatypeEngine::Op> GpuDatatypeEngine::start(
       op->cached_dev_ = cache_.device_units(ctx_, *op->cached_);
       obs::count(cfg_.recorder, "engine.ops.dev_cached");
       return op;
-    }
-    op->fill_cache_ = true;
-    if (op->total_ > 0) {
-      op->accum_.reserve(
-          static_cast<std::size_t>(op->total_ / cfg_.unit_bytes + 16));
     }
   }
   obs::count(cfg_.recorder, "engine.ops.dev");
@@ -104,9 +100,9 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::drain(Op& op, void* contig,
 }
 
 void GpuDatatypeEngine::stage_all(Op& op) {
-  if (op.batched_) return;
-  op.batched_ = true;
-  if (op.done() || op.pattern_ || op.cached_ != nullptr) return;
+  if (op.done() || op.pattern_ || op.cached_ != nullptr ||
+      op.batch_dev_ != nullptr)
+    return;
   if (cfg_.residue_separate_stream) {
     throw std::logic_error(
         "stage_all: residue_separate_stream reorders units per window and "
@@ -116,19 +112,14 @@ void GpuDatatypeEngine::stage_all(Op& op) {
   // cost lands here, at chain-enqueue time - and upload it as one device
   // array. Chain kernels later index into it by unit position, so there is
   // no per-window upload and no descriptor double-buffer WAR hazard.
-  for (;;) {
-    const std::size_t before = op.staged_.size();
-    convert_chunk(op, cfg_.convert_chunk_units);
-    if (op.staged_.size() == before) break;
+  while (convert_chunk(op, kConvertChunkUnits) > 0) {
   }
-  if (op.staged_.empty()) return;
-  op.unit_pos_ = 0;
   const auto bytes =
-      static_cast<std::int64_t>(op.staged_.size() * sizeof(CudaDevDist));
+      static_cast<std::int64_t>(op.units_.size() * sizeof(CudaDevDist));
   op.batch_dev_ = sg::Malloc(ctx_, static_cast<std::size_t>(bytes));
   const vt::Time t0 = ctx_.clock.now();
   const vt::Time done =
-      sg::MemcpyAsync(ctx_, op.batch_dev_, op.staged_.data(),
+      sg::MemcpyAsync(ctx_, op.batch_dev_, op.units_.data(),
                       static_cast<std::size_t>(bytes), upload_stream_);
   sg::StreamWaitEvent(ctx_, kernel_stream_,
                       sg::EventRecord(ctx_, upload_stream_));
@@ -145,7 +136,7 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_triggered(
   op.flow_ = flow;
   if (op.done() || max_bytes <= 0) return {0, kernel_stream_.tail()};
   if (op.pattern_) return process_vector(op, contig, max_bytes, dep, &dep);
-  if (op.cached_ == nullptr && !op.batched_) {
+  if (op.cached_ == nullptr && op.batch_dev_ == nullptr) {
     throw std::logic_error(
         "process_triggered: DEV op was not staged (call stage_all first)");
   }
@@ -166,16 +157,9 @@ vt::Time GpuDatatypeEngine::launch(Op& op, const DevWindow& win,
   const vt::Time queued =
       std::max(triggered_at != nullptr ? *triggered_at : ctx_.clock.now(),
                stream.tail());
-  vt::Time ready;
-  if (op.dir_ == Dir::kPack) {
-    ready = pack_dev_kernel(ctx_, stream, op.user_base_, win, pk_base,
-                            contig, dev_units, cfg_.kernel_blocks,
-                            triggered_at);
-  } else {
-    ready = unpack_dev_kernel(ctx_, stream, op.user_base_, win, pk_base,
-                              contig, dev_units, cfg_.kernel_blocks,
-                              triggered_at);
-  }
+  const vt::Time ready =
+      dev_kernel(ctx_, stream, op.dir_, op.user_base_, win, pk_base, contig,
+                 dev_units, cfg_.kernel_blocks, triggered_at);
   obs::trace(cfg_.recorder,
              {"dev_kernel", "engine", queued, ready, ctx_.device,
               static_cast<std::int64_t>(win.size()), cfg_.trace_pid,
@@ -193,16 +177,9 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
   const vt::Time queued =
       std::max(trig != nullptr ? *trig : ctx_.clock.now(),
                kernel_stream_.tail());
-  vt::Time ready;
-  if (op.dir_ == Dir::kPack) {
-    ready = pack_vector_kernel(ctx_, kernel_stream_, op.user_base_,
-                               *op.pattern_, lo, hi, contig,
-                               cfg_.kernel_blocks, trig);
-  } else {
-    ready = unpack_vector_kernel(ctx_, kernel_stream_, op.user_base_,
-                                 *op.pattern_, lo, hi, contig,
-                                 cfg_.kernel_blocks, trig);
-  }
+  const vt::Time ready =
+      vector_kernel(ctx_, kernel_stream_, op.dir_, op.user_base_,
+                    *op.pattern_, lo, hi, contig, cfg_.kernel_blocks, trig);
   op.pos_ = hi;
   obs::count(cfg_.recorder,
              op.dir_ == Dir::kPack ? "engine.pack.bytes.vector"
@@ -214,13 +191,13 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_vector(
   return {hi - lo, ready};
 }
 
-void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
-  const std::size_t old = op.staged_.size();
-  op.staged_.resize(old + limit);
+std::size_t GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
+  const std::size_t old = op.units_.size();
+  op.units_.resize(old + limit);
   const std::int64_t pieces_before = op.cursor_.pieces_visited();
   const std::size_t n = op.cursor_.next_units(
-      std::span<CudaDevDist>(op.staged_.data() + old, limit));
-  op.staged_.resize(old + n);
+      std::span<CudaDevDist>(op.units_.data() + old, limit));
+  op.units_.resize(old + n);
   obs::count(cfg_.recorder, "engine.units.converted",
              static_cast<std::int64_t>(n));
   // Host-side conversion cost (Section 3.2's first stage).
@@ -239,16 +216,14 @@ void GpuDatatypeEngine::convert_chunk(Op& op, std::size_t limit) {
   obs::trace(cfg_.recorder, {"convert_chunk", "engine", t0, t0 + adv,
                              ctx_.device, static_cast<std::int64_t>(n),
                              cfg_.trace_pid, op.flow_, obs::Stage::kConv});
-  if (op.fill_cache_)
-    op.accum_.insert(op.accum_.end(), op.staged_.begin() + old,
-                     op.staged_.end());
+  return n;
 }
 
 const CudaDevDist* GpuDatatypeEngine::upload_descriptors(
     Op& op, const DevWindow& win) {
   const std::span<const CudaDevDist> units = win.units;
   if (units.empty()) return nullptr;
-  const int slot = op.desc_slot_ ^ 1;
+  const int slot = (op.desc_slot_ + 1) % kDescSlots;
   op.desc_slot_ = slot;
   if (op.desc_cap_units_[slot] < units.size()) {
     if (op.desc_dev_[slot] != nullptr) sg::Free(ctx_, op.desc_dev_[slot]);
@@ -289,28 +264,26 @@ GpuDatatypeEngine::Result GpuDatatypeEngine::process_dev(
   vt::Time ready = kernel_stream_.tail();
   const bool cached = op.cached_ != nullptr;
   // A batch-staged op behaves like a cache hit: the full unit list sits in
-  // staged_ with a matching device array, so there is no refill and no
+  // units_ with a matching device array, so there is no refill and no
   // per-window descriptor upload.
   const bool batched = !cached && op.batch_dev_ != nullptr;
 
   while (bytes < budget) {
     // The unit list the window is cut from.
     const std::vector<CudaDevDist>& list =
-        cached ? op.cached_->units : op.staged_;
+        cached ? op.cached_->units : op.units_;
     if (op.unit_pos_ == list.size()) {
       if (cached || batched) break;  // exhausted (coincides with op.done())
-      // Refill the staging window: one pipelined chunk, or everything
-      // when conversion pipelining is disabled (Figure 7's plain mode).
-      op.staged_.clear();
-      op.unit_pos_ = 0;
+      // Convert the next chunk onto the list: one pipelined chunk, or
+      // everything when conversion pipelining is disabled (Figure 7's
+      // plain mode).
       const std::size_t chunk =
           cfg_.pipeline_conversion
-              ? cfg_.convert_chunk_units
+              ? kConvertChunkUnits
               : static_cast<std::size_t>((op.total_ - op.pos_ - bytes) /
                                              cfg_.unit_bytes +
                                          2);
-      convert_chunk(op, chunk);
-      if (op.staged_.empty()) break;
+      if (convert_chunk(op, chunk) == 0) break;
     }
     // Cut the window in place. Units tile the packed stream in order (a
     // checked DEV invariant), so the window ends at the last unit that
@@ -426,7 +399,7 @@ void GpuDatatypeEngine::finish(Op& op) {
     sg::Free(ctx_, op.batch_dev_);
     op.batch_dev_ = nullptr;
   }
-  for (int slot = 0; slot < 2; ++slot) {
+  for (int slot = 0; slot < kDescSlots; ++slot) {
     if (op.desc_dev_[slot] != nullptr) {
       sg::Free(ctx_, op.desc_dev_[slot]);
       op.desc_dev_[slot] = nullptr;
@@ -438,53 +411,14 @@ void GpuDatatypeEngine::finish(Op& op) {
     obs::observe(cfg_.recorder, "engine.op.conv_overlap_pct",
                  100 * op.conv_overlap_ns_ / op.conv_ns_);
   }
-  if (op.fill_cache_ && op.done() && cfg_.cache_enabled &&
+  if (op.done() && cfg_.cache_enabled && op.cached_ == nullptr &&
       !op.pattern_.has_value()) {
+    // The list grew a chunk at a time; the cache keeps it for as long as
+    // the entry lives, without the last chunk's spare capacity.
+    op.units_.shrink_to_fit();
     cache_.insert(ctx_, op.dt_, op.count_, cfg_.unit_bytes,
-                  std::move(op.accum_));
-    op.fill_cache_ = false;
+                  std::move(op.units_));
   }
-}
-
-void GpuDatatypeEngine::prefetch(const mpi::DatatypePtr& dt,
-                                 std::int64_t count) {
-  if (!cfg_.cache_enabled || dt->size() * count == 0) return;
-  if (dt->regular_pattern(count)) return;  // vector fast path: no DEVs
-  if (cache_.find(dt, count, cfg_.unit_bytes) != nullptr) return;
-  // Drive the conversion through a cursor so the walk cost is charged per
-  // contiguous run actually walked - a long run is one walk charge but
-  // many emitted units.
-  DevCursor cur(dt, count, cfg_.unit_bytes);
-  std::vector<CudaDevDist> units;
-  units.reserve(
-      static_cast<std::size_t>(dt->size() * count / cfg_.unit_bytes + 16));
-  CudaDevDist buf[256];
-  for (;;) {
-    const std::size_t n = cur.next_units(buf);
-    if (n == 0) break;
-    units.insert(units.end(), buf, buf + n);
-  }
-  const sg::CostModel& cm = ctx_.cost();
-  ctx_.clock.advance(static_cast<vt::Time>(
-      cm.cpu_dev_emit_ns * static_cast<double>(units.size()) +
-      cm.cpu_block_walk_ns * static_cast<double>(cur.pieces_visited())));
-  obs::count(cfg_.recorder, "engine.prefetches");
-  obs::count(cfg_.recorder, "engine.prefetch.units",
-             static_cast<std::int64_t>(units.size()));
-  const auto* entry =
-      cache_.insert(ctx_, dt, count, cfg_.unit_bytes, std::move(units));
-  cache_.device_units(ctx_, *entry);  // upload now, not on first use
-}
-
-GpuDatatypeEngine::PipelineShape GpuDatatypeEngine::pipeline_shape() const {
-  PipelineShape s;
-  // Two descriptor slots: upload_descriptors() flips desc_slot_ between
-  // exactly two scratch buffers. If the double-buffer ever grows, this
-  // must follow, or the verifier's model diverges from the engine.
-  s.desc_slots = 2;
-  s.residue_separate_stream = cfg_.residue_separate_stream;
-  s.pipeline_conversion = cfg_.pipeline_conversion;
-  return s;
 }
 
 void GpuDatatypeEngine::synchronize() {

@@ -11,11 +11,12 @@
 //     to the specialized kernel, no descriptor conversion at all (S3.1);
 //   * general path: the host converts the datatype into CUDA DEV work
 //     units - in chunks, pipelined with kernel execution (S3.2) - uploads
-//     the descriptors, and launches the DEV kernel. Each launch's window
-//     is a DevWindow cut in place from the unit list the op holds (a
-//     cache entry, a stage_all batch or a conversion chunk): the first
-//     unit skips the bytes done before, the last is cut at the budget,
-//     and the window's end is a binary search on pk_disp;
+//     the descriptors, and launches the DEV kernel. An op holds one unit
+//     list: a cache entry, or its own list, which grows chunk by chunk
+//     (all at once under stage_all) and moves into the cache at finish.
+//     Each launch's window is a DevWindow cut in place from that list:
+//     the first unit skips the bytes done before, the last is cut at the
+//     budget, and the window's end is a binary search on pk_disp;
 //   * converted unit arrays are cached (host + device copies) and reused
 //     whenever the same datatype *shape* and count is packed again - the
 //     cache keys on the canonical-form digest (mpi/canonical.h), so
@@ -40,11 +41,14 @@
 
 namespace gpuddt::core {
 
+/// Descriptor scratch slots per op: while the kernel reading slot k is
+/// still in flight, the next window uploads into another slot. The static
+/// pipeline-hazard prover (src/verify/pipeline.h) models this depth.
+constexpr int kDescSlots = 2;
+
 struct EngineConfig {
   /// Work-unit size S (Section 3.2: 1KB, 2KB or 4KB; floor 256B).
   std::int64_t unit_bytes = 1024;
-  /// Host conversion chunk, in units, for the conversion/kernel pipeline.
-  std::size_t convert_chunk_units = 4096;
   /// CUDA blocks per kernel (Section 5.3 sweeps this).
   int kernel_blocks = 64;
   bool cache_enabled = true;
@@ -80,7 +84,7 @@ struct DrainFlow {
 
 class GpuDatatypeEngine {
  public:
-  enum class Dir { kPack, kUnpack };
+  using Dir = core::Dir;
 
   /// `ctx` must outlive the engine; streams are created on ctx's device.
   explicit GpuDatatypeEngine(sg::HostContext& ctx, EngineConfig cfg = {});
@@ -122,30 +126,26 @@ class GpuDatatypeEngine {
     const DevCache::Entry* cached_ = nullptr;
     const CudaDevDist* cached_dev_ = nullptr;
     // Where the next window starts in the unit list (the cache entry or
-    // staged_): its first unit, and the bytes of that unit already done,
+    // units_): its first unit, and the bytes of that unit already done,
     // which become the window's skip (DevWindow).
     std::size_t unit_pos_ = 0;
     std::int64_t unit_off_ = 0;
-    // Live-conversion state.
+    // Live-conversion state: every unit converted so far, in order.
     DevCursor cursor_;
-    std::vector<CudaDevDist> staged_;   // converted, not yet consumed
-    std::vector<CudaDevDist> accum_;    // full list for cache fill
-    bool fill_cache_ = false;
-    // Device scratch for descriptor uploads, double-buffered: while the
-    // kernel reading slot k is still in flight, the next window uploads
-    // into slot k^1. A single buffer would be a WAR hazard (the upload
-    // overwrites descriptors the previous kernel may still be reading).
-    void* desc_dev_[2] = {nullptr, nullptr};
-    std::size_t desc_cap_units_[2] = {0, 0};
-    vt::Time desc_last_use_[2] = {0, 0};  // last kernel finish per slot
-    int desc_slot_ = 0;                   // slot the latest upload used
+    std::vector<CudaDevDist> units_;
+    // Device scratch for descriptor uploads, one buffer per slot. A single
+    // buffer would be a WAR hazard (the upload overwrites descriptors the
+    // previous kernel may still be reading).
+    void* desc_dev_[kDescSlots] = {};
+    std::size_t desc_cap_units_[kDescSlots] = {};
+    vt::Time desc_last_use_[kDescSlots] = {};  // last kernel finish per slot
+    int desc_slot_ = 0;  // slot the latest upload used
     std::vector<CudaDevDist> split_;    // residue-stream split (full first)
-    // Batch-submission state (stage_all): the full unit list converted and
-    // uploaded up-front into one device array, so later process_triggered
-    // calls launch kernels without any host conversion or per-window
+    // Batch-submission state (stage_all): the whole of units_ uploaded
+    // up-front into one device array, so later process_triggered calls
+    // launch kernels without any host conversion or per-window
     // descriptor upload.
-    void* batch_dev_ = nullptr;   // device array of ALL descriptors
-    bool batched_ = false;        // stage_all completed
+    void* batch_dev_ = nullptr;
     // Conversion/kernel overlap accounting (virtual time, per op).
     vt::Time conv_ns_ = 0;          // total host conversion time
     vt::Time conv_overlap_ns_ = 0;  // conversion time with a kernel in flight
@@ -202,29 +202,12 @@ class GpuDatatypeEngine {
   Result process_triggered(Op& op, void* contig, std::int64_t max_bytes,
                            vt::Time dep, std::uint64_t flow);
 
-  /// Release per-op scratch; insert the converted units into the cache if
-  /// the op completed a full conversion.
+  /// Release per-op scratch; move the op's unit list into the cache if
+  /// the op completed a full conversion. Call once per op.
   void finish(Op& op);
-
-  /// Warm the DEV cache for (dt, count) without packing anything: convert
-  /// the full unit array (charging the host conversion cost) and upload
-  /// the device copy, so the first real transfer already runs cached.
-  void prefetch(const mpi::DatatypePtr& dt, std::int64_t count);
 
   /// Block the host clock until all kernels of this engine completed.
   void synchronize();
-
-  /// Static shape of the synchronization this engine issues per op: the
-  /// descriptor double-buffer depth and whether residues run on their
-  /// own stream. The static pipeline-hazard prover
-  /// (src/verify/pipeline.h) builds its happens-before DAG from exactly
-  /// these parameters, so the model provably matches the configuration.
-  struct PipelineShape {
-    int desc_slots = 2;
-    bool residue_separate_stream = false;
-    bool pipeline_conversion = true;
-  };
-  PipelineShape pipeline_shape() const;
 
   sg::Stream& pack_stream() { return kernel_stream_; }
   DevCache& cache() { return cache_; }
@@ -239,8 +222,9 @@ class GpuDatatypeEngine {
                         vt::Time dep, const vt::Time* trig = nullptr);
   Result process_dev(Op& op, void* contig, std::int64_t max_bytes,
                      vt::Time dep, const vt::Time* trig = nullptr);
-  /// Convert up to `limit` more units into op.staged_, charging host time.
-  void convert_chunk(Op& op, std::size_t limit);
+  /// Convert up to `limit` more units onto op.units_, charging host time;
+  /// returns how many were converted.
+  std::size_t convert_chunk(Op& op, std::size_t limit);
   /// Upload a window's units to op's device scratch; returns the device
   /// pointer and orders the kernel stream after the upload.
   const CudaDevDist* upload_descriptors(Op& op, const DevWindow& win);

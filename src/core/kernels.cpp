@@ -141,10 +141,9 @@ struct Traffic {
   }
 };
 
-/// Iterate the (src_off, dst_off, len) pieces of a packed-range vector
-/// operation. `fn(src_off, pk_off, len)` with pk_off relative to pk_lo.
-/// One division places pk_lo in its block; every later piece starts the
-/// next block.
+/// Iterate the pieces of a packed-range vector operation:
+/// `fn(nc_off, pk_off, len)` with pk_off relative to pk_lo. One division
+/// places pk_lo in its block; every later piece starts the next block.
 template <typename Fn>
 void for_vector_range(const mpi::RegularPattern& pat, std::int64_t pk_lo,
                       std::int64_t pk_hi, Fn&& fn) {
@@ -160,128 +159,62 @@ void for_vector_range(const mpi::RegularPattern& pat, std::int64_t pk_lo,
   }
 }
 
+/// The one gather/scatter body. `walk(piece)` calls piece(nc, pk, len)
+/// for each piece in kernel order, nc relative to `user_base` and pk to
+/// `packed`; each piece is copied, priced and (under the checker) listed
+/// in that one pass. A DEV kernel also streams its `n_units` descriptors
+/// from `device_units`.
+template <typename Walk>
+vt::Time gather_scatter(sg::HostContext& ctx, sg::Stream& stream, Dir dir,
+                        void* user_base, void* packed, Walk&& walk,
+                        const CudaDevDist* device_units, std::size_t n_units,
+                        int blocks, const char* label,
+                        const vt::Time* triggered_at) {
+  const bool pack = dir == Dir::kPack;
+  auto* src = static_cast<std::byte*>(pack ? user_base : packed);
+  auto* dst = static_cast<std::byte*>(pack ? packed : user_base);
+  Traffic t(ctx, stream, src, dst, blocks);
+  RangeBuilder rb;
+  const bool observed = ctx.machine->observer() != nullptr;
+  walk([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
+    const std::int64_t s = pack ? nc : pk;
+    const std::int64_t d = pack ? pk : nc;
+    std::memcpy(dst + d, src + s, static_cast<std::size_t>(len));
+    t.add(s, d, len);
+    if (observed) rb.add(src + s, dst + d, len);
+  });
+  t.add_descriptor_reads(static_cast<std::int64_t>(n_units));
+  return sg::LaunchKernel(ctx, stream, t.prof, label,
+                          rb.finish(device_units, n_units), triggered_at);
+}
+
 }  // namespace
 
-vt::Time pack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                            const void* src_base,
-                            const mpi::RegularPattern& pat, std::int64_t pk_lo,
-                            std::int64_t pk_hi, void* dst, int blocks,
-                            const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src_base, dst, blocks);
-  for_vector_range(pat, pk_lo, pk_hi,
-                   [&](std::int64_t s, std::int64_t d, std::int64_t len) {
-                     t.add(s, d, len);
-                   });
-  const auto* sb = static_cast<const std::byte*>(src_base);
-  auto* db = static_cast<std::byte*>(dst);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    for_vector_range(pat, pk_lo, pk_hi,
-                     [&](std::int64_t s, std::int64_t d, std::int64_t len) {
-                       rb.add(sb + s, db + d, len);
-                     });
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        for_vector_range(pat, pk_lo, pk_hi,
-                         [&](std::int64_t s, std::int64_t d,
-                             std::int64_t len) {
-                           std::memcpy(db + d, sb + s,
-                                       static_cast<std::size_t>(len));
-                         });
-      },
-      "pack_vector", rb.finish(nullptr, 0), triggered_at);
+vt::Time vector_kernel(sg::HostContext& ctx, sg::Stream& stream, Dir dir,
+                       void* user_base, const mpi::RegularPattern& pat,
+                       std::int64_t pk_lo, std::int64_t pk_hi, void* packed,
+                       int blocks, const vt::Time* triggered_at) {
+  return gather_scatter(
+      ctx, stream, dir, user_base, packed,
+      [&](auto&& piece) { for_vector_range(pat, pk_lo, pk_hi, piece); },
+      nullptr, 0, blocks,
+      dir == Dir::kPack ? "pack_vector" : "unpack_vector", triggered_at);
 }
 
-vt::Time unpack_vector_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                              void* dst_base, const mpi::RegularPattern& pat,
-                              std::int64_t pk_lo, std::int64_t pk_hi,
-                              const void* src, int blocks,
-                              const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src, dst_base, blocks);
-  for_vector_range(pat, pk_lo, pk_hi,
-                   [&](std::int64_t d, std::int64_t s, std::int64_t len) {
-                     t.add(s, d, len);
-                   });
-  auto* db = static_cast<std::byte*>(dst_base);
-  const auto* sb = static_cast<const std::byte*>(src);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    for_vector_range(pat, pk_lo, pk_hi,
-                     [&](std::int64_t d, std::int64_t s, std::int64_t len) {
-                       rb.add(sb + s, db + d, len);
-                     });
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        for_vector_range(pat, pk_lo, pk_hi,
-                         [&](std::int64_t d, std::int64_t s,
-                             std::int64_t len) {
-                           std::memcpy(db + d, sb + s,
-                                       static_cast<std::size_t>(len));
-                         });
-      },
-      "unpack_vector", rb.finish(nullptr, 0), triggered_at);
-}
-
-vt::Time pack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                         const void* src_base, const DevWindow& win,
-                         std::int64_t pk_base, void* dst,
-                         const CudaDevDist* device_units, int blocks,
-                         const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src_base, dst, blocks);
-  win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
-    t.add(nc, pk - pk_base, len);
-  });
-  t.add_descriptor_reads(static_cast<std::int64_t>(win.size()));
-  const auto* sb = static_cast<const std::byte*>(src_base);
-  auto* db = static_cast<std::byte*>(dst);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
-      rb.add(sb + nc, db + (pk - pk_base), len);
-    });
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
+vt::Time dev_kernel(sg::HostContext& ctx, sg::Stream& stream, Dir dir,
+                    void* user_base, const DevWindow& win,
+                    std::int64_t pk_base, void* packed,
+                    const CudaDevDist* device_units, int blocks,
+                    const vt::Time* triggered_at) {
+  return gather_scatter(
+      ctx, stream, dir, user_base, packed,
+      [&](auto&& piece) {
         win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
-          std::memcpy(db + (pk - pk_base), sb + nc,
-                      static_cast<std::size_t>(len));
+          piece(nc, pk - pk_base, len);
         });
       },
-      "pack_dev", rb.finish(device_units, win.size()), triggered_at);
-}
-
-vt::Time unpack_dev_kernel(sg::HostContext& ctx, sg::Stream& stream,
-                           void* dst_base, const DevWindow& win,
-                           std::int64_t pk_base, const void* src,
-                           const CudaDevDist* device_units, int blocks,
-                           const vt::Time* triggered_at) {
-  Traffic t(ctx, stream, src, dst_base, blocks);
-  win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
-    t.add(pk - pk_base, nc, len);
-  });
-  t.add_descriptor_reads(static_cast<std::int64_t>(win.size()));
-  auto* db = static_cast<std::byte*>(dst_base);
-  const auto* sb = static_cast<const std::byte*>(src);
-  RangeBuilder rb;
-  if (ctx.machine->observer() != nullptr) {
-    win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
-      rb.add(sb + (pk - pk_base), db + nc, len);
-    });
-  }
-  return sg::LaunchKernel(
-      ctx, stream, t.prof,
-      [&] {
-        win.for_each([&](std::int64_t nc, std::int64_t pk, std::int64_t len) {
-          std::memcpy(db + nc, sb + (pk - pk_base),
-                      static_cast<std::size_t>(len));
-        });
-      },
-      "unpack_dev", rb.finish(device_units, win.size()), triggered_at);
+      device_units, win.size(), blocks,
+      dir == Dir::kPack ? "pack_dev" : "unpack_dev", triggered_at);
 }
 
 }  // namespace gpuddt::core

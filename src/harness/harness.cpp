@@ -160,8 +160,8 @@ double kernel_pack_bandwidth(const mpi::DatatypePtr& dt, std::int64_t count,
   vt::Time start = 0, finish = 0;
   if (auto pat = dt->regular_pattern(count)) {
     start = ctx.clock.now();
-    finish = core::pack_vector_kernel(ctx, stream, base, *pat, 0, total,
-                                      packed, engine.kernel_blocks);
+    finish = core::vector_kernel(ctx, stream, core::Dir::kPack, base, *pat,
+                                 0, total, packed, engine.kernel_blocks);
   } else {
     // Descriptors prepared up front: kernel-only time, as in Figure 6.
     auto units = core::convert_all(dt, count, engine.unit_bytes);
@@ -170,8 +170,8 @@ double kernel_pack_bandwidth(const mpi::DatatypePtr& dt, std::int64_t count,
     sg::Memcpy(ctx, dev_units, units.data(),
                units.size() * sizeof(core::CudaDevDist));
     start = ctx.clock.now();
-    finish = core::pack_dev_kernel(ctx, stream, base, {units}, 0, packed,
-                                   dev_units, engine.kernel_blocks);
+    finish = core::dev_kernel(ctx, stream, core::Dir::kPack, base, {units},
+                              0, packed, dev_units, engine.kernel_blocks);
   }
   const vt::Time dur = finish - start;
   if (dur <= 0) return 0.0;

@@ -1,7 +1,7 @@
 // Device-access observation hooks - the simgpu side of src/check/.
 //
-// Every timed device-memory operation (async copies, kernels, one-sided
-// RDMA copies, memsets) can report the byte ranges it touches together
+// Every timed device-memory operation (copies, kernels, one-sided RDMA
+// copies) can report the byte ranges it touches together
 // with its *guaranteed* virtual-time window: the earliest start the
 // program's ordering constructs (stream tails, event waits, explicit
 // timestamp dependencies) establish, and the finish time that becomes the

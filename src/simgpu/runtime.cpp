@@ -126,9 +126,8 @@ int copy_device(const ResolvedCopy& rc) {
 /// spanning range per side keeps tracking cost bounded.
 constexpr std::size_t kMax2DRowRanges = 512;
 
-void note_2d(HostContext& ctx, const char* label, const Stream* stream,
-             const ResolvedCopy& rc, vt::Time start, vt::Time finish,
-             void* dst, std::size_t dpitch, const void* src,
+void note_2d(HostContext& ctx, const ResolvedCopy& rc, vt::Time start,
+             vt::Time finish, void* dst, std::size_t dpitch, const void* src,
              std::size_t spitch, std::size_t width, std::size_t height) {
   if (ctx.machine->observer() == nullptr) return;
   std::vector<MemRange> rs;
@@ -148,7 +147,7 @@ void note_2d(HostContext& ctx, const char* label, const Stream* stream,
   };
   add_side(src, spitch, false);
   add_side(dst, dpitch, true);
-  note_op(ctx, label, stream, copy_device(rc), start, finish,
+  note_op(ctx, "memcpy2d", nullptr, copy_device(rc), start, finish,
           std::span<const MemRange>(rs.data(), rs.size()));
 }
 
@@ -184,10 +183,6 @@ void* HostAlloc(HostContext& ctx, std::size_t bytes, bool mapped) {
 }
 
 void HostFree(HostContext& ctx, void* ptr) { ctx.machine->host_free(ptr); }
-
-PtrAttributes PointerGetAttributes(const HostContext& ctx, const void* ptr) {
-  return ctx.machine->query(ptr);
-}
 
 void Memcpy(HostContext& ctx, void* dst, const void* src, std::size_t bytes) {
   if (bytes == 0) return;
@@ -239,15 +234,6 @@ std::int64_t memcpy2d_effective_bytes(const CostModel& cm, std::size_t width,
   return per_row * static_cast<std::int64_t>(height);
 }
 
-void memcpy2d_functional(void* dst, std::size_t dpitch, const void* src,
-                         std::size_t spitch, std::size_t width,
-                         std::size_t height) {
-  auto* d = static_cast<std::byte*>(dst);
-  const auto* s = static_cast<const std::byte*>(src);
-  for (std::size_t h = 0; h < height; ++h)
-    std::memcpy(d + h * dpitch, s + h * spitch, width);
-}
-
 }  // namespace
 
 void Memcpy2D(HostContext& ctx, void* dst, std::size_t dpitch, const void* src,
@@ -256,7 +242,10 @@ void Memcpy2D(HostContext& ctx, void* dst, std::size_t dpitch, const void* src,
   if (width > dpitch || width > spitch)
     throw std::invalid_argument("Memcpy2D: width exceeds pitch");
   const ResolvedCopy rc = resolve(ctx, dst, src);
-  memcpy2d_functional(dst, dpitch, src, spitch, width, height);
+  auto* d = static_cast<std::byte*>(dst);
+  const auto* s = static_cast<const std::byte*>(src);
+  for (std::size_t h = 0; h < height; ++h)
+    std::memcpy(d + h * dpitch, s + h * spitch, width);
   const CostModel& cm = ctx.cost();
   const std::int64_t eff = memcpy2d_effective_bytes(cm, width, height);
   const vt::Time row_cost = static_cast<vt::Time>(
@@ -264,73 +253,8 @@ void Memcpy2D(HostContext& ctx, void* dst, std::size_t dpitch, const void* src,
   ctx.clock.advance(rc.kind == CopyKind::kH2H ? 0 : cm.memcpy_call_ns);
   const vt::Time start = ctx.clock.now();
   const vt::Time finish = reserve_copy(ctx, rc, eff, start, row_cost);
-  note_2d(ctx, "memcpy2d", nullptr, rc, start, finish, dst, dpitch, src,
-          spitch, width, height);
+  note_2d(ctx, rc, start, finish, dst, dpitch, src, spitch, width, height);
   ctx.clock.wait_until(finish);
-}
-
-vt::Time Memcpy2DAsync(HostContext& ctx, void* dst, std::size_t dpitch,
-                       const void* src, std::size_t spitch, std::size_t width,
-                       std::size_t height, Stream& stream) {
-  if (width == 0 || height == 0) return stream.tail();
-  if (width > dpitch || width > spitch)
-    throw std::invalid_argument("Memcpy2DAsync: width exceeds pitch");
-  const ResolvedCopy rc = resolve(ctx, dst, src);
-  memcpy2d_functional(dst, dpitch, src, spitch, width, height);
-  const CostModel& cm = ctx.cost();
-  const std::int64_t eff = memcpy2d_effective_bytes(cm, width, height);
-  const vt::Time row_cost = static_cast<vt::Time>(
-      cm.memcpy2d_row_ns * static_cast<double>(height));
-  ctx.clock.advance(cm.enqueue_ns);
-  const vt::Time earliest = stream.order_after(ctx.clock.now());
-  const vt::Time finish = reserve_copy(
-      ctx, rc, eff, earliest,
-      row_cost + (rc.kind == CopyKind::kH2H ? 0 : cm.memcpy_call_ns));
-  note_2d(ctx, "memcpy2d_async", &stream, rc, earliest, finish, dst, dpitch,
-          src, spitch, width, height);
-  stream.set_tail(finish);
-  return finish;
-}
-
-void Memcpy3D(HostContext& ctx, void* dst, std::size_t dpitch,
-              std::size_t dslice, const void* src, std::size_t spitch,
-              std::size_t sslice, std::size_t width, std::size_t height,
-              std::size_t depth) {
-  if (width == 0 || height == 0 || depth == 0) return;
-  if (width > dpitch || width > spitch || height * dpitch > dslice ||
-      height * spitch > sslice)
-    throw std::invalid_argument("Memcpy3D: extents exceed pitches");
-  // One 2D copy per slice: matches the driver's behaviour for pitched 3D
-  // blocks (a 3D DMA descriptor iterating slice by slice).
-  auto* d = static_cast<std::byte*>(dst);
-  const auto* s = static_cast<const std::byte*>(src);
-  for (std::size_t z = 0; z < depth; ++z)
-    Memcpy2D(ctx, d + z * dslice, dpitch, s + z * sslice, spitch, width,
-             height);
-}
-
-void Memset(HostContext& ctx, void* dst, int value, std::size_t bytes) {
-  if (bytes == 0) return;
-  std::memset(dst, value, bytes);
-  const PtrAttributes d = ctx.machine->query(dst);
-  if (d.space == MemorySpace::kDevice) {
-    const CostModel& cm = ctx.cost();
-    ctx.clock.advance(cm.memcpy_call_ns);
-    const vt::Time start = ctx.clock.now();
-    const vt::Time dur =
-        vt::transfer_time(static_cast<std::int64_t>(bytes), cm.gpu_mem_gbps);
-    const auto r =
-        ctx.machine->device(d.device).copy_engine().reserve(start, dur);
-    note_op(ctx, "memset", nullptr, d.device, start, r.finish,
-            {MemRange{dst, static_cast<std::int64_t>(bytes), true}});
-    ctx.clock.wait_until(r.finish);
-  } else {
-    const vt::Time start = ctx.clock.now();
-    ctx.clock.advance(
-        ctx.cost().cpu_copy_ns(static_cast<std::int64_t>(bytes)));
-    note_op(ctx, "memset", nullptr, -1, start, ctx.clock.now(),
-            {MemRange{dst, static_cast<std::int64_t>(bytes), true}});
-  }
 }
 
 vt::Time TimedCopy(HostContext& ctx, void* dst, const void* src,
@@ -361,23 +285,11 @@ void StreamWaitEvent(HostContext& ctx, Stream& stream, const Event& ev) {
   stream.set_tail(ev.timestamp);
 }
 
-void EventSynchronize(HostContext& ctx, const Event& ev) {
-  ctx.clock.wait_until(ev.timestamp);
-}
-
 vt::Time EventReadyOn(const HostContext& ctx, const Event& ev,
                       int origin_device, int target_device) {
   if (ev.timestamp == 0) return 0;  // never-recorded event: no dependency
   if (origin_device == target_device) return ev.timestamp;
   return ev.timestamp + ctx.cost().cross_event_wait_ns;
-}
-
-vt::Time StreamWaitEventCross(HostContext& ctx, Stream& stream,
-                              const Event& ev, int origin_device) {
-  const vt::Time ready =
-      EventReadyOn(ctx, ev, origin_device, stream.device().id());
-  stream.set_tail(ready);
-  return ready;
 }
 
 namespace {
@@ -411,11 +323,9 @@ vt::Time KernelDuration(const CostModel& cm, const KernelProfile& profile,
 }
 
 vt::Time LaunchKernel(HostContext& ctx, Stream& stream,
-                      const KernelProfile& profile,
-                      const std::function<void()>& body, const char* label,
+                      const KernelProfile& profile, const char* label,
                       std::span<const MemRange> ranges,
                       const vt::Time* triggered_at) {
-  body();
   const CostModel& cm = ctx.cost();
   if (triggered_at == nullptr) ctx.clock.advance(cm.enqueue_ns);
   Device& dev = stream.device();

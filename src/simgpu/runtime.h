@@ -4,13 +4,13 @@
 // shared Machine, the caller's virtual clock and its current device - and
 // mirror the CUDA runtime calls the paper's implementation uses:
 // cudaMalloc / cudaMallocHost / cudaMemcpy{2D,Async} / streams / events /
-// kernel launch / CUDA IPC. Every call both moves real bytes and advances
-// virtual time through the machine's timed resources.
+// kernel launch / CUDA IPC. Every copy both moves real bytes and advances
+// virtual time through the machine's timed resources; a kernel launch
+// times the bytes its caller moved.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "simgpu/access.h"
@@ -41,8 +41,6 @@ void Free(HostContext& ctx, void* ptr);
 void* HostAlloc(HostContext& ctx, std::size_t bytes, bool mapped = false);
 void HostFree(HostContext& ctx, void* ptr);
 
-PtrAttributes PointerGetAttributes(const HostContext& ctx, const void* ptr);
-
 // --- Copies -------------------------------------------------------------------
 
 /// Synchronous cudaMemcpy (kind inferred from the pointer registry).
@@ -58,20 +56,6 @@ vt::Time MemcpyAsync(HostContext& ctx, void* dst, const void* src,
 /// real copy engine (Figure 8).
 void Memcpy2D(HostContext& ctx, void* dst, std::size_t dpitch, const void* src,
               std::size_t spitch, std::size_t width, std::size_t height);
-
-vt::Time Memcpy2DAsync(HostContext& ctx, void* dst, std::size_t dpitch,
-                       const void* src, std::size_t spitch, std::size_t width,
-                       std::size_t height, Stream& stream);
-
-/// Synchronous cudaMemcpy3D equivalent for pitched 3D blocks: `depth`
-/// slices of (`height` rows x `width` bytes); slices are `dslice`/`sslice`
-/// bytes apart, rows `dpitch`/`spitch` apart.
-void Memcpy3D(HostContext& ctx, void* dst, std::size_t dpitch,
-              std::size_t dslice, const void* src, std::size_t spitch,
-              std::size_t sslice, std::size_t width, std::size_t height,
-              std::size_t depth);
-
-void Memset(HostContext& ctx, void* dst, int value, std::size_t bytes);
 
 /// One-shot copy with an explicit virtual-time dependency, not bound to a
 /// stream and not blocking the host clock: the building block of the BTL
@@ -94,7 +78,6 @@ void NoteAccess(HostContext& ctx, const char* label, vt::Time start,
 void StreamSynchronize(HostContext& ctx, Stream& stream);
 Event EventRecord(HostContext& ctx, Stream& stream);
 void StreamWaitEvent(HostContext& ctx, Stream& stream, const Event& ev);
-void EventSynchronize(HostContext& ctx, const Event& ev);
 
 /// Earliest time a consumer on `target_device` can act on `ev`, which was
 /// recorded on `origin_device`'s timeline (device id, or the NIC modeled
@@ -106,12 +89,6 @@ void EventSynchronize(HostContext& ctx, const Event& ev);
 vt::Time EventReadyOn(const HostContext& ctx, const Event& ev,
                       int origin_device, int target_device);
 
-/// StreamWaitEvent with the cross-device propagation cost applied:
-/// `stream` will not run past the adjusted timestamp. Returns the
-/// adjusted ready time.
-vt::Time StreamWaitEventCross(HostContext& ctx, Stream& stream,
-                              const Event& ev, int origin_device);
-
 // --- Kernels ----------------------------------------------------------------------
 
 /// Where a kernel's non-local traffic flows.
@@ -122,8 +99,8 @@ enum class PcieDir : std::uint8_t {
   kPeer,      // one side lives in a peer device (CUDA IPC mapping)
 };
 
-/// Work descriptor a kernel reports to the timing model. The functional
-/// body executes eagerly; the profile determines the virtual duration.
+/// Work descriptor a kernel reports to the timing model. The caller moves
+/// the bytes eagerly; the profile determines the virtual duration.
 struct KernelProfile {
   /// Device-memory traffic in transaction-rounded bytes (reads + writes).
   std::int64_t device_txn_bytes = 0;
@@ -137,12 +114,12 @@ struct KernelProfile {
   int blocks = 1;
 };
 
-/// Launch a kernel on `stream`. `body` performs the functional byte
-/// movement and runs immediately on the calling thread; the kernel's
-/// virtual interval is reserved on the device's SM array (and PCI-E link
-/// for zero-copy traffic). Returns the virtual finish time. `label` and
-/// `ranges` describe the kernel's memory footprint to the access checker
-/// (kernel wrappers populate them only when an observer is attached).
+/// Launch a kernel on `stream`. The caller has already moved the kernel's
+/// bytes; this reserves its virtual interval on the device's SM array (and
+/// PCI-E link for zero-copy traffic) and returns the virtual finish time.
+/// `label` and `ranges` describe the kernel's memory footprint to the
+/// access checker (the pack/unpack kernels list ranges only when an
+/// observer is attached).
 /// `triggered_at`, when non-null, marks a *pre-enqueued* (stream-triggered)
 /// launch: the host already paid the enqueue cost when the chain was
 /// submitted, so the calling clock is neither read nor advanced - the
@@ -151,7 +128,6 @@ struct KernelProfile {
 /// host-enqueued launch charging `enqueue_ns` at the current clock.
 vt::Time LaunchKernel(HostContext& ctx, Stream& stream,
                       const KernelProfile& profile,
-                      const std::function<void()>& body,
                       const char* label = "kernel",
                       std::span<const MemRange> ranges = {},
                       const vt::Time* triggered_at = nullptr);

@@ -1,7 +1,7 @@
 // GPUDDT_VERIFY - the verifier's opt-in DevCache-insert hook.
 //
-// When enabled, every DEV unit list inserted into a DevCache (engine
-// finish-path fills and prefetches alike) is first certified by the
+// When enabled, every DEV unit list inserted into a DevCache (the
+// engine's finish-path fills) is first certified by the
 // symbolic prover: verify_type over the datatype's three
 // representations, then verify_dev over the exact unit list. An
 // unproven obligation reports a `kind: "verify"` diagnostic into the

@@ -87,17 +87,6 @@ std::vector<PipelineHazard> find_hazards(const PipelineDag& dag) {
   return hazards;
 }
 
-EnginePipelineParams params_from_engine(
-    const core::GpuDatatypeEngine::PipelineShape& shape, int windows,
-    int wire_fragments) {
-  EnginePipelineParams p;
-  p.windows = windows;
-  p.desc_slots = shape.desc_slots;
-  p.residue_separate_stream = shape.residue_separate_stream;
-  p.wire_fragments = wire_fragments;
-  return p;
-}
-
 namespace {
 
 /// The stream-triggered chain (drive_stream_chain, docs/protocols.md):

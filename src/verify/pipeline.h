@@ -97,7 +97,7 @@ enum class MutateDag : std::uint8_t {
 /// round-trip.
 struct EnginePipelineParams {
   int windows = 4;
-  int desc_slots = 2;
+  int desc_slots = core::kDescSlots;
   bool residue_separate_stream = false;
   int wire_fragments = 0;
   int staging_depth = 2;
@@ -105,12 +105,6 @@ struct EnginePipelineParams {
   int send_ring_depth = 2;
   MutateDag mutate = MutateDag::kNone;
 };
-
-/// The engine's static pipeline shape (GpuDatatypeEngine::pipeline_shape)
-/// filled into model parameters.
-EnginePipelineParams params_from_engine(
-    const core::GpuDatatypeEngine::PipelineShape& shape, int windows,
-    int wire_fragments = 0);
 
 /// Build the DAG the engine's synchronization implies.
 PipelineDag build_engine_pipeline(const EnginePipelineParams& p);

@@ -236,14 +236,17 @@ TEST(Canonical, EngineShapeDedupHitOnSecondBuild) {
   ASSERT_NE(t1->type_id(), t2->type_id());
   ASSERT_EQ(t1->shape_digest(), t2->shape_digest());
   ASSERT_FALSE(t1->regular_pattern(1).has_value());  // genuinely irregular
-  eng.prefetch(t1, 1);
-  EXPECT_EQ(eng.cache().size(), 1u);
   void* base = sg::Malloc(ctx, static_cast<std::size_t>(t2->extent()));
+  void* packed = sg::Malloc(ctx, static_cast<std::size_t>(t1->size()));
+  auto warm = eng.start(core::GpuDatatypeEngine::Dir::kPack, t1, 1, base);
+  eng.drain(*warm, packed);
+  EXPECT_EQ(eng.cache().size(), 1u);
   auto op = eng.start(core::GpuDatatypeEngine::Dir::kPack, t2, 1, base);
   EXPECT_TRUE(op->used_cache());
   eng.finish(*op);
   EXPECT_EQ(eng.cache().size(), 1u);  // still one entry, shared by shape
   EXPECT_EQ(rec.metrics().value("dev_cache.shape_dedup.hits"), 1);
+  sg::Free(ctx, packed);
   sg::Free(ctx, base);
 }
 

@@ -351,38 +351,52 @@ void roundtrip(sg::HostContext& ctx, core::GpuDatatypeEngine& eng,
   sg::Free(ctx, back);
 }
 
+/// convert_chunk spans the engine traced into `rec`.
+std::int64_t conversion_chunks(const obs::Recorder& rec) {
+  const auto events = rec.trace().snapshot();
+  return std::count_if(events.begin(), events.end(),
+                       [](const obs::TraceEvent& e) {
+                         return e.name == "convert_chunk";
+                       });
+}
+
+// The triangle has 4608 units at S = 1 KiB, more than one 4096-unit
+// conversion chunk, so the pack refills its unit list between checked
+// windows.
 TEST(CheckEngine, PipelinedConversionRunsClean) {
   obs::Recorder rec;
+  rec.enable_tracing();
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
-  cfg.convert_chunk_units = 16;  // many small upload/launch windows
   cfg.recorder = &rec;
   check::set_recorder(m, &rec);
   core::GpuDatatypeEngine eng(ctx, cfg);
 
-  roundtrip(ctx, eng, core::lower_triangular_type(96, 96), 1, 8 * 1024);
+  roundtrip(ctx, eng, core::lower_triangular_type(1024, 1024), 1, 8 * 1024);
   EXPECT_EQ(hazards(rec), 0);
   EXPECT_EQ(violations(rec), 0);
   EXPECT_GT(test::counter(rec, "engine.kernels.dev"), 2);
+  EXPECT_GE(conversion_chunks(rec), 2);
 }
 
 TEST(CheckEngine, ResidueStreamRunsClean) {
   obs::Recorder rec;
+  rec.enable_tracing();
   sg::Machine m(checked_config());
   sg::HostContext ctx(m, 0);
   core::EngineConfig cfg;
   cfg.unit_bytes = 1024;
-  cfg.convert_chunk_units = 16;
   cfg.residue_separate_stream = true;
   cfg.recorder = &rec;
   check::set_recorder(m, &rec);
   core::GpuDatatypeEngine eng(ctx, cfg);
 
-  roundtrip(ctx, eng, core::lower_triangular_type(96, 96), 1, 8 * 1024);
+  roundtrip(ctx, eng, core::lower_triangular_type(1024, 1024), 1, 8 * 1024);
   EXPECT_EQ(hazards(rec), 0);
   EXPECT_EQ(violations(rec), 0);
+  EXPECT_GE(conversion_chunks(rec), 2);
 }
 
 TEST(CheckEngine, CachedPathRunsCleanAndCountsDistinctUnits) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <set>
+#include <span>
+#include <stdexcept>
 
 #include "core/dev.h"
 #include "core/dev_cache.h"
@@ -269,9 +272,10 @@ TEST(DevCache, KeyHashMixesAllFields) {
 }
 
 TEST(DevCache, ReinsertChargesByteDelta) {
-  // Re-inserting an existing key with a different program size must
-  // charge the byte delta, not double-count the entry (and must free the
-  // stale device copies).
+  // A resident key keeps its entry: re-inserting the same program
+  // coalesces without charging its bytes again, and a different program
+  // (only possible when two shapes share a digest) throws rather than
+  // replacing the units other ops may be reading.
   sg::Machine m;
   sg::HostContext ctx(m, 0);
   obs::Recorder rec;
@@ -282,7 +286,8 @@ TEST(DevCache, ReinsertChargesByteDelta) {
   const auto* e = cache.insert(ctx, a, 1, 1024, convert_all(a, 1, 1024));
   const auto n0 = static_cast<std::int64_t>(e->units.size());
   EXPECT_EQ(cache.bytes(), n0 * d);
-  cache.device_units(ctx, *e);  // upload, so the replace must free it
+  EXPECT_EQ(cache.insert(ctx, a, 1, 1024, convert_all(a, 1, 1024)), e);
+  EXPECT_EQ(cache.bytes(), n0 * d);
   // Same key, different program: a hand-built list of a different size.
   std::vector<CudaDevDist> other(static_cast<std::size_t>(n0) + 3);
   std::int64_t pk = 0;
@@ -290,18 +295,13 @@ TEST(DevCache, ReinsertChargesByteDelta) {
     u = {pk, pk, 8};
     pk += 8;
   }
-  cache.insert(ctx, a, 1, 1024, std::move(other));
+  EXPECT_THROW(cache.insert(ctx, a, 1, 1024, std::move(other)),
+               std::logic_error);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.bytes(), (n0 + 3) * d);  // delta charged, no double count
-  const auto counters = rec.metrics().counters_snapshot();
-  EXPECT_EQ(counters.at("dev_cache.bytes"), cache.bytes());
-  EXPECT_EQ(cache.evictions(), 0u);
-  // And an identical re-insert (the coalesce path) changes nothing.
-  const auto* e2 = cache.find(a, 1, 1024);
-  ASSERT_NE(e2, nullptr);
-  auto same = e2->units;
-  cache.insert(ctx, a, 1, 1024, std::move(same));
-  EXPECT_EQ(cache.bytes(), (n0 + 3) * d);
+  EXPECT_EQ(cache.bytes(), n0 * d);
+  EXPECT_EQ(rec.metrics().counters_snapshot().at("dev_cache.bytes"),
+            cache.bytes());
+  EXPECT_EQ(cache.find(a, 1, 1024)->units, convert_all(a, 1, 1024));
 }
 
 TEST(DevCache, ShapeDedupAcrossInstances) {
@@ -344,7 +344,7 @@ TEST_F(KernelTest, VectorPackGathersCorrectBytes) {
   auto* dst = static_cast<std::byte*>(sg::Malloc(ctx, dt->size()));
   test::fill_pattern(src, static_cast<std::size_t>(span), 5);
   const auto pat = *dt->regular_pattern(1);
-  pack_vector_kernel(ctx, stream, src, pat, 0, dt->size(), dst, 15);
+  vector_kernel(ctx, stream, Dir::kPack, src, pat, 0, dt->size(), dst, 15);
   const auto ref = test::reference_pack(dt, 1, src);
   EXPECT_EQ(std::memcmp(dst, ref.data(), ref.size()), 0);
 }
@@ -359,8 +359,8 @@ TEST_F(KernelTest, VectorPackSubRange) {
   // Pack in three uneven pieces.
   const std::int64_t cuts[] = {0, 100, 500, dt->size()};
   for (int i = 0; i < 3; ++i)
-    pack_vector_kernel(ctx, stream, src, pat, cuts[i], cuts[i + 1],
-                       dst + cuts[i], 15);
+    vector_kernel(ctx, stream, Dir::kPack, src, pat, cuts[i], cuts[i + 1],
+                  dst + cuts[i], 15);
   const auto ref = test::reference_pack(dt, 1, src);
   EXPECT_EQ(std::memcmp(dst, ref.data(), ref.size()), 0);
 }
@@ -374,8 +374,9 @@ TEST_F(KernelTest, VectorUnpackInvertsPack) {
   test::fill_pattern(orig, static_cast<std::size_t>(span), 7);
   std::memset(back, 0, static_cast<std::size_t>(span));
   const auto pat = *dt->regular_pattern(1);
-  pack_vector_kernel(ctx, stream, orig, pat, 0, dt->size(), packed, 15);
-  unpack_vector_kernel(ctx, stream, back, pat, 0, dt->size(), packed, 15);
+  vector_kernel(ctx, stream, Dir::kPack, orig, pat, 0, dt->size(), packed, 15);
+  vector_kernel(ctx, stream, Dir::kUnpack, back, pat, 0, dt->size(), packed,
+                15);
   const auto a = test::reference_pack(dt, 1, orig);
   const auto b = test::reference_pack(dt, 1, back);
   EXPECT_EQ(a, b);
@@ -388,7 +389,7 @@ TEST_F(KernelTest, DevPackMatchesCpuReference) {
   auto* dst = static_cast<std::byte*>(sg::Malloc(ctx, dt->size()));
   test::fill_pattern(src, static_cast<std::size_t>(span), 8);
   auto units = convert_all(dt, 1, 1024);
-  pack_dev_kernel(ctx, stream, src, {units}, 0, dst, nullptr, 15);
+  dev_kernel(ctx, stream, Dir::kPack, src, {units}, 0, dst, nullptr, 15);
   const auto ref = test::reference_pack(dt, 1, src);
   EXPECT_EQ(std::memcmp(dst, ref.data(), ref.size()), 0);
 }
@@ -402,8 +403,8 @@ TEST_F(KernelTest, DevUnpackInvertsPack) {
   test::fill_pattern(orig, static_cast<std::size_t>(span), 9);
   std::memset(back, 0, static_cast<std::size_t>(span));
   auto units = convert_all(dt, 1, 512);
-  pack_dev_kernel(ctx, stream, orig, {units}, 0, packed, nullptr, 15);
-  unpack_dev_kernel(ctx, stream, back, {units}, 0, packed, nullptr, 15);
+  dev_kernel(ctx, stream, Dir::kPack, orig, {units}, 0, packed, nullptr, 15);
+  dev_kernel(ctx, stream, Dir::kUnpack, back, {units}, 0, packed, nullptr, 15);
   EXPECT_EQ(test::reference_pack(dt, 1, orig),
             test::reference_pack(dt, 1, back));
 }
@@ -418,7 +419,7 @@ TEST_F(KernelTest, AlignedVectorNearsMemcpyBandwidth) {
   const auto pat = *dt->regular_pattern(1);
   const vt::Time start = ctx.clock.now();
   const vt::Time fin =
-      pack_vector_kernel(ctx, stream, src, pat, 0, dt->size(), dst, 64);
+      vector_kernel(ctx, stream, Dir::kPack, src, pat, 0, dt->size(), dst, 64);
   const vt::Time kernel = fin - start;
   const vt::Time memcpy_time = ctx.cost().d2d_copy_ns(dt->size());
   EXPECT_LT(static_cast<double>(kernel),
@@ -438,10 +439,11 @@ TEST_F(KernelTest, MisalignedUnitsCostMoreTransactions) {
   auto* dst = static_cast<std::byte*>(sg::Malloc(ctx, 1 << 20));
   auto* dst2 = static_cast<std::byte*>(sg::Malloc(ctx, 1 << 20));
   sg::Stream s1(&m.device(0)), s2(&m.device(0));
-  const vt::Time f1 = pack_dev_kernel(ctx, s1, src, {aligned}, 0, dst, nullptr, 15);
+  const vt::Time f1 =
+      dev_kernel(ctx, s1, Dir::kPack, src, {aligned}, 0, dst, nullptr, 15);
   const vt::Time base1 = s1.tail();
   const vt::Time f2 =
-      pack_dev_kernel(ctx, s2, src, {drifting}, 0, dst2, nullptr, 15);
+      dev_kernel(ctx, s2, Dir::kPack, src, {drifting}, 0, dst2, nullptr, 15);
   (void)base1;
   // Durations: compare net-of-queue times via fresh streams.
   EXPECT_GT(f2 - f1, 0);
@@ -452,11 +454,127 @@ TEST_F(KernelTest, ZeroCopyPackChargesPcie) {
   auto* src = static_cast<std::byte*>(sg::Malloc(ctx, 128 * 16 * 8));
   auto* host = static_cast<std::byte*>(sg::HostAlloc(ctx, dt->size(), true));
   const auto pat = *dt->regular_pattern(1);
-  pack_vector_kernel(ctx, stream, src, pat, 0, dt->size(), host, 15);
+  vector_kernel(ctx, stream, Dir::kPack, src, pat, 0, dt->size(), host, 15);
   EXPECT_GT(m.device(0).pcie().total_busy(), 0);
   // Functional result still correct.
   const auto ref = test::reference_pack(dt, 1, src);
   EXPECT_EQ(std::memcmp(host, ref.data(), ref.size()), 0);
+}
+
+/// Records the finish time and ranges of the latest operation, each range
+/// as (buffer, offset from that buffer's base, length, write).
+class RangeRecorder : public sg::AccessObserver {
+ public:
+  struct Range {
+    int buffer = -1;
+    std::int64_t offset = 0;
+    std::int64_t len = 0;
+    bool write = false;
+    bool operator==(const Range&) const = default;
+  };
+
+  /// Buffer i is [bases[i], bases[i] + sizes[i]).
+  std::vector<const std::byte*> bases;
+  std::vector<std::int64_t> sizes;
+  vt::Time finish = 0;
+  std::vector<Range> ranges;
+
+  void on_op(const sg::OpInfo& info,
+             std::span<const sg::MemRange> rs) override {
+    finish = info.finish;
+    ranges.clear();
+    for (const sg::MemRange& r : rs) {
+      const auto* p = static_cast<const std::byte*>(r.ptr);
+      Range out{-1, 0, r.len, r.write};
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        if (p >= bases[i] && p < bases[i] + sizes[i]) {
+          out.buffer = static_cast<int>(i);
+          out.offset = p - bases[i];
+        }
+      }
+      ranges.push_back(out);
+    }
+  }
+  void on_release(const void*, std::size_t) override {}
+  void on_reset() override {}
+};
+
+TEST(KernelPins, FinishTimesAndRangesPerSide) {
+  // Every kernel - vector and DEV, pack and unpack - against a packed
+  // side in local device memory, in a peer device and in mapped host
+  // memory. The vector range starts and stops inside a block; the DEV
+  // window skips into its first unit and cuts its last. Each launch runs
+  // alone on a reset machine, and its finish time and its ranges (user
+  // buffer 0, packed side 1, descriptors 2) are pinned.
+  sg::Machine m{test::machine_config(2)};
+  sg::HostContext ctx{m, 0};
+  sg::HostContext peer{m, 1};
+  sg::Stream stream{&m.device(0)};
+  constexpr std::int64_t kUser = 16 << 10;
+  constexpr std::int64_t kPacked = 4 << 10;
+  auto* user = static_cast<std::byte*>(sg::Malloc(ctx, kUser));
+  test::fill_pattern(user, kUser, 41);
+  std::byte* const sides[3] = {
+      static_cast<std::byte*>(sg::Malloc(ctx, kPacked)),
+      static_cast<std::byte*>(sg::Malloc(peer, kPacked)),
+      static_cast<std::byte*>(sg::HostAlloc(ctx, kPacked, true))};
+  const mpi::RegularPattern pat{24, 300, 416, 8};
+  const std::int64_t pk_lo = 40, pk_hi = 2300;
+  const auto units = convert_all(core::lower_triangular_type(40, 40), 1, 256);
+  const auto desc_bytes =
+      static_cast<std::int64_t>(units.size() * sizeof(CudaDevDist));
+  auto* desc = static_cast<CudaDevDist*>(sg::Malloc(ctx, desc_bytes));
+  sg::Memcpy(ctx, desc, units.data(), static_cast<std::size_t>(desc_bytes));
+  const DevWindow win{{units.data() + 2, 10}, 40, 10};
+  const std::int64_t pk_base = units[2].pk_disp + 40;
+
+  auto rec = std::make_unique<RangeRecorder>();
+  RangeRecorder* seen = rec.get();
+  m.set_observer(std::move(rec));
+  using Range = RangeRecorder::Range;
+  // [vector, dev][pack, unpack]
+  const std::vector<Range> pinned_ranges[2][2] = {
+      {// vector
+       {{0, 64, 260, false}, {1, 0, 2260, true}, {0, 440, 300, false},
+        {0, 856, 300, false}, {0, 1272, 300, false}, {0, 1688, 300, false},
+        {0, 2104, 300, false}, {0, 2520, 300, false}, {0, 2936, 200, false}},
+       {{1, 0, 2260, false}, {0, 64, 260, true}, {0, 440, 300, true},
+        {0, 856, 300, true}, {0, 1272, 300, true}, {0, 1688, 300, true},
+        {0, 2104, 300, true}, {0, 2520, 300, true}, {0, 2936, 200, true}}},
+      {// DEV
+       {{0, 368, 272, false}, {1, 0, 1430, true}, {0, 656, 304, false},
+        {0, 984, 296, false}, {0, 1312, 288, false}, {0, 1640, 270, false},
+        {2, 48, 240, false}},
+       {{1, 0, 1430, false}, {0, 368, 272, true}, {0, 656, 304, true},
+        {0, 984, 296, true}, {0, 1312, 288, true}, {0, 1640, 270, true},
+        {2, 48, 240, false}}}};
+  // [vector, dev][pack, unpack][local, peer, mapped host]
+  const vt::Time pinned_finish[2][2][3] = {
+      {{7956, 7982, 7913}, {7956, 7982, 7921}},
+      {{7911, 7878, 7834}, {7911, 7878, 7840}}};
+  for (int kind = 0; kind < 2; ++kind) {
+    for (int d = 0; d < 2; ++d) {
+      for (int side = 0; side < 3; ++side) {
+        SCOPED_TRACE(testing::Message()
+                     << "kind " << kind << " dir " << d << " side " << side);
+        std::byte* packed = sides[side];
+        seen->bases = {user, packed, reinterpret_cast<std::byte*>(desc)};
+        seen->sizes = {kUser, kPacked, desc_bytes};
+        m.reset_timing();
+        ctx.clock.reset();
+        stream.reset();
+        const Dir dir = d == 0 ? Dir::kPack : Dir::kUnpack;
+        const vt::Time finish =
+            kind == 0 ? vector_kernel(ctx, stream, dir, user, pat, pk_lo,
+                                      pk_hi, packed, 1)
+                      : dev_kernel(ctx, stream, dir, user, win, pk_base,
+                                   packed, desc + 2, 1);
+        EXPECT_EQ(finish, seen->finish);
+        EXPECT_EQ(finish, pinned_finish[kind][d][side]);
+        EXPECT_EQ(seen->ranges, pinned_ranges[kind][d]);
+      }
+    }
+  }
 }
 
 // --- Engine -----------------------------------------------------------------------------
@@ -552,10 +670,10 @@ TEST_F(EngineTest, SecondPackHitsCache) {
 
 TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
   // Each launch window is cut out of the unit list the op already holds:
-  // a cache entry, a stage_all batch (driven by process_triggered) or a
-  // live conversion chunk. The window skips the first unit's consumed
-  // bytes and cuts the last unit at the budget. For every source, type
-  // and budget:
+  // a cache entry, or the op's own list, converted all at once by
+  // stage_all (driven by process_triggered) or chunk by chunk. The window
+  // skips the first unit's consumed bytes and cuts the last unit at the
+  // budget. For every source, type and budget:
   //  * the packed bytes equal cpu_pack's, and the unpack restores them;
   //  * every window holds the units the budget-trimming walk below
   //    replays; on a cache hit, engine.units.from_cache counts a unit
@@ -575,8 +693,8 @@ TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
   // {pack, unpack} completion per [source][type][budget].
   const vt::Time pinned[kSources][2][4][2] = {
       {// cached
-       {{132928, 243558}, {132927, 243556}, {54932, 87566}, {28934, 35570}},
-       {{128843, 233171}, {128842, 233169}, {50849, 77183}, {31348, 38181}}},
+       {{137564, 248194}, {137563, 248192}, {59568, 92202}, {33570, 40206}},
+       {{133676, 238004}, {133675, 238002}, {55682, 82016}, {36181, 43014}}},
       {// stage_all batch
        {{132928, 243558}, {132927, 243556}, {54932, 87566}, {28934, 39584}},
        {{128843, 233171}, {128842, 233169}, {50849, 77183}, {31348, 42556}}},
@@ -624,7 +742,6 @@ TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
         cfg.recorder = &rec;
         cfg.cache_enabled = source == kCached;
         GpuDatatypeEngine eng(c, cfg);
-        if (source == kCached) eng.prefetch(dt, count);
         const std::int64_t span = test::span_bytes(dt, count);
         auto* src = static_cast<std::byte*>(sg::Malloc(c, span));
         auto* back = static_cast<std::byte*>(sg::Malloc(c, span));
@@ -633,6 +750,12 @@ TEST_F(EngineTest, CachedUnitsCountedAcrossWindows) {
         std::memset(back, 0, static_cast<std::size_t>(span));
         std::byte* src_base = src - dt->true_lb();
         std::byte* back_base = back - dt->true_lb();
+        if (source == kCached) {
+          // One whole-message pack fills the cache.
+          auto warm = eng.start(Dir::kPack, dt, count, src_base);
+          eng.drain(*warm, packed);
+          rec.trace().clear();
+        }
 
         constexpr std::int64_t kGuard = 1024;
         const auto stage_bytes = static_cast<std::size_t>(budget + 2 * kGuard);
@@ -906,95 +1029,6 @@ TEST_F(EngineTest, ZeroSizeOpCompletesImmediately) {
   EXPECT_TRUE(op->done());
   const auto r = eng.process_some(*op, nullptr, 100);
   EXPECT_EQ(r.bytes, 0);
-}
-
-}  // namespace
-}  // namespace gpuddt::core
-
-namespace gpuddt::core {
-namespace {
-
-TEST(Prefetch, WarmsCacheBeforeFirstPack) {
-  sg::Machine m{test::machine_config(1, 128u << 20)};
-  sg::HostContext ctx(m, 0);
-  GpuDatatypeEngine eng(ctx);
-  auto dt = core::lower_triangular_type(64, 64);
-  eng.prefetch(dt, 1);
-  EXPECT_EQ(eng.cache().size(), 1u);
-  auto op = eng.start(GpuDatatypeEngine::Dir::kPack, dt, 1, nullptr);
-  EXPECT_TRUE(op->used_cache());
-}
-
-TEST(Prefetch, ChargesConversionTime) {
-  sg::Machine m{test::machine_config(1, 128u << 20)};
-  sg::HostContext ctx(m, 0);
-  GpuDatatypeEngine eng(ctx);
-  auto dt = core::lower_triangular_type(256, 256);
-  const vt::Time t0 = ctx.clock.now();
-  eng.prefetch(dt, 1);
-  EXPECT_GT(ctx.clock.now(), t0);
-  // Idempotent and free the second time.
-  const vt::Time t1 = ctx.clock.now();
-  eng.prefetch(dt, 1);
-  EXPECT_EQ(ctx.clock.now(), t1);
-}
-
-TEST(Prefetch, ChargesWalkPerPieceVisited) {
-  // Regression: prefetch used to charge cpu_block_walk_ns per emitted
-  // *unit* instead of per datatype piece visited, overstating the host
-  // conversion cost whenever long contiguous pieces split into several
-  // units (the convert_chunk path has always charged per piece).
-  auto dt = core::lower_triangular_type(512, 512);
-  DevCursor ref(dt, 1, 1024);
-  std::size_t units_n = 0;
-  CudaDevDist buf[256];
-  for (;;) {
-    const std::size_t n = ref.next_units(buf);
-    if (n == 0) break;
-    units_n += n;
-  }
-  const std::int64_t pieces = ref.pieces_visited();
-  // Long triangular rows split at the 1KB unit size, so there are more
-  // units than pieces - the configuration where the two formulas differ.
-  ASSERT_GT(static_cast<std::int64_t>(units_n), pieces);
-
-  // The device upload that prefetch also performs, measured on its own
-  // machine so PCIe accounting cannot bleed between the measurements.
-  vt::Time upload = 0;
-  {
-    sg::Machine m{test::machine_config(1, 128u << 20)};
-    sg::HostContext ctx(m, 0);
-    DevCache cache;
-    const auto* e = cache.insert(ctx, dt, 1, 1024, convert_all(dt, 1, 1024));
-    const vt::Time t0 = ctx.clock.now();
-    cache.device_units(ctx, *e);
-    upload = ctx.clock.now() - t0;
-  }
-
-  sg::Machine m{test::machine_config(1, 128u << 20)};
-  sg::HostContext ctx(m, 0);
-  GpuDatatypeEngine eng(ctx);
-  const sg::CostModel& cm = ctx.cost();
-  const vt::Time t0 = ctx.clock.now();
-  eng.prefetch(dt, 1);
-  const vt::Time elapsed = ctx.clock.now() - t0;
-
-  const auto conv = static_cast<vt::Time>(
-      cm.cpu_dev_emit_ns * static_cast<double>(units_n) +
-      cm.cpu_block_walk_ns * static_cast<double>(pieces));
-  const auto old_formula = static_cast<vt::Time>(
-      cm.cpu_dev_emit_ns * static_cast<double>(units_n) +
-      cm.cpu_block_walk_ns * static_cast<double>(units_n));
-  ASSERT_NE(conv, old_formula);  // the fix is observable on this type
-  EXPECT_EQ(elapsed, conv + upload);
-}
-
-TEST(Prefetch, SkipsVectorFastPath) {
-  sg::Machine m{test::machine_config(1, 128u << 20)};
-  sg::HostContext ctx(m, 0);
-  GpuDatatypeEngine eng(ctx);
-  eng.prefetch(core::submatrix_type(64, 16, 96), 1);
-  EXPECT_EQ(eng.cache().size(), 0u);
 }
 
 }  // namespace

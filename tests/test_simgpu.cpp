@@ -255,13 +255,6 @@ TEST_F(CopyTest, ZeroByteCopyIsFree) {
   EXPECT_EQ(ctx.clock.now(), t0);
 }
 
-TEST_F(CopyTest, MemsetFillsDeviceMemory) {
-  auto* dev = static_cast<std::byte*>(Malloc(ctx, 256));
-  Memset(ctx, dev, 0xAB, 256);
-  for (int i = 0; i < 256; ++i)
-    EXPECT_EQ(std::to_integer<int>(dev[i]), 0xAB);
-}
-
 // --- Memcpy2D ----------------------------------------------------------------------
 
 TEST_F(CopyTest, Memcpy2DMovesRowsFunctionally) {
@@ -330,14 +323,12 @@ TEST_F(CopyTest, EventsOrderStreams) {
   EXPECT_GE(f2, e.timestamp);
 }
 
-TEST_F(CopyTest, KernelBodyRunsAndProfileSetsDuration) {
+TEST_F(CopyTest, KernelProfileSetsDuration) {
   Stream s(&m.device(0));
-  bool ran = false;
   KernelProfile prof;
   prof.device_txn_bytes = 1 << 20;
   prof.blocks = 64;
-  const vt::Time finish = LaunchKernel(ctx, s, prof, [&] { ran = true; });
-  EXPECT_TRUE(ran);
+  const vt::Time finish = LaunchKernel(ctx, s, prof);
   EXPECT_GE(finish - ctx.clock.now(),
             ctx.cost().kernel_launch_ns / 2);
 }
@@ -359,8 +350,8 @@ TEST_F(CopyTest, ConcurrentKernelsContendForSms) {
   KernelProfile big;
   big.device_txn_bytes = 100 << 20;
   big.blocks = 64;  // full width
-  const vt::Time f1 = LaunchKernel(ctx, s1, big, [] {});
-  const vt::Time f2 = LaunchKernel(ctx, s2, big, [] {});
+  const vt::Time f1 = LaunchKernel(ctx, s1, big);
+  const vt::Time f2 = LaunchKernel(ctx, s2, big);
   // Full-width kernels cannot overlap: the second queues behind the first.
   EXPECT_GE(f2, f1);
 }
@@ -372,7 +363,7 @@ TEST_F(CopyTest, ZeroCopyKernelHoldsPcieLink) {
   prof.pcie_bytes = 1 << 20;
   prof.pcie_dir = PcieDir::kToHost;
   prof.blocks = 15;
-  LaunchKernel(ctx, s, prof, [] {});
+  LaunchKernel(ctx, s, prof);
   EXPECT_GT(m.device(0).pcie().total_busy(), 0);
 }
 
@@ -417,50 +408,6 @@ TEST_F(CopyTest, TimedCopyDoesNotBlockHostClock) {
   const vt::Time t0 = ctx.clock.now();
   TimedCopy(ctx, b, a, 1 << 20, 0);
   EXPECT_EQ(ctx.clock.now(), t0);
-}
-
-}  // namespace
-}  // namespace gpuddt::sg
-
-namespace gpuddt::sg {
-namespace {
-
-TEST(Memcpy3D, MovesPitched3DBlocks) {
-  Machine m;
-  HostContext ctx(m, 0);
-  const std::size_t w = 24, h = 4, d = 3;
-  const std::size_t spitch = 32, sslice = spitch * h + 64;
-  const std::size_t dpitch = 24, dslice = dpitch * h;
-  std::vector<std::byte> src(sslice * d), dst(dslice * d);
-  test::fill_pattern(src.data(), src.size(), 77);
-  Memcpy3D(ctx, dst.data(), dpitch, dslice, src.data(), spitch, sslice, w, h,
-           d);
-  for (std::size_t z = 0; z < d; ++z)
-    for (std::size_t r = 0; r < h; ++r)
-      EXPECT_EQ(std::memcmp(dst.data() + z * dslice + r * dpitch,
-                            src.data() + z * sslice + r * spitch, w),
-                0);
-}
-
-TEST(Memcpy3D, RejectsBadPitches) {
-  Machine m;
-  HostContext ctx(m, 0);
-  std::vector<std::byte> a(1024), b(1024);
-  EXPECT_THROW(
-      Memcpy3D(ctx, a.data(), 8, 64, b.data(), 16, 64, 12, 4, 2),
-      std::invalid_argument);
-}
-
-TEST(Memcpy3D, ChargesPerSliceTime) {
-  Machine m;
-  HostContext ctx(m, 0);
-  void* dev = Malloc(ctx, 1 << 20);
-  std::vector<std::byte> host(1 << 20);
-  const vt::Time t0 = ctx.clock.now();
-  Memcpy3D(ctx, host.data(), 1024, 1024 * 64, dev, 1024, 1024 * 64, 1024, 64,
-           4);
-  // Four D2H slices of 64KB each: at least the PCI-E time of 256KB.
-  EXPECT_GT(ctx.clock.now() - t0, vt::transfer_time(256 << 10, 11.0));
 }
 
 }  // namespace

@@ -127,8 +127,8 @@ TEST(Fig8Shape, KernelMatchesMemcpy2dOnDevice) {
   sg::Stream stream(&machine.device(0));
   mpi::RegularPattern pat{0, blk, pitch, blocks};
   const vt::Time k0 = ctx.clock.now();
-  const vt::Time fin = core::pack_vector_kernel(ctx, stream, src, pat, 0,
-                                                blocks * blk, dst, 64);
+  const vt::Time fin = core::vector_kernel(ctx, stream, core::Dir::kPack, src,
+                                           pat, 0, blocks * blk, dst, 64);
   const vt::Time kernel = fin - k0;
   EXPECT_LT(static_cast<double>(kernel), 1.3 * static_cast<double>(mcp2d));
   EXPECT_GT(static_cast<double>(kernel), 0.7 * static_cast<double>(mcp2d));

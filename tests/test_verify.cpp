@@ -199,8 +199,8 @@ TEST(VerifyMutation, UnmergedSeamFailsUnitCount) {
 }
 
 TEST(VerifyMutation, ReorderedPipelineEdgeFailsHazardFree) {
-  core::GpuDatatypeEngine::PipelineShape shape;
-  EnginePipelineParams p = params_from_engine(shape, /*windows=*/6);
+  EnginePipelineParams p;
+  p.windows = 6;
   EXPECT_TRUE(verify_pipeline(p).certified());
   // Dropping the desc_last_use WAR guard reproduces the PR 2
   // descriptor-slot race as a statically refuted obligation.
@@ -212,12 +212,15 @@ TEST(VerifyMutation, ReorderedPipelineEdgeFailsHazardFree) {
 
 TEST(VerifyPipeline, AllEngineShapesProveHazardFree) {
   for (const bool residue : {false, true}) {
-    core::GpuDatatypeEngine::PipelineShape shape;
-    shape.residue_separate_stream = residue;
-    expect_certified(verify_pipeline(params_from_engine(shape, 8)));
+    EnginePipelineParams p;
+    p.windows = 8;
+    p.residue_separate_stream = residue;
+    expect_certified(verify_pipeline(p));
   }
-  core::GpuDatatypeEngine::PipelineShape shape;
-  expect_certified(verify_pipeline(params_from_engine(shape, 6, 6)));
+  EnginePipelineParams p;
+  p.windows = 6;
+  p.wire_fragments = 6;
+  expect_certified(verify_pipeline(p));
 }
 
 TEST(VerifyPipeline, StreamTriggeredChainProvesHazardFree) {

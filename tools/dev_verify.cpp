@@ -285,19 +285,18 @@ int main(int argc, char** argv) {
 
   // Pipeline hazard proofs over every modeled engine configuration.
   for (const bool residue : {false, true}) {
-    gpuddt::core::GpuDatatypeEngine::PipelineShape shape;
-    shape.residue_separate_stream = residue;
-    gpuddt::verify::EnginePipelineParams p =
-        gpuddt::verify::params_from_engine(shape, /*windows=*/6);
+    gpuddt::verify::EnginePipelineParams p;
+    p.windows = 6;
+    p.residue_separate_stream = residue;
     if (mutate == Mutate::kReorderEdge) {
       p.mutate = gpuddt::verify::MutateDag::kDropWarEdge;
     }
     reports.push_back(gpuddt::verify::verify_pipeline(p));
     if (!residue) {
       // Sender + wire + unpack extension (single-stream model only).
-      gpuddt::verify::EnginePipelineParams wp =
-          gpuddt::verify::params_from_engine(shape, /*windows=*/6,
-                                             /*wire_fragments=*/6);
+      gpuddt::verify::EnginePipelineParams wp;
+      wp.windows = 6;
+      wp.wire_fragments = 6;
       if (mutate == Mutate::kReorderEdge) {
         wp.mutate = gpuddt::verify::MutateDag::kDropWarEdge;
       }
