@@ -16,7 +16,7 @@ vt::TimedResource& SmBtl::channel(int a, int b) {
 }
 
 vt::Time SmBtl::am_send(Process& src, int dst_rank, int handler,
-                        std::vector<std::byte> payload, vt::Time earliest) {
+                        Payload payload, vt::Time earliest) {
   const sg::CostModel& cm = src.runtime().machine().cost();
   // Small header/doorbell cost on the sender core.
   src.clock().advance(vt::usec(0.2));
@@ -111,7 +111,7 @@ vt::Time IbBtl::charge_fat_tree(Process& p, int src_node, int dst_node,
 }
 
 vt::Time IbBtl::am_send(Process& src, int dst_rank, int handler,
-                        std::vector<std::byte> payload, vt::Time earliest) {
+                        Payload payload, vt::Time earliest) {
   const sg::CostModel& cm = src.runtime().machine().cost();
   src.clock().advance(cm.ib_post_ns);
   const vt::Time start = std::max(src.clock().now(), earliest);

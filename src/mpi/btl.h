@@ -32,8 +32,7 @@ class Btl {
   /// virtual completion time.
   /// Returns the message's virtual arrival (wire-completion) time.
   virtual vt::Time am_send(Process& src, int dst_rank, int handler,
-                           std::vector<std::byte> payload,
-                           vt::Time earliest) = 0;
+                           Payload payload, vt::Time earliest) = 0;
 
   /// One-sided get: read `bytes` from `remote` (a pointer valid in this
   /// address space - IPC-mapped device memory or exposed host memory) into
@@ -67,7 +66,7 @@ class SmBtl : public Btl {
   const char* name() const override { return "sm"; }
   std::size_t max_am_payload() const override { return 1 << 20; }
   vt::Time am_send(Process& src, int dst_rank, int handler,
-                   std::vector<std::byte> payload, vt::Time earliest) override;
+                   Payload payload, vt::Time earliest) override;
   vt::Time rdma_get(Process& self, int peer_rank, void* local,
                     const void* remote, std::size_t bytes,
                     vt::Time earliest) override;
@@ -95,7 +94,7 @@ class IbBtl : public Btl {
   const char* name() const override { return "ib"; }
   std::size_t max_am_payload() const override { return 1 << 20; }
   vt::Time am_send(Process& src, int dst_rank, int handler,
-                   std::vector<std::byte> payload, vt::Time earliest) override;
+                   Payload payload, vt::Time earliest) override;
   vt::Time rdma_get(Process& self, int peer_rank, void* local,
                     const void* remote, std::size_t bytes,
                     vt::Time earliest) override;

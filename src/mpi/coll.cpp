@@ -81,10 +81,42 @@ class CollSpan {
   std::int64_t direct_ = 0;
 };
 
-/// Element offset -> byte offset for block placement.
-std::int64_t block_off(const DatatypePtr& dt, std::int64_t elems) {
-  return elems * dt->extent();
-}
+/// The collectives' one wire rule: how a block of `count` elements of
+/// `dt` crosses the point-to-point layer. A block of more than one element
+/// that forms one contiguous region travels as one element of
+/// contiguous(size x count, kByte) from its first data byte, the type
+/// reduce ships its packed stream as, so the PML cuts each fragment in one
+/// cursor step instead of one per element. Every other block keeps its
+/// (count, dt). Both forms carry the same bytes in the same order, so the
+/// peer may hold either one (a strided receiver walks its own layout).
+/// Only the wire form changes; CollSpan keeps the caller's datatype.
+class Wire {
+ public:
+  Wire(std::int64_t count, const DatatypePtr& dt)
+      : count(count), dt(dt), stride_(count * dt->extent()) {
+    if (count > 1 && dt->is_contiguous(count)) {
+      this->count = 1;
+      this->dt = Datatype::contiguous(dt->size() * count, kByte());
+      shift_ = dt->true_lb();
+    }
+  }
+
+  /// Block `i` of a buffer of such blocks (block i starts i x count
+  /// elements in), at the address its wire form starts from.
+  std::byte* at(void* buf, std::int64_t i = 0) const {
+    return static_cast<std::byte*>(buf) + i * stride_ + shift_;
+  }
+  const std::byte* at(const void* buf, std::int64_t i = 0) const {
+    return static_cast<const std::byte*>(buf) + i * stride_ + shift_;
+  }
+
+  std::int64_t count;
+  DatatypePtr dt;
+
+ private:
+  std::int64_t stride_;
+  std::int64_t shift_ = 0;
+};
 
 Primitive reduce_primitive(const DatatypePtr& dt) {
   const Signature& sig = dt->signature();
@@ -166,13 +198,14 @@ void Collectives::bcast(void* buf, std::int64_t count, const DatatypePtr& dt,
                 dt->shape_digest());
   const std::int64_t block = dt->size() * count;
   const bool contig = dt->is_contiguous(count);
+  const Wire w(count, dt);
   const int vrank = (rank - root + size) % size;
   // Binomial tree: receive from the parent, then forward to children.
   int mask = 1;
   while (mask < size) {
     if (vrank & mask) {
       const int parent = (vrank - mask + root) % size;
-      comm_.recv(buf, count, dt, parent, tag);
+      comm_.recv(w.at(buf), w.count, w.dt, parent, tag);
       break;
     }
     mask <<= 1;
@@ -181,7 +214,7 @@ void Collectives::bcast(void* buf, std::int64_t count, const DatatypePtr& dt,
   while (mask > 0) {
     if (vrank + mask < size) {
       const int child = (vrank + mask + root) % size;
-      comm_.send(buf, count, dt, child, tag);
+      comm_.send(w.at(buf), w.count, w.dt, child, tag);
       span.sent(block, contig, /*staged=*/false);
     }
     mask >>= 1;
@@ -198,24 +231,22 @@ void Collectives::gather(const void* sendbuf, void* recvbuf,
                 dt->shape_digest());
   const std::int64_t block = dt->size() * count;
   const bool contig = dt->is_contiguous(count);
+  const Wire w(count, dt);
   if (rank != root) {
-    comm_.send(sendbuf, count, dt, root, tag);
+    comm_.send(w.at(sendbuf), w.count, w.dt, root, tag);
     span.sent(block, contig, /*staged=*/false);
     return;
   }
-  auto* out = static_cast<std::byte*>(recvbuf);
   std::vector<Request> reqs;
   for (int r = 0; r < size; ++r) {
     if (r == rank) continue;
-    reqs.push_back(
-        comm_.irecv(out + block_off(dt, r * count), count, dt, r, tag));
+    reqs.push_back(comm_.irecv(w.at(recvbuf, r), w.count, w.dt, r, tag));
   }
   // Own block: loop it through the transport so device buffers and
   // non-contiguous layouts are handled uniformly.
-  reqs.push_back(comm_.isend(sendbuf, count, dt, rank, tag));
+  reqs.push_back(comm_.isend(w.at(sendbuf), w.count, w.dt, rank, tag));
   span.sent(block, contig, /*staged=*/false);
-  reqs.push_back(
-      comm_.irecv(out + block_off(dt, rank * count), count, dt, rank, tag));
+  reqs.push_back(comm_.irecv(w.at(recvbuf, rank), w.count, w.dt, rank, tag));
   comm_.waitall(reqs);
 }
 
@@ -229,22 +260,20 @@ void Collectives::scatter(const void* sendbuf, void* recvbuf,
                 dt->shape_digest());
   const std::int64_t block = dt->size() * count;
   const bool contig = dt->is_contiguous(count);
+  const Wire w(count, dt);
   if (rank != root) {
-    comm_.recv(recvbuf, count, dt, root, tag);
+    comm_.recv(w.at(recvbuf), w.count, w.dt, root, tag);
     return;
   }
-  const auto* in = static_cast<const std::byte*>(sendbuf);
   std::vector<Request> reqs;
   for (int r = 0; r < size; ++r) {
     if (r == rank) continue;
-    reqs.push_back(
-        comm_.isend(in + block_off(dt, r * count), count, dt, r, tag));
+    reqs.push_back(comm_.isend(w.at(sendbuf, r), w.count, w.dt, r, tag));
     span.sent(block, contig, /*staged=*/false);
   }
-  reqs.push_back(
-      comm_.isend(in + block_off(dt, rank * count), count, dt, rank, tag));
+  reqs.push_back(comm_.isend(w.at(sendbuf, rank), w.count, w.dt, rank, tag));
   span.sent(block, contig, /*staged=*/false);
-  reqs.push_back(comm_.irecv(recvbuf, count, dt, rank, tag));
+  reqs.push_back(comm_.irecv(w.at(recvbuf), w.count, w.dt, rank, tag));
   comm_.waitall(reqs);
 }
 
@@ -257,13 +286,12 @@ void Collectives::allgather(const void* sendbuf, void* recvbuf,
                 dt->shape_digest());
   const std::int64_t block = dt->size() * count;
   const bool contig = dt->is_contiguous(count);
-  auto* out = static_cast<std::byte*>(recvbuf);
+  const Wire w(count, dt);
   // Place the local contribution (via the transport: uniform handling).
   {
-    Request s = comm_.isend(sendbuf, count, dt, rank, tag);
+    Request s = comm_.isend(w.at(sendbuf), w.count, w.dt, rank, tag);
     span.sent(block, contig, /*staged=*/false);
-    Request r =
-        comm_.irecv(out + block_off(dt, rank * count), count, dt, rank, tag);
+    Request r = comm_.irecv(w.at(recvbuf, rank), w.count, w.dt, rank, tag);
     comm_.wait(s);
     comm_.wait(r);
   }
@@ -273,10 +301,10 @@ void Collectives::allgather(const void* sendbuf, void* recvbuf,
   for (int step = 0; step < size - 1; ++step) {
     const int send_block = (rank - step + size) % size;
     const int recv_block = (rank - step - 1 + size) % size;
-    Request r = comm_.irecv(out + block_off(dt, recv_block * count), count,
-                            dt, left, tag + 0x1000 + step);
-    Request s = comm_.isend(out + block_off(dt, send_block * count), count,
-                            dt, right, tag + 0x1000 + step);
+    Request r = comm_.irecv(w.at(recvbuf, recv_block), w.count, w.dt, left,
+                            tag + 0x1000 + step);
+    Request s = comm_.isend(w.at(recvbuf, send_block), w.count, w.dt, right,
+                            tag + 0x1000 + step);
     span.sent(block, contig, /*staged=*/false);
     comm_.wait(r);
     comm_.wait(s);
@@ -292,16 +320,14 @@ void Collectives::alltoall(const void* sendbuf, void* recvbuf,
                 dt->shape_digest());
   const std::int64_t block = dt->size() * count;
   const bool contig = dt->is_contiguous(count);
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
+  const Wire w(count, dt);
   // Pairwise exchange by rotation; k = 0 is the local block.
   for (int k = 0; k < size; ++k) {
     const int to = (rank + k) % size;
     const int from = (rank - k + size) % size;
-    Request r = comm_.irecv(out + block_off(dt, from * count), count, dt,
-                            from, tag + k);
-    Request s =
-        comm_.isend(in + block_off(dt, to * count), count, dt, to, tag + k);
+    Request r =
+        comm_.irecv(w.at(recvbuf, from), w.count, w.dt, from, tag + k);
+    Request s = comm_.isend(w.at(sendbuf, to), w.count, w.dt, to, tag + k);
     span.sent(block, contig, /*staged=*/false);
     comm_.wait(r);
     comm_.wait(s);
@@ -319,6 +345,7 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
   const Primitive prim = reduce_primitive(dt);
   const std::int64_t bytes = dt->size() * count;
   const bool contig = dt->is_contiguous(count);
+  const Wire w(count, dt);
 
   // Work on the packed representation in host memory: pack the local
   // contribution, combine children's packed streams, unpack at the root.
@@ -327,10 +354,10 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
   const auto n = static_cast<std::size_t>(bytes);
   const auto acc = std::make_unique_for_overwrite<std::byte[]>(n);
   {
-    const PackStats st = cpu_pack(dt, count, sendbuf, {acc.get(), n});
+    const PackStats st = cpu_pack(w.dt, w.count, w.at(sendbuf), {acc.get(), n});
     comm_.process().pml().charge_cpu_pack(st);
   }
-  auto packed = Datatype::contiguous(bytes, kByte());
+  const Wire packed(bytes, kByte());
 
   const int vrank = (rank - root + size) % size;
   const auto incoming = std::make_unique_for_overwrite<std::byte[]>(n);
@@ -339,7 +366,7 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
   while (mask < size) {
     if (vrank & mask) {
       const int parent = (vrank - mask + root) % size;
-      comm_.send(acc.get(), 1, packed, parent, tag);
+      comm_.send(acc.get(), packed.count, packed.dt, parent, tag);
       // The payload crossed the wire as a host-staged packed stream, so
       // it counts as staged regardless of the user layout.
       span.sent(bytes, contig, /*staged=*/true);
@@ -348,7 +375,7 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
     const int child_v = vrank + mask;
     if (child_v < size) {
       const int child = (child_v + root) % size;
-      comm_.recv(incoming.get(), 1, packed, child, tag);
+      comm_.recv(incoming.get(), packed.count, packed.dt, child, tag);
       apply_op(op, prim, acc.get(), incoming.get(), bytes);
       span.ops(bytes / prim_bytes(prim));
       comm_.process().clock().advance(
@@ -357,7 +384,7 @@ void Collectives::reduce(const void* sendbuf, void* recvbuf,
     mask <<= 1;
   }
   // Root: scatter the combined packed stream into the recv layout.
-  const PackStats st = cpu_unpack(dt, count, {acc.get(), n}, recvbuf);
+  const PackStats st = cpu_unpack(w.dt, w.count, {acc.get(), n}, w.at(recvbuf));
   comm_.process().pml().charge_cpu_pack(st);
 }
 

@@ -8,6 +8,15 @@
 //
 // Algorithms: binomial-tree bcast/reduce, linear gather/scatter, ring
 // allgather, pairwise-exchange alltoall, reduce+bcast allreduce.
+//
+// Wire rule: a block of count > 1 elements whose datatype is contiguous
+// for that count crosses the point-to-point layer as one element of
+// contiguous(size x count, kByte), starting at its first data byte
+// (buf + true_lb()); reduce ships its packed stream as the same type.
+// Every other block keeps its (count, dt). Both forms carry the same
+// bytes in the same order, so ranks may pass different layouts of one
+// signature. The coll.* counters, shape digests and spans keep the
+// caller's datatype.
 #pragma once
 
 #include <cstdint>

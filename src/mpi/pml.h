@@ -55,12 +55,12 @@ using Request = std::shared_ptr<RequestState>;
 
 // --- Wire protocol headers (POD, memcpy'd into AM payloads) -------------------
 
-/// An AM payload holding header `h` followed by `extra` bytes for the
-/// caller to fill. Every AM sender (PML, GPU plugin, baselines) builds
-/// its payloads here.
+/// An AM payload holding header `h` followed by `extra` unwritten bytes
+/// that the caller must fill (or throw) before sending. Every AM sender
+/// (PML, GPU plugin, baselines) builds its payloads here.
 template <typename H>
-std::vector<std::byte> make_payload(const H& h, std::size_t extra = 0) {
-  std::vector<std::byte> v(sizeof(H) + extra);
+Payload make_payload(const H& h, std::size_t extra = 0) {
+  Payload v(sizeof(H) + extra);
   std::memcpy(v.data(), &h, sizeof(H));
   return v;
 }
@@ -366,8 +366,8 @@ class Pml {
     Envelope env;
     bool is_rts = false;
     RtsHeader rts;
-    std::vector<std::byte> payload;  // an eager message's whole AM payload
-    std::size_t data_at = 0;         // where its packed bytes start
+    Payload payload;          // an eager message's whole AM payload
+    std::size_t data_at = 0;  // where its packed bytes start
     vt::Time arrival = 0;
 
     /// An eager message's packed bytes: its payload past the header.

@@ -28,8 +28,8 @@ const RuntimeConfig& Process::config() const { return rt_.config(); }
 
 int Process::node_of(int rank) const { return rt_.node_of(rank); }
 
-vt::Time Process::am_send(int dst, int handler,
-                          std::vector<std::byte> payload, vt::Time earliest) {
+vt::Time Process::am_send(int dst, int handler, Payload payload,
+                          vt::Time earliest) {
   return rt_.btl_between(rank_, dst)
       .am_send(*this, dst, handler, std::move(payload), earliest);
 }

@@ -44,13 +44,39 @@ class GpuTransferPlugin;
 /// opts in.
 extern check::Switch stream_triggered_switch;
 
+/// Allocator whose value-less construct default-initialises: a sized
+/// vector of bytes leaves its bytes unwritten instead of zero-filling
+/// them. For buffers whose every byte is written before it is read.
+template <typename T>
+struct OverwriteAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = OverwriteAllocator<U>;
+  };
+
+  OverwriteAllocator() = default;
+  template <typename U>
+  OverwriteAllocator(const OverwriteAllocator<U>&) noexcept {}
+
+  // Constructions with arguments fall back to std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// An Active Message payload. Its senders write every byte (a header,
+/// then packed or copied data, or they throw), so it is allocated for
+/// overwrite rather than zero-filled.
+using Payload = std::vector<std::byte, OverwriteAllocator<std::byte>>;
+
 /// A BTL-level Active Message: the receiver runs the registered handler
 /// for `handler` when it progresses its inbox ([4] in the paper).
 struct AmMessage {
   int handler = 0;
   int src_rank = -1;
   vt::Time arrival = 0;  // virtual time the bytes are available
-  std::vector<std::byte> payload;
+  Payload payload;
 };
 
 using AmHandler = std::function<void(Process&, AmMessage&)>;
@@ -143,7 +169,7 @@ class Process {
   /// Send an Active Message to `dst` through the right BTL. `earliest`
   /// expresses a virtual-time dependency (e.g. a pack-kernel finish); the
   /// wire transfer starts no earlier than max(clock, earliest).
-  vt::Time am_send(int dst, int handler, std::vector<std::byte> payload,
+  vt::Time am_send(int dst, int handler, Payload payload,
                    vt::Time earliest = 0);
 
   /// Drain and dispatch pending messages; returns true if any ran.

@@ -36,7 +36,7 @@ TEST(BtlRaw, AmHandlerReceivesPayloadAndArrivalTime) {
   });
   rt.run([&](Process& p) {
     if (p.rank() == 0) {
-      p.am_send(1, handler, std::vector<std::byte>(100));
+      p.am_send(1, handler, Payload(100));
     } else {
       while (hits == 0) p.progress_blocking();
     }
@@ -55,7 +55,7 @@ TEST(BtlRaw, MessagesFromOneSenderArriveInOrder) {
   rt.run([&](Process& p) {
     if (p.rank() == 0) {
       for (int i = 0; i < 50; ++i) {
-        std::vector<std::byte> payload(4);
+        Payload payload(4);
         std::memcpy(payload.data(), &i, 4);
         p.am_send(1, handler, std::move(payload));
       }
@@ -73,7 +73,7 @@ TEST(BtlRaw, EarliestDependencyDelaysArrival) {
       [&](Process&, AmMessage& m) { arrival = m.arrival; });
   rt.run([&](Process& p) {
     if (p.rank() == 0) {
-      p.am_send(1, handler, std::vector<std::byte>(16), vt::msec(3));
+      p.am_send(1, handler, Payload(16), vt::msec(3));
     } else {
       while (arrival == 0) p.progress_blocking();
     }
@@ -89,7 +89,7 @@ TEST(BtlRaw, IbLinkSlowerThanSmChannel) {
         [&](Process&, AmMessage& m) { arrival = m.arrival; });
     rt.run([&](Process& p) {
       if (p.rank() == 0) {
-        p.am_send(1, handler, std::vector<std::byte>(1 << 20));
+        p.am_send(1, handler, Payload(1 << 20));
       } else {
         while (arrival == 0) p.progress_blocking();
       }
@@ -141,8 +141,8 @@ TEST(BtlRaw, MultiRailDistributesLargeMessages) {
         [&](Process&, AmMessage& m) { arrivals.push_back(m.arrival); });
     rt.run([&](Process& p) {
       if (p.rank() == 0) {
-        p.am_send(1, handler, std::vector<std::byte>(1 << 20));
-        p.am_send(1, handler, std::vector<std::byte>(1 << 20));
+        p.am_send(1, handler, Payload(1 << 20));
+        p.am_send(1, handler, Payload(1 << 20));
       } else {
         while (arrivals.size() < 2) p.progress_blocking();
       }
@@ -168,7 +168,7 @@ TEST(BtlRaw, SmallControlMessagesStayOnRailZero) {
   rt.run([&](Process& p) {
     if (p.rank() == 0) {
       for (int i = 0; i < 10; ++i)
-        p.am_send(1, handler, std::vector<std::byte>(64));
+        p.am_send(1, handler, Payload(64));
     } else {
       while (arrivals.size() < 10) p.progress_blocking();
     }

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/layouts.h"
@@ -127,6 +128,142 @@ TEST_P(CollWorldSize, AllreduceMaxInts) {
     std::int32_t result = -1;
     coll.allreduce(&mine, &result, 1, kInt32(), ReduceOp::kMax);
     EXPECT_EQ(result, 10 + n - 1);
+  });
+}
+
+// Each rank holds the same n doubles in its own layout: even ranks as a
+// dense kDouble x n block, odd ranks as one vector(n, 1, 2, kDouble) over
+// 2n doubles. Inside one collective a contiguous side then sends and
+// receives its blocks as one run of bytes while a strided side walks its
+// own layout. A buffer of several blocks places block b at b x count
+// elements, as the collectives do.
+class RankLayout {
+ public:
+  RankLayout(int rank, std::int64_t n)
+      : n_(n),
+        strided_(rank % 2 == 1),
+        count_(strided_ ? 1 : n),
+        dt_(strided_ ? Datatype::vector(n, 1, 2, kDouble()) : kDouble()),
+        block_doubles_(count_ * dt_->extent() / 8) {}
+
+  std::int64_t count() const { return count_; }
+  const DatatypePtr& dt() const { return dt_; }
+
+  /// A buffer of `blocks` blocks holding `value(b, j)` as element j of
+  /// block b, and -1 in every double no element covers.
+  template <typename F>
+  std::vector<double> buffer(int blocks, F value) const {
+    std::vector<double> v(
+        static_cast<std::size_t>(blocks * block_doubles_ + 1), -1.0);
+    for (int b = 0; b < blocks; ++b)
+      for (std::int64_t j = 0; j < n_; ++j)
+        v[static_cast<std::size_t>(b * block_doubles_ +
+                                   (strided_ ? 2 * j : j))] = value(b, j);
+    return v;
+  }
+  std::vector<double> empty(int blocks) const {
+    return buffer(blocks, [](int, std::int64_t) { return -1.0; });
+  }
+
+ private:
+  std::int64_t n_;
+  bool strided_;
+  std::int64_t count_;
+  DatatypePtr dt_;
+  std::int64_t block_doubles_;
+};
+
+TEST_P(CollWorldSize, PerRankLayoutsInOneCollective) {
+  const int n = GetParam();
+  Runtime rt(world(n));
+  with_plugin(rt);
+  rt.run([n](Process& p) {
+    Collectives coll(Comm{p});
+    const int me = p.rank();
+    // Sums of these stay exact in double.
+    const auto val = [](int a, int b, std::int64_t j) {
+      return a * 1.0e7 + b * 1.0e5 + static_cast<double>(j);
+    };
+    // 96 doubles travel eager; 12288 (96 KiB) by rendezvous; 81920
+    // (640 KiB) in two fragments cut inside the layout, which only the
+    // bcasts cover.
+    for (const std::int64_t len : {96, 12288, 81920}) {
+      SCOPED_TRACE("n = " + std::to_string(len));
+      const RankLayout lay(me, len);
+      for (const int root : {0, n - 1}) {
+        SCOPED_TRACE("root " + std::to_string(root));
+        const auto from_root = [&](int, std::int64_t j) {
+          return val(root, 0, j);
+        };
+        auto buf = me == root ? lay.buffer(1, from_root) : lay.empty(1);
+        coll.bcast(buf.data(), lay.count(), lay.dt(), root);
+        EXPECT_EQ(buf, lay.buffer(1, from_root));
+        if (len > 12288) continue;
+
+        const auto mine = [&](int, std::int64_t j) { return val(me, 0, j); };
+        auto all = lay.empty(me == root ? n : 0);
+        coll.gather(lay.buffer(1, mine).data(), all.data(), lay.count(),
+                    lay.dt(), root);
+        if (me == root) {
+          EXPECT_EQ(all, lay.buffer(n, [&](int b, std::int64_t j) {
+            return val(b, 0, j);
+          }));
+        }
+
+        const auto to_rank = [&](int b, std::int64_t j) {
+          return val(root, b, j);
+        };
+        const auto out = me == root ? lay.buffer(n, to_rank) : lay.empty(0);
+        auto back = lay.empty(1);
+        coll.scatter(out.data(), back.data(), lay.count(), lay.dt(), root);
+        EXPECT_EQ(back, lay.buffer(1, [&](int, std::int64_t j) {
+          return val(root, me, j);
+        }));
+
+        auto sum = lay.empty(1);
+        coll.reduce(lay.buffer(1, mine).data(), sum.data(), lay.count(),
+                    lay.dt(), ReduceOp::kSum, root);
+        const auto total = [&](int, std::int64_t j) {
+          return val(0, 0, j) * n + 1.0e7 * n * (n - 1) / 2;
+        };
+        EXPECT_EQ(sum, me == root ? lay.buffer(1, total) : lay.empty(1));
+        sum = lay.empty(1);
+        coll.allreduce(lay.buffer(1, mine).data(), sum.data(), lay.count(),
+                       lay.dt(), ReduceOp::kSum);
+        EXPECT_EQ(sum, lay.buffer(1, total));
+      }
+      if (len > 12288) continue;
+
+      auto gathered = lay.empty(n);
+      coll.allgather(
+          lay.buffer(1, [&](int, std::int64_t j) { return val(me, 0, j); })
+              .data(),
+          gathered.data(), lay.count(), lay.dt());
+      EXPECT_EQ(gathered, lay.buffer(n, [&](int b, std::int64_t j) {
+        return val(b, 0, j);
+      }));
+
+      auto got = lay.empty(n);
+      coll.alltoall(
+          lay.buffer(n, [&](int b, std::int64_t j) { return val(me, b, j); })
+              .data(),
+          got.data(), lay.count(), lay.dt());
+      EXPECT_EQ(got, lay.buffer(n, [&](int b, std::int64_t j) {
+        return val(b, me, j);
+      }));
+
+      // Device buffers: the GPU protocol plugin moves the same blocks.
+      const auto from_root = [&](int, std::int64_t j) { return val(0, 0, j); };
+      const auto host = me == 0 ? lay.buffer(1, from_root) : lay.empty(1);
+      const std::size_t bytes = host.size() * sizeof(double);
+      void* dev = sg::Malloc(p.gpu(), bytes);
+      std::memcpy(dev, host.data(), bytes);
+      coll.bcast(dev, lay.count(), lay.dt(), 0);
+      std::vector<double> landed(host.size());
+      std::memcpy(landed.data(), dev, bytes);
+      EXPECT_EQ(landed, lay.buffer(1, from_root));
+      sg::Free(p.gpu(), dev);
+    }
   });
 }
 

@@ -337,7 +337,7 @@ TEST(MpiHost, FragmentStreamEndingShortOfRtsThrows) {
         rts.env = Envelope{0, 0, 1, 7};
         rts.send_id = 1;
         rts.total_bytes = 4096;
-        std::vector<std::byte> msg(sizeof(rts));
+        Payload msg(sizeof(rts));
         std::memcpy(msg.data(), &rts, sizeof(rts));
         p.am_send(1, Pml::rts_handler(), std::move(msg));
         FragHeader frag;
